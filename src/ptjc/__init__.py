@@ -72,16 +72,13 @@ from .equivalence import (
 )
 from .fockspace import FockSpace, OperatorMatrix, build_fock_operators, build_h0
 from .kernels import active_backend
-from .linalg import JacobiConvergenceError, expm_pade, jacobi_eigh
 from .pseudo import (
     BiorthogonalSystem,
-    ConditioningWarning,
     EnergyConvention,
     SimilarityMap,
     build_biorthogonal_system,
     build_similarity,
     convention_match,
-    deform,
     diagnostics_record,
     eigen_residuals,
     energy_formula,

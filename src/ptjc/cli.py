@@ -41,7 +41,6 @@ from .equivalence import (
 )
 from .fockspace import FockSpace, build_h0
 from .jc import JcParams, classify_pt_phase, dressed_spectrum
-from .linalg import JacobiConvergenceError
 from .pseudo import build_biorthogonal_system, build_similarity, diagnostics_record
 
 GENERATED_BY = f"ptjc {__version__}"
@@ -71,6 +70,14 @@ def _parse_complex(value, context: str) -> complex:
                     for x in value)):
         return complex(float(value[0]), float(value[1]))
     raise ConfigError(f"{context}: expected a number or [re, im] pair, got {value!r}")
+
+
+def _parse_int(value, context: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{context}: expected an integer, got {value!r}")
 
 
 def _require_keys(doc: dict, allowed: set, context: str) -> None:
@@ -171,7 +178,7 @@ def cmd_evolve(args) -> int:
             raise ConfigError(f"evolve config: missing key {key!r}")
     params = JcParams(omega0=float(doc["omega0"]), omega=float(doc["omega"]),
                       coupling=_parse_complex(doc["coupling"], "coupling"))
-    n = int(doc["n"])
+    n = _parse_int(doc["n"], "n")
     mod = _parse_modulation(doc.get("modulation"), params, n)
     rhs_name = doc["rhs"]
     if rhs_name not in _RHS_FRAME:
@@ -251,6 +258,8 @@ def parse_compare_config(doc: dict) -> dict:
         merged["ratios"] = [float(r) for r in merged["ratios"]]
     if merged["beta"] is not None:
         merged["beta"] = _parse_complex(merged["beta"], "compare.beta")
+    for key in ("n", "window_periods", "step_per_period"):
+        merged[key] = _parse_int(merged[key], f"compare.{key}")
     return merged
 
 
@@ -270,11 +279,11 @@ def cmd_compare(args) -> int:
     cfg = ExperimentConfig(
         params=params,
         target=_target_from_name(merged["target"]),
-        n=int(merged["n"]),
+        n=merged["n"],
         omega_ratio=float(merged["omega_ratio"]),
         duration_rabi_units=float(merged["duration_rabi_units"]),
-        window_periods=int(merged["window_periods"]),
-        step_per_period=int(merged["step_per_period"]),
+        window_periods=merged["window_periods"],
+        step_per_period=merged["step_per_period"],
     )
     os.makedirs(args.output_dir, exist_ok=True)
     report_path = os.path.join(args.output_dir, "report.json")
@@ -362,11 +371,11 @@ def cmd_pseudo(args) -> int:
     merged.update(doc)
     params = JcParams(omega0=float(merged["omega0"]), omega=float(merged["omega"]),
                       coupling=_parse_complex(merged["epsilon"], "epsilon"))
-    space = FockSpace(boson_levels=int(merged["boson_levels"]))
+    space = FockSpace(boson_levels=_parse_int(merged["boson_levels"], "pseudo.boson_levels"))
+    count = None if merged["count"] is None else _parse_int(merged["count"], "pseudo.count")
     smap = build_similarity(space, float(merged["alpha"]))
     h0 = build_h0(params, space)
-    count = merged["count"]
-    system = build_biorthogonal_system(h0, smap, None if count is None else int(count))
+    system = build_biorthogonal_system(h0, smap, count)
     payload = diagnostics_record(system, smap, h0, params)
     payload["generated_by"] = GENERATED_BY
     os.makedirs(args.output_dir, exist_ok=True)
@@ -439,8 +448,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, IntegrationError, JacobiConvergenceError,
-            RuntimeError) as exc:
+    except (ArithmeticError, IntegrationError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

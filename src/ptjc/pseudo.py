@@ -25,24 +25,16 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fockspace import FockSpace, OperatorMatrix, build_fock_operators
 from .jc import JcParams, eigvec_column_matrix, t_block
-from .linalg import HERMITICITY_TOL, expm_pade, jacobi_eigh, one_norm_condition_estimate
 
-# Deformation strengths beyond this make exp(alpha G) too ill
-# conditioned for the identity tolerances used here.
-MAX_ALPHA = 2.0
-
-# Condition estimate of S above this attaches an ill-conditioning
-# warning to the map.
-CONDITION_WARN_THRESHOLD = 1e8
-
-# Residual allowed in S S^-1 = identity at construction.
+# Residual allowed in S S^-1 = identity at construction.  Rounding
+# leaves about eps * cond2(S) = eps * exp(|alpha| spread(G)), so this
+# tolerance is what bounds alpha for a given truncation.
 INVERSE_IDENTITY_TOL = 1e-10
 
 # Eigenvalue gaps below this flag a degenerate cluster: the pairing of
@@ -59,10 +51,6 @@ CONVENTION_STATES = 10
 CONVENTION_TOL = 1e-8
 
 
-class ConditioningWarning(UserWarning):
-    """The similarity map is numerically ill conditioned."""
-
-
 class EnergyConvention(enum.Enum):
     """Argument entering the square root of the closed-form energies."""
 
@@ -72,18 +60,32 @@ class EnergyConvention(enum.Enum):
 
 @dataclass(frozen=True)
 class SimilarityMap:
-    """S = exp(alpha G) with its inverse and conditioning diagnostics."""
+    """S = exp(alpha G) and its inverse, from one eigendecomposition of G.
+
+    ``eigvals`` (ascending) and the unitary ``eigvecs`` factor the
+    Hermitian generator, G = V diag(lambda) V^H, so every power of S is
+    V diag(exp(k alpha lambda)) V^H.
+    """
 
     alpha: float
     generator: OperatorMatrix
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     s: OperatorMatrix
     s_inv: OperatorMatrix
-    cond_estimate: float
-    ill_conditioned: bool
 
     @property
     def space(self) -> FockSpace:
         return self.generator.space
+
+    @property
+    def cond2(self) -> float:
+        """Exact 2-norm condition number of S, exp(|alpha| spread(G))."""
+        return math.exp(abs(self.alpha) * float(self.eigvals[-1] - self.eigvals[0]))
+
+    def power(self, k: float) -> np.ndarray:
+        """S^k as a dense matrix."""
+        return _spectral_exp(self.eigvals, self.eigvecs, k * self.alpha)
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,13 @@ class BiorthogonalSystem:
         return self.phis.conj().T @ self.psis
 
 
+def _spectral_exp(eigvals: np.ndarray, eigvecs: np.ndarray, t: float) -> np.ndarray:
+    """V diag(exp(t lambda)) V^H, the exact identity at t = 0."""
+    if t == 0.0:
+        return np.eye(len(eigvals), dtype=complex)
+    return (eigvecs * np.exp(t * eigvals)) @ eigvecs.conj().T
+
+
 def default_generator(space: FockSpace) -> OperatorMatrix:
     """Hermitian position-like sum (d + d') + (c + c')."""
     ops = build_fock_operators(space)
@@ -129,91 +138,41 @@ def default_generator(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, g, "ladder-sum generator")
 
 
-def build_similarity(space: FockSpace, alpha: float,
-                     generator: OperatorMatrix | np.ndarray | None = None) -> SimilarityMap:
-    """Exponentiate alpha times a Hermitian generator.
+def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
+    """Exponentiate alpha times the ladder-sum generator.
 
-    ``generator`` defaults to the ladder sum; a custom matrix must be
-    Hermitian.  Construction verifies S S^-1 = identity to
-    INVERSE_IDENTITY_TOL and attaches (with a warning) an
-    ill-conditioning flag when the one-norm condition estimate of S
-    exceeds CONDITION_WARN_THRESHOLD.
+    Construction verifies S S^-1 = identity to INVERSE_IDENTITY_TOL.
+    When it fails, alpha is beyond what float64 resolves at this
+    truncation and a ValueError names the largest feasible strength,
+    alpha_max = |alpha| - ln(residual / tol) / spread(G), read off the
+    measured residual (it grows like exp(|alpha| spread(G))).
     """
-    if not (math.isfinite(alpha) and abs(alpha) <= MAX_ALPHA):
-        raise ValueError(f"|alpha| must be finite and <= {MAX_ALPHA}, got {alpha}")
-    if generator is None:
-        gen = default_generator(space)
-    elif isinstance(generator, OperatorMatrix):
-        if generator.space != space:
-            raise ValueError("generator built on a different space")
-        gen = generator
-    else:
-        gen = OperatorMatrix(space, np.asarray(generator, dtype=complex),
-                             "custom generator")
-    gmat = gen.entries
-    herm = np.abs(gmat - gmat.conj().T).max()
-    if herm > HERMITICITY_TOL:
-        raise ValueError(f"generator must be Hermitian, residual {herm:.3e}")
-
-    s = expm_pade(alpha * gmat)
-    s_inv = expm_pade(-alpha * gmat)
-    inv_residual = np.abs(s @ s_inv - np.eye(space.total_dim)).max()
-    if inv_residual > INVERSE_IDENTITY_TOL:
-        raise ArithmeticError(
-            f"S S^-1 residual {inv_residual:.3e} exceeds {INVERSE_IDENTITY_TOL:.1e}")
-    cond = one_norm_condition_estimate(s, s_inv)
-    flagged = bool(cond > CONDITION_WARN_THRESHOLD)
-    if flagged:
-        warnings.warn(
-            f"similarity map condition estimate {cond:.3e} exceeds "
-            f"{CONDITION_WARN_THRESHOLD:.1e}; identity tolerances may not hold",
-            ConditioningWarning,
-            stacklevel=2,
-        )
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    gen = default_generator(space)
+    eigvals, eigvecs = np.linalg.eigh(gen.entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _spectral_exp(eigvals, eigvecs, alpha)
+        s_inv = _spectral_exp(eigvals, eigvecs, -alpha)
+        residual = float(np.abs(s @ s_inv - np.eye(space.total_dim)).max())
+    if not residual <= INVERSE_IDENTITY_TOL:
+        spread = float(eigvals[-1] - eigvals[0])
+        if math.isfinite(residual):
+            alpha_max = abs(alpha) - math.log(residual / INVERSE_IDENTITY_TOL) / spread
+            limit = f"feasible up to about alpha_max({space.boson_levels}) = {alpha_max:.3f}"
+        else:
+            limit = f"exp(|alpha| * {spread:.3f}) overflows float64"
+        raise ValueError(
+            f"alpha = {alpha} is infeasible at boson_levels = {space.boson_levels}: "
+            f"S S^-1 residual {residual:.3e} exceeds {INVERSE_IDENTITY_TOL:.1e}; {limit}")
     return SimilarityMap(
         alpha=float(alpha),
         generator=gen,
+        eigvals=eigvals,
+        eigvecs=eigvecs,
         s=OperatorMatrix(space, s, "similarity"),
         s_inv=OperatorMatrix(space, s_inv, "inverse similarity"),
-        cond_estimate=float(cond),
-        ill_conditioned=flagged,
     )
-
-
-def deform(h0: OperatorMatrix, smap: SimilarityMap) -> dict:
-    """Similarity-conjugate the Hamiltonian and all ladder operators.
-
-    Returns dense matrices {h_alpha, d_alpha, D_alpha, c_alpha,
-    C_alpha, n_alpha} with X_alpha = S X S^-1 and the deformed number
-    operator assembled as D_alpha d_alpha + C_alpha c_alpha.  These are
-    construction artifacts; precision-critical identity checks use the
-    composition helpers below instead of these dense products.
-    """
-    if h0.space != smap.space:
-        raise ValueError("Hamiltonian and similarity map live on different spaces")
-    ops = build_fock_operators(smap.space)
-    s = smap.s.entries
-    s_inv = smap.s_inv.entries
-    space = smap.space
-
-    def conj(mat: np.ndarray, label: str) -> OperatorMatrix:
-        return OperatorMatrix(space, s @ (mat @ s_inv), label)
-
-    d_a = conj(ops["d"].entries, "deformed boson lowering")
-    dd_a = conj(ops["d_dag"].entries, "deformed boson raising")
-    c_a = conj(ops["c"].entries, "deformed fermion lowering")
-    cc_a = conj(ops["c_dag"].entries, "deformed fermion raising")
-    n_a = OperatorMatrix(space,
-                         dd_a.entries @ d_a.entries + cc_a.entries @ c_a.entries,
-                         "deformed number operator")
-    return {
-        "h_alpha": conj(h0.entries, "deformed Hamiltonian"),
-        "d_alpha": d_a,
-        "D_alpha": dd_a,
-        "c_alpha": c_a,
-        "C_alpha": cc_a,
-        "n_alpha": n_a,
-    }
 
 
 def energy_formula(params: JcParams, n: int, k: int,
@@ -285,7 +244,7 @@ def build_biorthogonal_system(h0: OperatorMatrix, smap: SimilarityMap,
     if not (1 <= count <= budget):
         raise ValueError(f"count must be in [1, {budget}], got {count}")
 
-    evals, evecs = jacobi_eigh(h0.entries)
+    evals, evecs = np.linalg.eigh(h0.entries)
     ops = build_fock_operators(space)
     n_op = ops["number_total"].entries
     occupancy = np.einsum("ij,jk,ki->i", evecs.conj().T, n_op, evecs).real
@@ -368,9 +327,8 @@ def metric_checks(system: BiorthogonalSystem, smap: SimilarityMap) -> dict:
     abs_per_state = np.linalg.norm(diffs, axis=0)
     rel_per_state = abs_per_state / np.linalg.norm(system.phis, axis=0)
 
-    gmat = smap.generator.entries
-    s2 = expm_pade(2.0 * smap.alpha * gmat)
-    sm2 = expm_pade(-2.0 * smap.alpha * gmat)
+    s2 = smap.power(2.0)
+    sm2 = smap.power(-2.0)
     probes = probe_battery(system.space)
     res_phi = probes.conj().T @ (system.phis @ system.phis.conj().T - s2) @ probes
     res_psi = probes.conj().T @ (system.psis @ system.psis.conj().T - sm2) @ probes
@@ -529,13 +487,13 @@ def dual_frame_algebra_residual(smap: SimilarityMap, a_bare: np.ndarray,
     idx = space.safe_bare_indices()
     frame = s[:, idx]
 
-    def deformed_apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def apply_deformed(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
         return s @ (mat @ (s_inv @ v))
 
-    ab = deformed_apply(a_bare, deformed_apply(b_bare, frame))
-    ba = deformed_apply(b_bare, deformed_apply(a_bare, frame))
+    ab = apply_deformed(a_bare, apply_deformed(b_bare, frame))
+    ba = apply_deformed(b_bare, apply_deformed(a_bare, frame))
     combo = ab + ba if anticommute else ab - ba
-    combo -= deformed_apply(target_bare, frame)
+    combo -= apply_deformed(target_bare, frame)
     residual = s_inv @ combo
     return float(np.abs(residual[idx, :]).max())
 
@@ -598,6 +556,7 @@ def diagnostics_record(system: BiorthogonalSystem, smap: SimilarityMap,
     return {
         "alpha": smap.alpha,
         "boson_levels": system.space.boson_levels,
+        "cond2": smap.cond2,
         "energies": [float(e) for e in system.energies],
         "gram_max_offdiag": float(np.abs(off).max()),
         "eigen_residual_max": max(res_phi, res_psi),

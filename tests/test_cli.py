@@ -205,6 +205,26 @@ class TestEvolve:
         assert main(["evolve", "--config", str(path),
                      "--output-dir", str(tmp_path)]) == 2
 
+    def test_non_integer_n(self, tmp_path):
+        doc = self.gauged_doc()
+        doc["n"] = 1.7
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+        doc["n"] = True
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+
+    def test_integral_n(self, tmp_path):
+        doc = self.gauged_doc()
+        doc["n"] = 2
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path / "a")]) == 0
+        doc["n"] = 2.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "trajectory_gauged.csv").read_bytes()
+                == (tmp_path / "b" / "trajectory_gauged.csv").read_bytes())
+
     def test_numerical_blowup_exits_one(self, tmp_path):
         doc = {"omega0": 1.0, "omega": 1.0, "coupling": 1e150, "n": 1,
                "rhs": "static", "initial_c": 1.0, "initial_d": 0.0,
@@ -284,6 +304,11 @@ class TestCompare:
         assert main(["compare", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 2
 
+    def test_non_integer_window_periods(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"window_periods": 2.5})
+        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+        assert "compare.window_periods" in capsys.readouterr().err
+
     def test_config_round_trip(self):
         doc = {"omega_ratio": 50.0, "step_per_period": 100,
                "beta": [0.1, -0.2], "measure": "slow"}
@@ -306,6 +331,7 @@ class TestPseudoCommand:
         assert payload["gram_max_offdiag"] <= 1e-10
         assert payload["eigen_residual_max"] <= 1e-9
         assert payload["metric_residuals"]["identity_rel_max"] <= 1e-10
+        assert 6e4 <= payload["cond2"] <= 7e4
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         dir1, dir2 = tmp_path / "r1", tmp_path / "r2"
@@ -334,6 +360,31 @@ class TestPseudoCommand:
         cfg = write_config(tmp_path, {"alpha": 3.0})
         assert main(["pseudo", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 2
+
+    def test_non_integer_boson_levels(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"boson_levels": 8.9})
+        assert main(["pseudo", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 2
+        assert "pseudo.boson_levels" in capsys.readouterr().err
+
+    def test_feasibility_boundary(self, tmp_path, capsys):
+        # default 32 levels, spread(G) 22.15: residual 1.9e-11 at
+        # alpha 0.6, 4.6e-10 at 0.75, against the 1e-10 tolerance
+        cfg = write_config(tmp_path, {"alpha": 1.0})
+        assert main(["pseudo", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        alpha_max = float(err.split("alpha_max(32) = ")[1].split()[0])
+        assert 0.6 < alpha_max < 0.75
+        cfg = write_config(tmp_path, {"alpha": 0.6})
+        assert main(["pseudo", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 0
+
+    def test_alpha_overflow(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"alpha": 1e6})
+        assert main(["pseudo", "--config", cfg,
+                     "--output-dir", str(tmp_path)]) == 2
+        assert "overflows float64" in capsys.readouterr().err
 
     def test_bad_count(self, tmp_path):
         cfg = write_config(tmp_path, {"count": 0})

@@ -6,23 +6,20 @@ parameters use smaller spaces.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptjc.fockspace import FockSpace, build_fock_operators, build_h0
 from ptjc.jc import JcParams
-from ptjc.linalg import expm_pade
 from ptjc.pseudo import (
-    ConditioningWarning,
     EnergyConvention,
     build_biorthogonal_system,
     build_block_rotation,
     build_similarity,
     convention_match,
     default_generator,
-    deform,
     diagnostics_record,
     dual_frame_algebra_residual,
     energy_formula,
@@ -73,7 +70,8 @@ class TestBuildSimilarity:
         _, space, _, smap = small_bundle(alpha=0.0, boson_levels=6)
         assert np.array_equal(smap.s.entries, np.eye(space.total_dim))
         assert np.array_equal(smap.s_inv.entries, np.eye(space.total_dim))
-        assert not smap.ill_conditioned
+        assert np.array_equal(smap.power(2.0), np.eye(space.total_dim))
+        assert smap.cond2 == 1.0
 
     def test_inverse_identity(self, pseudo_default):
         smap = pseudo_default["smap"]
@@ -86,14 +84,17 @@ class TestBuildSimilarity:
         assert np.abs(s - s.conj().T).max() <= 1e-11 * np.abs(s).max()
 
     def test_default_conditioning_not_flagged(self, pseudo_default):
+        # cond2(S) = exp(|alpha| spread(G)) exactly, for Hermitian G
         smap = pseudo_default["smap"]
-        assert not smap.ill_conditioned
-        assert 1e4 <= smap.cond_estimate <= 1e6  # measured 9.4e4
+        lam = np.linalg.eigvalsh(default_generator(smap.space).entries)
+        expected = math.exp(0.5 * (lam[-1] - lam[0]))
+        assert smap.cond2 == pytest.approx(expected, rel=1e-12)
+        assert 6e4 <= smap.cond2 <= 7e4  # spread 22.15 at 32 levels
 
     def test_matches_expm_of_generator(self):
         _, space, _, smap = small_bundle(alpha=0.3, boson_levels=8)
-        ref = expm_pade(0.3 * default_generator(space).entries)
-        assert np.array_equal(smap.s.entries, ref)
+        ref = scipy.linalg.expm(0.3 * default_generator(space).entries)
+        assert np.abs(smap.s.entries - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_alpha_bound(self):
         space = FockSpace(boson_levels=6)
@@ -102,52 +103,13 @@ class TestBuildSimilarity:
         with pytest.raises(ValueError):
             build_similarity(space, math.inf)
 
-    def test_rejects_non_hermitian_generator(self):
-        space = FockSpace(boson_levels=4)
-        bad = np.zeros((8, 8), dtype=complex)
-        bad[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            build_similarity(space, 0.5, bad)
-
-    def test_conditioning_warning(self):
-        # diagonal generator: the exponential is evaluated elementwise
-        # by the Pade chain, so S S^-1 stays clean while the condition
-        # estimate blows past the threshold
-        space = FockSpace(boson_levels=4)
-        gen = np.diag(np.linspace(-6.0, 6.0, 8))
-        with pytest.warns(ConditioningWarning):
-            smap = build_similarity(space, 2.0, gen)
-        assert smap.ill_conditioned
-        assert smap.cond_estimate > 1e8
-
-
-class TestDeform:
-    def test_alpha_zero_leaves_everything_bare(self):
-        params, space, h0, smap = small_bundle(alpha=0.0, boson_levels=6)
-        out = deform(h0, smap)
-        assert np.abs(out["h_alpha"].entries - h0.entries).max() == 0.0
-        ops = build_fock_operators(space)
-        assert np.abs(out["d_alpha"].entries - ops["d"].entries).max() == 0.0
-
-    def test_deformed_hamiltonian_is_not_hermitian(self, pseudo_default):
-        out = deform(pseudo_default["h0"], pseudo_default["smap"])
-        h_a = out["h_alpha"].entries
-        assert np.abs(h_a - h_a.conj().T).max() > 0.01
-
-    def test_number_operator_assembly(self, pseudo_default):
-        out = deform(pseudo_default["h0"], pseudo_default["smap"])
-        ref = (out["D_alpha"].entries @ out["d_alpha"].entries
-               + out["C_alpha"].entries @ out["c_alpha"].entries)
-        assert np.array_equal(out["n_alpha"].entries, ref)
-
-    def test_isospectral_with_bare(self, pseudo_default):
-        # similarity cannot move eigenvalues; numpy eigvals on the dense
-        # deformed matrix is the independent route here
-        h0 = pseudo_default["h0"]
-        out = deform(h0, pseudo_default["smap"])
-        bare = np.sort(np.linalg.eigvalsh(h0.entries))
-        deformed = np.sort(np.linalg.eigvals(out["h_alpha"].entries).real)
-        assert np.abs(bare - deformed).max() <= 1e-7  # measured 5.9e-9
+    def test_metric_powers(self):
+        # S^2 and S^-2 from the same eigendecomposition as S^+-1
+        _, space, _, smap = small_bundle(alpha=0.3, boson_levels=8)
+        s = smap.s.entries
+        s_inv = smap.s_inv.entries
+        assert np.abs(smap.power(2.0) - s @ s).max() <= 1e-12 * np.abs(s @ s).max()
+        assert np.abs(smap.power(-2.0) - s_inv @ s_inv).max() <= 1e-12 * np.abs(s_inv @ s_inv).max()
 
 
 class TestEnergyFormula:
