@@ -112,6 +112,45 @@ class TestBuildSimilarity:
         assert np.abs(smap.power(-2.0) - s_inv @ s_inv).max() <= 1e-12 * np.abs(s_inv @ s_inv).max()
 
 
+def conjugated(smap, mat):
+    """Dense X_alpha = S X S^-1; the module itself never forms these."""
+    return smap.s.entries @ (mat @ smap.s_inv.entries)
+
+
+class TestDeform:
+    def test_alpha_zero_leaves_everything_bare(self):
+        params, space, h0, smap = small_bundle(alpha=0.0, boson_levels=6)
+        assert np.abs(conjugated(smap, h0.entries) - h0.entries).max() == 0.0
+        ops = build_fock_operators(space)
+        d = ops["d"].entries
+        assert np.abs(conjugated(smap, d) - d).max() == 0.0
+
+    def test_deformed_hamiltonian_is_not_hermitian(self, pseudo_default):
+        h_a = conjugated(pseudo_default["smap"], pseudo_default["h0"].entries)
+        assert np.abs(h_a - h_a.conj().T).max() > 0.01
+
+    def test_number_operator_assembly(self, pseudo_default):
+        # D_alpha d_alpha + C_alpha c_alpha = S N S^-1: the inner S^-1 S
+        # pairs cancel up to the conditioning of S
+        smap = pseudo_default["smap"]
+        ops = build_fock_operators(smap.space)
+        n_alpha = (conjugated(smap, ops["d_dag"].entries) @ conjugated(smap, ops["d"].entries)
+                   + conjugated(smap, ops["c_dag"].entries) @ conjugated(smap, ops["c"].entries))
+        number = (ops["d_dag"].entries @ ops["d"].entries
+                  + ops["c_dag"].entries @ ops["c"].entries)
+        ref = conjugated(smap, number)
+        assert np.abs(n_alpha - ref).max() <= 1e-9 * np.abs(ref).max()  # measured 6.5e-11
+
+    def test_isospectral_with_bare(self, pseudo_default):
+        # similarity cannot move eigenvalues; numpy eigvals on the dense
+        # deformed matrix is the independent route here
+        h0 = pseudo_default["h0"]
+        h_a = conjugated(pseudo_default["smap"], h0.entries)
+        bare = np.sort(np.linalg.eigvalsh(h0.entries))
+        deformed = np.sort(np.linalg.eigvals(h_a).real)
+        assert np.abs(bare - deformed).max() <= 1e-7  # measured 1.0e-8
+
+
 class TestEnergyFormula:
     def test_ground_state_both_conventions(self):
         p = JcParams(1.0, 1.0, 0.1)
