@@ -60,23 +60,14 @@ class EnergyConvention(enum.Enum):
 
 @dataclass(frozen=True)
 class SimilarityMap:
-    """S = exp(alpha G) and its inverse, from one eigendecomposition of G.
+    """S = exp(alpha G) and its inverse from G = V diag(eigvals) V^H, V = eigvecs."""
 
-    ``eigvals`` (ascending) and the unitary ``eigvecs`` factor the
-    Hermitian generator, G = V diag(lambda) V^H, so every power of S is
-    V diag(exp(k alpha lambda)) V^H.
-    """
-
+    space: FockSpace
     alpha: float
-    generator: OperatorMatrix
     eigvals: np.ndarray
     eigvecs: np.ndarray
     s: OperatorMatrix
     s_inv: OperatorMatrix
-
-    @property
-    def space(self) -> FockSpace:
-        return self.generator.space
 
     @property
     def cond2(self) -> float:
@@ -138,36 +129,46 @@ def default_generator(space: FockSpace) -> OperatorMatrix:
     return OperatorMatrix(space, g, "ladder-sum generator")
 
 
-def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
-    """Exponentiate alpha times the ladder-sum generator.
-
-    Construction verifies S S^-1 = identity to INVERSE_IDENTITY_TOL.
-    When it fails, alpha is beyond what float64 resolves at this
-    truncation and a ValueError names the largest feasible strength,
-    alpha_max = |alpha| - ln(residual / tol) / spread(G), read off the
-    measured residual (it grows like exp(|alpha| spread(G))).
-    """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    gen = default_generator(space)
-    eigvals, eigvecs = np.linalg.eigh(gen.entries)
+def _inverse_pair(eigvals: np.ndarray, eigvecs: np.ndarray,
+                  alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """S, S^-1 and max |S S^-1 - 1|, which is NaN when exp overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = _spectral_exp(eigvals, eigvecs, alpha)
         s_inv = _spectral_exp(eigvals, eigvecs, -alpha)
-        residual = float(np.abs(s @ s_inv - np.eye(space.total_dim)).max())
+        return s, s_inv, float(np.abs(s @ s_inv - np.eye(len(eigvals))).max())
+
+
+def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
+    """Exponentiate alpha times the ladder-sum generator.
+
+    Construction verifies S S^-1 = identity to INVERSE_IDENTITY_TOL; the
+    residual grows like exp(|alpha| spread(G)).  On failure a ValueError
+    names alpha_max, found by stepping |alpha| down to the log-linear
+    estimate |alpha| - ln(residual / tol) / spread(G) on a 1e-3 grid
+    (halving while exp overflows) and measuring again, with the sign of
+    alpha, until the check passes: near the tolerance the residual
+    scatters about that line, and a rerun at alpha_max must pass.
+    """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    eigvals, eigvecs = np.linalg.eigh(default_generator(space).entries)
+    spread = float(eigvals[-1] - eigvals[0])
+    s, s_inv, residual = _inverse_pair(eigvals, eigvecs, alpha)
+    alpha_max, check = abs(alpha), residual
+    while not check <= INVERSE_IDENTITY_TOL:
+        step = (math.log(check / INVERSE_IDENTITY_TOL) / spread
+                if math.isfinite(check) else alpha_max / 2.0)
+        alpha_max = max(math.floor((alpha_max - max(step, 1e-3)) * 1000.0) / 1000.0, 0.0)
+        check = _inverse_pair(eigvals, eigvecs, math.copysign(alpha_max, alpha))[2]
     if not residual <= INVERSE_IDENTITY_TOL:
-        spread = float(eigvals[-1] - eigvals[0])
-        if math.isfinite(residual):
-            alpha_max = abs(alpha) - math.log(residual / INVERSE_IDENTITY_TOL) / spread
-            limit = f"feasible up to about alpha_max({space.boson_levels}) = {alpha_max:.3f}"
-        else:
-            limit = f"exp(|alpha| * {spread:.3f}) overflows float64"
         raise ValueError(
             f"alpha = {alpha} is infeasible at boson_levels = {space.boson_levels}: "
-            f"S S^-1 residual {residual:.3e} exceeds {INVERSE_IDENTITY_TOL:.1e}; {limit}")
+            f"S S^-1 residual {residual:.3e} exceeds {INVERSE_IDENTITY_TOL:.1e} (it grows "
+            f"like exp(|alpha| * {spread:.3f}), nan once exp overflows float64); "
+            f"alpha_max({space.boson_levels}) = {alpha_max:.3f} passes")
     return SimilarityMap(
+        space=space,
         alpha=float(alpha),
-        generator=gen,
         eigvals=eigvals,
         eigvecs=eigvecs,
         s=OperatorMatrix(space, s, "similarity"),

@@ -376,15 +376,16 @@ class TestPseudoCommand:
         err = capsys.readouterr().err
         alpha_max = float(err.split("alpha_max(32) = ")[1].split()[0])
         assert 0.6 < alpha_max < 0.75
-        cfg = write_config(tmp_path, {"alpha": 0.6})
-        assert main(["pseudo", "--config", cfg,
-                     "--output-dir", str(tmp_path / "out")]) == 0
+        for alpha in (0.6, alpha_max):
+            cfg = write_config(tmp_path, {"alpha": alpha})
+            assert main(["pseudo", "--config", cfg,
+                         "--output-dir", str(tmp_path / "out")]) == 0
 
     def test_alpha_overflow(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"alpha": 1e6})
         assert main(["pseudo", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 2
-        assert "overflows float64" in capsys.readouterr().err
+        assert "residual nan" in capsys.readouterr().err
 
     def test_bad_count(self, tmp_path):
         cfg = write_config(tmp_path, {"count": 0})

@@ -103,6 +103,16 @@ class TestBuildSimilarity:
         with pytest.raises(ValueError):
             build_similarity(space, math.inf)
 
+    def test_named_alpha_max_passes(self):
+        # the named strength was checked with the sign of alpha
+        space = FockSpace(boson_levels=16)
+        for alpha in (1.0, -1.0, 1e6):
+            with pytest.raises(ValueError) as info:
+                build_similarity(space, alpha)
+            alpha_max = float(str(info.value).split("alpha_max(16) = ")[1].split()[0])
+            assert 0.0 < alpha_max < 1.0
+            build_similarity(space, math.copysign(alpha_max, alpha))
+
     def test_metric_powers(self):
         # S^2 and S^-2 from the same eigendecomposition as S^+-1
         _, space, _, smap = small_bundle(alpha=0.3, boson_levels=8)
