@@ -2,8 +2,8 @@
 
 Complex Bessel evaluation and root finding, dressed two-state block
 spectra with PT-phase classification, driven amplitude dynamics in
-lab/interaction/gauged frames with a compiled RK4 core and a pure
-fallback, driven-vs-static equivalence experiments, and the
+lab/interaction/gauged frames integrated by RK4 step propagators,
+driven-vs-static equivalence experiments, and the
 similarity-deformed truncated-Fock-space model with its biorthogonal
 eigenfamilies and metric identities.
 """
@@ -54,10 +54,6 @@ from .dynamics import (
     integrate,
     map_trajectory,
     read_trajectory_csv,
-    rhs_averaged,
-    rhs_gauged,
-    rhs_lab,
-    rhs_static,
     suggested_step,
     to_gauged,
     to_interaction,
@@ -71,7 +67,6 @@ from .equivalence import (
     solve_modulation_beta,
 )
 from .fockspace import FockSpace, OperatorMatrix, build_fock_operators, build_h0
-from .kernels import active_backend
 from .pseudo import (
     BiorthogonalSystem,
     EnergyConvention,

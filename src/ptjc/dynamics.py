@@ -21,9 +21,9 @@ input rather than silently composing wrong phases.
 
 Integration is classical fixed-step RK4, deterministic, with the final
 step shortened to land exactly on the requested end time.  Structured
-right-hand sides (built by the bind_* helpers) dispatch to the compiled
-kernel when it is available; arbitrary callables always use the pure
-path.
+right-hand sides (built by the bind_* helpers) run on the vectorized
+step propagators of ``ptjc.kernels``; arbitrary callables step one
+state at a time.  At most MAX_STEPS steps are taken in one call.
 """
 from __future__ import annotations
 
@@ -42,6 +42,10 @@ from .jc import JcParams
 
 # Relative slack when deciding whether the final partial step exists.
 _TAIL_REL_TOL = 1e-12
+
+# Most RK4 steps one integration may take: 10^8 steps hold 3.2 GB of
+# (c, d) samples.
+MAX_STEPS = 10**8
 
 # Default number of steps per fastest period in suggested_step().
 DEFAULT_STEPS_PER_PERIOD = 400
@@ -156,8 +160,9 @@ class Trajectory:
 class BoundRhs:
     """A structured right-hand side: form code + coefficients + frame.
 
-    Callable as rhs(t, c, d) -> (dc, dd); integrate() additionally uses
-    the form code to route the whole loop into the compiled kernel.
+    Callable as rhs(t, c, d) -> (dc, dd), evaluating the same
+    ``kernels.generator`` matrix that integrate() builds its step
+    propagators from.
     ``frame`` is None for frame-agnostic systems (static/averaged).
     """
 
@@ -167,7 +172,8 @@ class BoundRhs:
     n: int
 
     def __call__(self, t: float, c: complex, d: complex) -> tuple[complex, complex]:
-        return kernels.rhs_eval(self.form, self.coef, t, c, d)
+        a11, a12, a21, a22 = kernels.generator(self.form, self.coef, t).tolist()
+        return a11 * c + a12 * d, a21 * c + a22 * d
 
 
 RhsLike = Union[BoundRhs, Callable[[float, complex, complex], tuple[complex, complex]]]
@@ -242,7 +248,7 @@ def from_gauged(state: AmplitudeState, mod: ModulationSpec, params: JcParams,
 
 
 def bind_lab_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
-    g = _require_real_coupling(params, "rhs_lab")
+    g = _require_real_coupling(params, "bind_lab_rhs")
     kappa = g * math.sqrt(n)
     form = (kernels.FORM_LAB_ATOM if mod.target is ModulationTarget.ATOM_FREQUENCY
             else kernels.FORM_LAB_CAVITY)
@@ -252,7 +258,7 @@ def bind_lab_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
 
 
 def bind_gauged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
-    g = _require_real_coupling(params, "rhs_gauged")
+    g = _require_real_coupling(params, "bind_gauged_rhs")
     kappa = g * math.sqrt(n)
     delta = params.detuning()
     if mod.target is ModulationTarget.ATOM_FREQUENCY:
@@ -286,7 +292,7 @@ def averaged_effective_coupling(params: JcParams, mod: ModulationSpec,
     root of J0(r) = i.  For the cavity the argument is n times the
     relative-phase amplitude omega beta / Omega.
     """
-    g = _require_real_coupling(params, "rhs_averaged")
+    g = _require_real_coupling(params, "averaged_effective_coupling")
     if mod.target is ModulationTarget.ATOM_FREQUENCY:
         arg = -params.omega0 * mod.beta / (2.0 * mod.big_omega)
     else:
@@ -306,36 +312,6 @@ def bind_averaged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs
     return BoundRhs(form=kernels.FORM_STATIC, coef=coef, frame=Frame.GAUGED, n=n)
 
 
-def rhs_lab(params: JcParams, mod: ModulationSpec, state: AmplitudeState,
-            t: float) -> tuple[complex, complex]:
-    """Lab-frame Schrodinger right-hand side with the driven diagonal."""
-    _require_frame(state, Frame.LAB, "rhs_lab")
-    return bind_lab_rhs(params, mod, state.n)(t, state.c, state.d)
-
-
-def rhs_gauged(params: JcParams, mod: ModulationSpec, state: AmplitudeState,
-               t: float) -> tuple[complex, complex]:
-    """Gauged-frame equations; d keeps its oscillating diagonal term."""
-    _require_frame(state, Frame.GAUGED, "rhs_gauged")
-    return bind_gauged_rhs(params, mod, state.n)(t, state.c, state.d)
-
-
-def rhs_averaged(params: JcParams, mod: ModulationSpec, state: AmplitudeState,
-                 t: float) -> tuple[complex, complex]:
-    """Drive-period-averaged equations: static form with g -> g J0(...)."""
-    _require_frame(state, Frame.GAUGED, "rhs_averaged")
-    return bind_averaged_rhs(params, mod, state.n)(t, state.c, state.d)
-
-
-def rhs_static(params: JcParams, n: int, state: AmplitudeState,
-               t: float = 0.0) -> tuple[complex, complex]:
-    """Static (possibly non-Hermitian) coupling-only equations.
-
-    dc = -i g_s sqrt(n) d, dd = -i g_s sqrt(n) c; frame-agnostic.
-    """
-    return bind_static_rhs(params, n)(t, state.c, state.d)
-
-
 def closed_form_static(params: JcParams, n: int, state0: AmplitudeState,
                        t: float) -> AmplitudeState:
     """Exact solution of the static system at time t.
@@ -345,13 +321,16 @@ def closed_form_static(params: JcParams, n: int, state0: AmplitudeState,
     analytic in kappa: real coupling gives Rabi cosine/sine, imaginary
     coupling gives cosh/sinh growth.
     """
-    kappa = params.coupling * math.sqrt(n)
-    arg = kappa * t
-    cos_a = cmath.cos(arg)
-    sin_a = cmath.sin(arg)
-    c = state0.c * cos_a - 1j * state0.d * sin_a
-    d = state0.d * cos_a - 1j * state0.c * sin_a
+    c, d = closed_form_amplitudes(params, n, state0.c, state0.d, t)
     return AmplitudeState(n=n, c=c, d=d, frame=state0.frame)
+
+
+def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t):
+    """closed_form_static's (c, d) at a time or an array of times."""
+    arg = params.coupling * math.sqrt(n) * np.asarray(t, dtype=float)
+    cos_a = np.cos(arg)
+    sin_a = np.sin(arg)
+    return c0 * cos_a - 1j * d0 * sin_a, d0 * cos_a - 1j * c0 * sin_a
 
 
 def suggested_step(params: JcParams, mod: Optional[ModulationSpec], n: int,
@@ -368,9 +347,18 @@ def suggested_step(params: JcParams, mod: Optional[ModulationSpec], n: int,
     return min(periods) / steps_per_period
 
 
+def step_ratio(total: float, step: float) -> float:
+    """total / step, refused with ValueError above the MAX_STEPS budget."""
+    ratio = total / step
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"{total:g} / {step:g} = {ratio:.3g} RK4 steps exceeds the "
+                         f"sample budget of {MAX_STEPS:.0e} steps")
+    return ratio
+
+
 def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:
     total = t1 - t0
-    n_full = int(math.floor(total / step + 1e-9))
+    n_full = int(math.floor(step_ratio(total, step) + 1e-9))
     tail = total - n_full * step
     if tail <= _TAIL_REL_TOL * max(1.0, abs(total)):
         tail = 0.0
@@ -378,13 +366,15 @@ def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:
 
 
 def integrate(rhs: RhsLike, state0: AmplitudeState, t0: float, t1: float,
-              step: float, backend: Optional[str] = None) -> Trajectory:
+              step: float) -> Trajectory:
     """Classical fixed-step RK4 from t0 to t1, recording every step.
 
-    ``rhs`` is either a BoundRhs (from the bind_* helpers; eligible for
-    the compiled kernel) or any callable (t, c, d) -> (dc, dd), which
-    always runs on the pure path.  The final time is reached exactly,
-    via a shortened last step when (t1 - t0) / step is not integral.
+    ``rhs`` is either a BoundRhs (from the bind_* helpers; integrated
+    by ``kernels.rk4_form``) or any callable (t, c, d) -> (dc, dd),
+    integrated by ``kernels.rk4_generic``.  The final time is reached
+    exactly, via a shortened last step when (t1 - t0) / step is not
+    integral.  More than MAX_STEPS steps raise ValueError before any
+    allocation.
     """
     if not (math.isfinite(step) and step > 0):
         raise IntegrationError(f"step must be positive and finite, got {step}")
@@ -396,12 +386,9 @@ def integrate(rhs: RhsLike, state0: AmplitudeState, t0: float, t1: float,
             raise FrameMismatchError(
                 f"rhs integrates {rhs.frame.value}-frame states, got {state0.frame.value}"
             )
-        chosen = backend or kernels.active_backend()
         cs, ds = kernels.rk4_form(rhs.form, rhs.coef, state0.c, state0.d,
-                                  t0, step, n_full, tail, chosen)
+                                  t0, step, n_full, tail)
     else:
-        if backend not in (None, "pure"):
-            raise ValueError("generic callables integrate on the pure backend only")
         cs, ds = kernels.rk4_generic(rhs, state0.c, state0.d, t0, step, n_full, tail)
     bad = ~(np.isfinite(cs.real) & np.isfinite(cs.imag)
             & np.isfinite(ds.real) & np.isfinite(ds.imag))

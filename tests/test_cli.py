@@ -10,8 +10,9 @@ import json
 import numpy as np
 import pytest
 
+from ptjc import kernels
 from ptjc.cli import compare_config_to_doc, main, parse_compare_config
-from ptjc.dynamics import Frame, read_trajectory_csv
+from ptjc.dynamics import MAX_STEPS, Frame, read_trajectory_csv
 
 PRINCIPAL_ROOT = -2.139543213285525 + 1.4202888362948998j
 ROOT_TOL = 1e-10
@@ -25,6 +26,16 @@ def write_config(tmp_path, doc, name="config.json"):
 
 def canonical_json_text(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture
+def no_integration(monkeypatch):
+    """Fail the test if any RK4 trajectory is started (and allocated)."""
+    def refuse(*args):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(kernels, "rk4_form", refuse)
+    monkeypatch.setattr(kernels, "rk4_generic", refuse)
 
 
 class TestSolveBeta:
@@ -225,6 +236,16 @@ class TestEvolve:
         assert ((tmp_path / "a" / "trajectory_gauged.csv").read_bytes()
                 == (tmp_path / "b" / "trajectory_gauged.csv").read_bytes())
 
+    @pytest.mark.parametrize("t1, step", [(1e12, 1e-3), (2.0, 1e-320),
+                                          (1.0, 1.0 / (MAX_STEPS + 1))])
+    def test_sample_budget(self, tmp_path, capsys, no_integration, t1, step):
+        doc = self.gauged_doc()
+        doc["t1"], doc["step"] = t1, step
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+        assert "sample budget of 1e+08 steps" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
     def test_numerical_blowup_exits_one(self, tmp_path):
         doc = {"omega0": 1.0, "omega": 1.0, "coupling": 1e150, "n": 1,
                "rhs": "static", "initial_c": 1.0, "initial_d": 0.0,
@@ -308,6 +329,11 @@ class TestCompare:
         cfg = write_config(tmp_path, {"window_periods": 2.5})
         assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         assert "compare.window_periods" in capsys.readouterr().err
+
+    def test_sample_budget(self, tmp_path, capsys, no_integration):
+        cfg = write_config(tmp_path, {"omega_ratio": 1e15})
+        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+        assert "sample budget of 1e+08 steps" in capsys.readouterr().err
 
     def test_config_round_trip(self):
         doc = {"omega_ratio": 50.0, "step_per_period": 100,

@@ -28,10 +28,6 @@ from ptjc.dynamics import (
     integrate,
     map_trajectory,
     read_trajectory_csv,
-    rhs_averaged,
-    rhs_gauged,
-    rhs_lab,
-    rhs_static,
     suggested_step,
     to_gauged,
     to_interaction,
@@ -167,7 +163,7 @@ class TestRhsLab:
         p = JcParams(1.4, 0.9, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         s = AmplitudeState(n=3, c=0.8 + 0.1j, d=0.2 - 0.4j, frame=Frame.LAB)
-        dc, dd = rhs_lab(p, mod, s, 0.55)
+        dc, dd = bind_lab_rhs(p, mod, s.n)(0.55, s.c, s.d)
         assert abs(dc - (-1j * (1.4 / 2.0 + 0.9 * 2.0) * s.c)) <= 1e-15
         assert abs(dd - (-1j * (3 * 0.9 - 1.4 / 2.0) * s.d)) <= 1e-15
 
@@ -175,7 +171,7 @@ class TestRhsLab:
         p = JcParams(1.0, 1.0, 0.1)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         s = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.LAB)
-        dc, dd = rhs_lab(p, mod, s, 0.0)
+        dc, dd = bind_lab_rhs(p, mod, s.n)(0.0, s.c, s.d)
         assert abs(dc - (-0.1j)) <= 1e-15
         assert abs(dd - (-0.5j)) <= 1e-15
 
@@ -183,7 +179,7 @@ class TestRhsLab:
         p = JcParams(1.2, 1.0, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.25, big_omega=2.0)
         s = AmplitudeState(n=1, c=1.0, d=0.0, frame=Frame.LAB)
-        dc, _ = rhs_lab(p, mod, s, 0.0)  # cos(0) = 1
+        dc, _ = bind_lab_rhs(p, mod, s.n)(0.0, s.c, s.d)  # cos(0) = 1
         assert abs(dc - (-1j * 1.2 * 1.25 / 2.0)) <= 1e-15
 
     @pytest.mark.parametrize("target", [ATOM, CAVITY])
@@ -194,7 +190,7 @@ class TestRhsLab:
             n = int(rng.integers(1, 6))
             s = random_state(rng, n, Frame.LAB)
             t = float(rng.uniform(0, 10))
-            dc, dd = rhs_lab(p, mod, s, t)
+            dc, dd = bind_lab_rhs(p, mod, n)(t, s.c, s.d)
             ref = -1j * (lab_hamiltonian(p, mod, n, t) @ [s.c, s.d])
             assert abs(dc - ref[0]) <= 1e-13
             assert abs(dd - ref[1]) <= 1e-13
@@ -202,9 +198,8 @@ class TestRhsLab:
     def test_complex_coupling_rejected(self):
         p = JcParams(1.0, 1.0, 0.1j)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
-        s = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.LAB)
         with pytest.raises(ValueError):
-            rhs_lab(p, mod, s, 0.0)
+            bind_lab_rhs(p, mod, 1)
 
 
 class TestRhsGauged:
@@ -212,15 +207,15 @@ class TestRhsGauged:
         p = JcParams(1.0, 1.0, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         s = AmplitudeState(n=1, c=0.3, d=0.7, frame=Frame.GAUGED)
-        assert rhs_gauged(p, mod, s, 0.9) == (0.0, 0.0)
+        assert bind_gauged_rhs(p, mod, s.n)(0.9, s.c, s.d) == (0.0, 0.0)
 
     def test_reduces_to_static_at_beta_zero(self, rng):
         p = JcParams(1.0, 1.0, 0.08)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         for _ in range(10):
             s = random_state(rng, 2, Frame.GAUGED)
-            dc_g, dd_g = rhs_gauged(p, mod, s, float(rng.uniform(0, 5)))
-            dc_s, dd_s = rhs_static(p, 2, s)
+            dc_g, dd_g = bind_gauged_rhs(p, mod, 2)(float(rng.uniform(0, 5)), s.c, s.d)
+            dc_s, dd_s = bind_static_rhs(p, 2)(0.0, s.c, s.d)
             assert abs(dc_g - dc_s) <= 1e-15
             assert abs(dd_g - dd_s) <= 1e-15
 
@@ -278,14 +273,15 @@ class TestRhsAveraged:
         for _ in range(10):
             s = random_state(rng, 2, Frame.GAUGED)
             t = float(rng.uniform(0, 4))
-            assert rhs_averaged(p, mod, s, t) == rhs_static(p_eff, 2, s, t)
+            assert (bind_averaged_rhs(p, mod, 2)(t, s.c, s.d)
+                    == bind_static_rhs(p_eff, 2)(t, s.c, s.d))
 
 
 class TestStaticAndClosedForm:
     def test_rhs_static_structure(self, rng):
         p = JcParams(1.0, 1.0, 0.1 - 0.04j)
         s = random_state(rng, 4, Frame.INTERACTION)
-        dc, dd = rhs_static(p, 4, s)
+        dc, dd = bind_static_rhs(p, 4)(0.0, s.c, s.d)
         kappa = p.coupling * 2.0
         assert abs(dc - (-1j * kappa * s.d)) <= 1e-15
         assert abs(dd - (-1j * kappa * s.c)) <= 1e-15
@@ -401,22 +397,31 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="t ="):
             integrate(grow, s0, 0.0, 1.0, 0.1)
 
-    def test_generic_callable_refuses_compiled_backend(self):
-        s0 = AmplitudeState(n=1, c=1.0, d=0.0, frame=Frame.LAB)
-        with pytest.raises(ValueError):
-            integrate(lambda t, c, d: (0.0, 0.0), s0, 0.0, 1.0, 0.1,
-                      backend="compiled")
-
-    @pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="compiled kernel unavailable")
-    def test_backends_agree_bitwise(self):
-        p = JcParams(1.0, 1.0, 0.05)
-        mod = ModulationSpec(target=CAVITY, beta=0.4 - 0.15j, big_omega=3.0)
-        s0 = AmplitudeState(n=2, c=0.6 + 0.2j, d=0.5 - 0.1j, frame=Frame.GAUGED)
-        rhs = bind_gauged_rhs(p, mod, 2)
-        a = integrate(rhs, s0, 0.0, 4.0, 0.004, backend="pure")
-        b = integrate(rhs, s0, 0.0, 4.0, 0.004, backend="compiled")
-        assert np.array_equal(a.c, b.c)
-        assert np.array_equal(a.d, b.d)
+    @pytest.mark.parametrize("rhs_name", ["static", "lab_atom", "lab_cavity",
+                                          "gauged_atom", "gauged_cavity"])
+    def test_propagators_match_generic_rk4(self, rhs_name):
+        # the vectorized step propagators against the per-state oracle:
+        # detuned, complex beta, a tail step, more than one chunk
+        p = JcParams(1.1, 0.9, 0.05)
+        target = CAVITY if rhs_name.endswith("cavity") else ATOM
+        mod = ModulationSpec(target=target, beta=0.4 - 0.15j, big_omega=3.0)
+        n = 2
+        rhs = {"static": bind_static_rhs(JcParams(1.1, 0.9, 0.05 + 0.02j), n),
+               "lab_atom": bind_lab_rhs(p, mod, n),
+               "lab_cavity": bind_lab_rhs(p, mod, n),
+               "gauged_atom": bind_gauged_rhs(p, mod, n),
+               "gauged_cavity": bind_gauged_rhs(p, mod, n)}[rhs_name]
+        h = 0.004
+        n_full = 2 * kernels._CHUNK + 37
+        tail = 0.3 * h
+        c, d = kernels.rk4_form(rhs.form, rhs.coef, 0.6 + 0.2j, 0.5 - 0.1j,
+                                0.25, h, n_full, tail)
+        c_ref, d_ref = kernels.rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j,
+                                           0.25, h, n_full, tail)
+        assert len(c) == len(c_ref) == n_full + 2
+        scale = np.maximum(np.hypot(np.abs(c_ref), np.abs(d_ref)), 1e-300)
+        assert (np.abs(c - c_ref) / scale).max() <= 1e-12
+        assert (np.abs(d - d_ref) / scale).max() <= 1e-12
 
 
 class TestStepAndSerialization:
