@@ -1,22 +1,21 @@
 """Driven and similarity-deformed two-state block toolkit.
 
-Complex Bessel evaluation and root finding, dressed two-state block
-spectra with PT-phase classification, driven amplitude dynamics in
-lab/interaction/gauged frames integrated by RK4 step propagators,
-driven-vs-static equivalence experiments, and the
-similarity-deformed truncated-Fock-space model with its biorthogonal
-eigenfamilies and metric identities.
+Complex Bessel values and the kick sum from one Fourier quadrature,
+root finding, dressed two-state block spectra with PT-phase
+classification, driven amplitude dynamics in lab/interaction/gauged
+frames integrated by RK4 step propagators, driven-vs-static
+equivalence experiments, and the similarity-deformed
+truncated-Fock-space model with its biorthogonal eigenfamilies and
+metric identities.
 """
 
 __version__ = "0.1.0"
 
 from .bessel import (
-    DEFAULT_SERIES_CONFIG,
     RootResult,
-    SeriesConfig,
-    average_phase_factor,
     bessel_j0,
     bessel_j1,
+    kick_sum,
     solve_j0_equals,
 )
 from .jc import (

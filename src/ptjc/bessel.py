@@ -1,25 +1,28 @@
-"""Complex-argument Bessel functions J0 and J1 with a root solver.
+"""Complex-argument Bessel functions J0 and J1, the kick sum, and a root solver.
 
-The evaluator uses the ascending power series inside a configurable
-radius and the Hankel large-argument expansion outside it.  Both J0 and
-J1 are computed from series in z**2 (times a z/2 prefactor for J1), so
-the parity relations
+Every value comes from one trapezoid rule on the periodic integrand
+exp(i z sin theta).  With nodes theta_k = 2 pi k / N and s_k = sin theta_k,
+
+    J0(z) = mean_k cos(z s_k)        J1(z) = mean_k s_k sin(z s_k)
+
+and the J_m(z) of the kick sum are the FFT coefficients of exp(i z s_k).
+For this analytic periodic integrand the rule converges exponentially
+(Trefethen and Weideman, SIAM Rev. 56, 385 (2014)); N grows with |z| so
+the aliased orders J_{m + kN}(z) are negligible.  The cosine and sine
+forms make the parity relations
 
     J0(-z) = J0(z)        J1(-z) = -J1(z)
 
-hold exactly by construction; the asymptotic branch reflects negative
-real parts through the same relations before expanding.
+hold exactly, node by node.  One domain check bounds the argument:
+|z| <= MAX_ABS_ARG keeps N at most 2**16, and |Im z| <= MAX_IMAG_ARG
+keeps N exp(|Im z|), the largest sum formed, below the float64 maximum
+exp(709.78), so every accepted z gives a finite value.
 
-A composite Simpson quadrature of the averaging integral
-
-    (1 / 2 pi) * int_{-pi}^{pi} exp(-i * gamma * sin x) dx
-
-is provided as an independent oracle for J0, and a plain complex Newton
-iteration (derivative J0' = -J1) solves J0(z) = target.
+A plain complex Newton iteration (derivative J0' = -J1) solves
+J0(z) = target.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,33 +39,15 @@ DEFAULT_NEWTON_MAX_ITER = 60
 # Below this derivative magnitude the Newton update is meaningless.
 DERIVATIVE_BREAKDOWN_TOL = 1e-14
 
-# Hard cap on asymptotic terms; the expansion is truncated earlier at
-# its smallest term (optimal truncation), this only bounds the loop.
-_ASYMPTOTIC_MAX_TERMS = 24
+# Domain of the quadrature (see the module docstring).
+MAX_ABS_ARG = 16000.0
+MAX_IMAG_ARG = 690.0
+
+_MIN_NODES = 64
 
 
 class DerivativeBreakdownError(ArithmeticError):
     """Raised when |J1| vanishes at a Newton iterate."""
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Evaluation controls for the series/asymptotic split."""
-
-    max_terms: int = 60
-    abs_tolerance: float = 1e-15
-    asymptotic_switch_radius: float = 12.0
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not self.abs_tolerance > 0:
-            raise ValueError("abs_tolerance must be > 0")
-        if not self.asymptotic_switch_radius > 0:
-            raise ValueError("asymptotic_switch_radius must be > 0")
-
-
-DEFAULT_SERIES_CONFIG = SeriesConfig()
 
 
 @dataclass(frozen=True)
@@ -82,139 +67,42 @@ def _require_finite(z: complex, name: str) -> complex:
     return z
 
 
-def _j0_series(z: complex, cfg: SeriesConfig) -> complex:
-    # J0(z) = sum_k (-q)^k / (k!)^2 with q = z^2 / 4.  Kahan-compensated
-    # summation keeps the cancellation error at the eps * max-term level
-    # even for |z| near the switch radius.
-    q = z * z / 4.0
-    term = 1.0 + 0.0j
-    total = term
-    comp = 0.0j
-    for k in range(1, cfg.max_terms + 1):
-        term = term * (-q) / (k * k)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < cfg.abs_tolerance:
-            return total
-    raise ArithmeticError(
-        f"J0 series did not certify convergence in {cfg.max_terms} terms at z={z!r}"
-    )
+def _nodes(z: complex, name: str) -> tuple[complex, np.ndarray]:
+    """The checked argument and the node sines s_k for it."""
+    z = _require_finite(z, name)
+    if abs(z) > MAX_ABS_ARG:
+        raise ValueError(f"{name}: |z| = {abs(z):.6g} exceeds the quadrature "
+                         f"limit |z| <= {MAX_ABS_ARG:g}")
+    if abs(z.imag) > MAX_IMAG_ARG:
+        raise ValueError(f"{name}: |Im z| = {abs(z.imag):.6g} exceeds the overflow "
+                         f"limit |Im z| <= {MAX_IMAG_ARG:g}")
+    size = max(_MIN_NODES, 1 << (int(4.0 * abs(z)) + 32).bit_length())
+    return z, np.sin(2.0 * math.pi * np.arange(size) / size)
 
 
-def _j1_series(z: complex, cfg: SeriesConfig) -> complex:
-    # J1(z) = (z/2) * sum_k (-q)^k / (k! (k+1)!)
-    q = z * z / 4.0
-    term = 1.0 + 0.0j
-    total = term
-    comp = 0.0j
-    for k in range(1, cfg.max_terms + 1):
-        term = term * (-q) / (k * (k + 1))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < cfg.abs_tolerance:
-            return (z / 2.0) * total
-    raise ArithmeticError(
-        f"J1 series did not certify convergence in {cfg.max_terms} terms at z={z!r}"
-    )
-
-
-def _hankel_pq(nu: int, z: complex) -> tuple[complex, complex]:
-    """Optimally truncated P and Q sums of the large-argument expansion.
-
-    a_m = (4 nu^2 - 1)(4 nu^2 - 9)...(4 nu^2 - (2m-1)^2) / (m! 8^m),
-    P = sum (-1)^k a_{2k} / z^{2k},  Q = sum (-1)^k a_{2k+1} / z^{2k+1}.
-    Terms are added while they keep shrinking; the first growing term is
-    dropped, which is the usual optimal truncation of the divergent tail.
-    """
-    mu = 4 * nu * nu
-    inv_z2 = 1.0 / (z * z)
-    p_sum = 1.0 + 0.0j
-    q_sum = 0.0j
-    # a_1 / z
-    a1 = (mu - 1) / 8.0
-    q_term = a1 / z
-    q_sum += q_term
-    prev_p = 1.0
-    prev_q = abs(q_term)
-    p_factor = 1.0 + 0.0j  # (-1)^k / z^{2k}
-    a_m = a1
-    m = 1
-    sign = -1.0
-    while m < _ASYMPTOTIC_MAX_TERMS:
-        # next even coefficient a_{2k} with 2k = m + 1
-        a_m = a_m * (mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0)
-        m += 1
-        p_factor = p_factor * inv_z2
-        p_term = sign * a_m * p_factor
-        if abs(p_term) >= prev_p:
-            break
-        p_sum += p_term
-        prev_p = abs(p_term)
-        # odd coefficient a_{2k+1} with 2k + 1 = m + 1
-        a_m = a_m * (mu - (2 * m + 1) ** 2) / ((m + 1) * 8.0)
-        m += 1
-        q_term = sign * a_m * p_factor / z
-        if abs(q_term) >= prev_q:
-            break
-        q_sum += q_term
-        prev_q = abs(q_term)
-        sign = -sign
-    return p_sum, q_sum
-
-
-def _j_asymptotic(nu: int, z: complex) -> complex:
-    omega = z - (2 * nu + 1) * math.pi / 4.0
-    p_sum, q_sum = _hankel_pq(nu, z)
-    pref = cmath.sqrt(2.0 / (math.pi * z))
-    return pref * (p_sum * cmath.cos(omega) - q_sum * cmath.sin(omega))
-
-
-def _reflect(z: complex) -> tuple[complex, float]:
-    """Map z to the right half plane; return (z', parity sign for J1)."""
-    if z.real < 0.0 or (z.real == 0.0 and z.imag < 0.0):
-        return -z, -1.0
-    return z, 1.0
-
-
-def bessel_j0(z: complex, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> complex:
+def bessel_j0(z: complex) -> complex:
     """Bessel function of the first kind, order zero, complex argument."""
-    z = _require_finite(z, "bessel_j0")
-    if abs(z) <= cfg.asymptotic_switch_radius:
-        return _j0_series(z, cfg)
-    zr, _ = _reflect(z)
-    return _j_asymptotic(0, zr)
+    z, s = _nodes(z, "bessel_j0")
+    return complex(np.mean(np.cos(z * s)))
 
 
-def bessel_j1(z: complex, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> complex:
+def bessel_j1(z: complex) -> complex:
     """Bessel function of the first kind, order one, complex argument."""
-    z = _require_finite(z, "bessel_j1")
-    if abs(z) <= cfg.asymptotic_switch_radius:
-        return _j1_series(z, cfg)
-    zr, sign = _reflect(z)
-    return sign * _j_asymptotic(1, zr)
+    z, s = _nodes(z, "bessel_j1")
+    return complex(np.mean(s * np.sin(z * s)))
 
 
-def average_phase_factor(gamma: complex, panels: int) -> complex:
-    """Composite-Simpson value of (1/2pi) * int exp(-i gamma sin x) dx.
+def kick_sum(z: complex) -> complex:
+    """S(z) = sum over m != 0 of J_m(z) / m, the first-order kick coefficient.
 
-    Independent of the series evaluator; used as a cross-check oracle.
-    ``panels`` must be even and >= 2.
+    The J_m(z) are the Fourier coefficients of exp(i z sin theta), read
+    off one FFT on the shared nodes.  S(0) = 0 exactly.
     """
-    gamma = _require_finite(gamma, "average_phase_factor")
-    if panels < 2 or panels % 2 != 0:
-        raise ValueError(f"panels must be even and >= 2, got {panels}")
-    x = np.linspace(-math.pi, math.pi, panels + 1)
-    f = np.exp(-1j * gamma * np.sin(x))
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = 2.0 * math.pi / panels
-    integral = (h / 3.0) * np.dot(w, f)
-    return complex(integral / (2.0 * math.pi))
+    z, s = _nodes(z, "kick_sum")
+    size = len(s)
+    coeffs = np.fft.fft(np.exp(1j * z * s)) / size
+    m = np.arange(1, size // 2)
+    return complex(np.sum((coeffs[m] - coeffs[-m]) / m))
 
 
 def solve_j0_equals(
@@ -222,7 +110,6 @@ def solve_j0_equals(
     guess: complex = DEFAULT_ROOT_GUESS,
     tol: float = DEFAULT_NEWTON_TOL,
     max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-    cfg: SeriesConfig = DEFAULT_SERIES_CONFIG,
 ) -> RootResult:
     """Newton iteration for J0(z) = target with derivative -J1(z).
 
@@ -236,16 +123,16 @@ def solve_j0_equals(
     if not tol > 0:
         raise ValueError("tol must be > 0")
     iterations = 0
-    f = bessel_j0(z, cfg) - target
+    f = bessel_j0(z) - target
     while iterations < max_iter:
         if abs(f) <= tol:
             return RootResult(root=z, residual=abs(f), iterations=iterations, converged=True)
-        deriv = -bessel_j1(z, cfg)
+        deriv = -bessel_j1(z)
         if abs(deriv) < DERIVATIVE_BREAKDOWN_TOL:
             raise DerivativeBreakdownError(
                 f"|J1({z!r})| < {DERIVATIVE_BREAKDOWN_TOL} during Newton iteration"
             )
         z = z - f / deriv
         iterations += 1
-        f = bessel_j0(z, cfg) - target
+        f = bessel_j0(z) - target
     return RootResult(root=z, residual=abs(f), iterations=iterations, converged=abs(f) <= tol)

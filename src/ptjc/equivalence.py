@@ -36,7 +36,9 @@ The reference starts from the first-order kicked state (high-frequency
 expansion): the window averages follow the static evolution from
 c_eff(0) = c0 + (kappa / Omega) S d0, d_eff(0) = d0 - (kappa / Omega) S c0
 with S(z) = sum over m != 0 of J_m(z) / m, so the remaining deviation
-is O(1 / Omega^2).
+is O(1 / Omega^2).  S(z) and every J0 value here come from the one
+Fourier quadrature of ``ptjc.bessel``; its domain check bounds the
+relative-phase amplitude z a run accepts.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bessel import bessel_j0, solve_j0_equals
+from .bessel import bessel_j0, kick_sum, solve_j0_equals
 from .dynamics import (
     AmplitudeState,
     Frame,
@@ -66,11 +68,6 @@ BETA_RESIDUAL_TOL = 1e-12
 # Floor applied to the static magnitude when normalizing deviations,
 # so the sinh reference near t = 0 does not blow the ratio up.
 ENVELOPE_FLOOR = 0.1
-
-# Smallest FFT that yields the J_m(z) of the kick sum, and the largest
-# one allowed (|z| up to about 16000).
-_KICK_FFT_MIN = 64
-_KICK_FFT_MAX = 1 << 16
 
 GAUGE_CONVENTION = "gauge"
 SPLITTING_CONVENTION = "splitting"
@@ -100,10 +97,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.omega_ratio > 1:
-            raise ValueError("omega_ratio must exceed 1")
-        if not self.duration_rabi_units > 0:
-            raise ValueError("duration_rabi_units must be positive")
+        if not (math.isfinite(self.omega_ratio) and self.omega_ratio > 1):
+            raise ValueError(f"omega_ratio must be finite and exceed 1, got {self.omega_ratio!r}")
+        if not (math.isfinite(self.duration_rabi_units) and self.duration_rabi_units > 0):
+            raise ValueError("duration_rabi_units must be finite and positive, "
+                             f"got {self.duration_rabi_units!r}")
         if self.window_periods < 1:
             raise ValueError("window_periods must be >= 1")
         if self.step_per_period < 100:
@@ -234,23 +232,6 @@ def _relative_phase_amplitude(cfg: ExperimentConfig, beta: complex,
     if cfg.target is ModulationTarget.ATOM_FREQUENCY:
         return cfg.params.omega0 * beta / big_omega
     return -cfg.params.omega * beta / big_omega
-
-
-def kick_sum(z: complex) -> complex:
-    """S(z) = sum over m != 0 of J_m(z) / m, the first-order kick coefficient.
-
-    The J_m(z) are the Fourier coefficients of exp(i z sin theta), read
-    off one FFT whose size keeps the aliased orders (m near the size)
-    negligible.  S(0) = 0 exactly.
-    """
-    size = max(_KICK_FFT_MIN, 1 << (int(4.0 * abs(z)) + 32).bit_length())
-    if size > _KICK_FFT_MAX:
-        raise ValueError(f"relative-phase amplitude |z| = {abs(z):.3g} too large "
-                         f"for the kick sum (FFT size limit {_KICK_FFT_MAX})")
-    theta = 2.0 * math.pi * np.arange(size) / size
-    coeffs = np.fft.fft(np.exp(1j * z * np.sin(theta))) / size
-    m = np.arange(1, size // 2)
-    return complex(np.sum((coeffs[m] - coeffs[-m]) / m))
 
 
 def run_equivalence_experiment(cfg: ExperimentConfig, *,

@@ -1,11 +1,10 @@
 """Shared fixtures and independent numerical oracles.
 
 The oracles here are deliberately written against different algorithms
-than the library code they check: quadrature instead of power series,
-characteristic polynomials instead of closed-form branch formulas,
-dense numpy/scipy factorizations instead of the hand-rolled Jacobi and
-Pade routines.  Tests compare the two routes; neither side is allowed
-to call the other.
+than the library code they check: Simpson quadrature and a real power
+series instead of the trapezoid-rule Bessel values, characteristic
+polynomials instead of closed-form branch formulas.  Tests compare the
+two routes; neither side is allowed to call the other.
 """
 
 import cmath
@@ -37,8 +36,8 @@ def rng():
 def simpson_phase_average(gamma: complex, panels: int) -> complex:
     """(1/2pi) integral of exp(-i gamma sin x) over [-pi, pi], composite Simpson.
 
-    Hand-rolled here so the test-side oracle shares no code with
-    ptjc.bessel.average_phase_factor.
+    Hand-rolled here so the test-side oracle shares no code with the
+    trapezoid rule of ptjc.bessel.
     """
     if panels % 2 or panels < 2:
         raise ValueError("panels must be even and >= 2")

@@ -1,4 +1,4 @@
-"""Bessel evaluation, quadrature oracle and complex Newton solver."""
+"""Bessel evaluation, its domain check and complex Newton solver."""
 
 import math
 
@@ -8,11 +8,12 @@ from scipy.special import jv
 
 from ptjc.bessel import (
     DEFAULT_ROOT_GUESS,
+    MAX_ABS_ARG,
+    MAX_IMAG_ARG,
     DerivativeBreakdownError,
-    SeriesConfig,
-    average_phase_factor,
     bessel_j0,
     bessel_j1,
+    kick_sum,
     solve_j0_equals,
 )
 
@@ -64,7 +65,7 @@ class TestBesselJ0:
             ph = 2.0 * math.pi * rng.random()
             z = r * complex(math.cos(ph), math.sin(ph))
             ref = complex(jv(0, z))
-            assert abs(bessel_j0(z) - ref) <= 1e-10 * max(abs(ref), 1.0)
+            assert abs(bessel_j0(z) - ref) <= 1e-13 * max(abs(ref), 1.0)
 
     def test_against_scipy_real_segment(self):
         for x in np.linspace(-20.0, 20.0, 161):
@@ -75,14 +76,6 @@ class TestBesselJ0:
             bessel_j0(complex(math.inf, 0.0))
         with pytest.raises(ValueError):
             bessel_j0(complex(0.0, math.nan))
-
-    def test_series_config_validation(self):
-        with pytest.raises(ValueError):
-            SeriesConfig(max_terms=0)
-        with pytest.raises(ValueError):
-            SeriesConfig(abs_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SeriesConfig(asymptotic_switch_radius=-1.0)
 
 
 class TestBesselJ1:
@@ -105,33 +98,36 @@ class TestBesselJ1:
             ph = 2.0 * math.pi * rng.random()
             z = r * complex(math.cos(ph), math.sin(ph))
             ref = complex(jv(1, z))
-            assert abs(bessel_j1(z) - ref) <= 1e-10 * max(abs(ref), 1.0)
+            assert abs(bessel_j1(z) - ref) <= 1e-13 * max(abs(ref), 1.0)
 
 
-class TestAveragePhaseFactor:
-    def test_zero_gamma(self):
-        assert abs(average_phase_factor(0.0, 2 ** 10) - 1.0) <= 1e-14
+class TestDomain:
+    """J0, J1 and the kick sum share one domain check: each limit is
+    rejected just past it, and J0 and J1 match scipy just inside it (the
+    kick sum's inside cases are in test_equivalence)."""
 
-    def test_cross_validates_j0(self):
-        assert abs(average_phase_factor(1.0, 2 ** 14) - bessel_j0(1.0)) <= ORACLE_TOL
+    @pytest.mark.parametrize("f", [bessel_j0, bessel_j1, kick_sum])
+    @pytest.mark.parametrize("z", [MAX_ABS_ARG * 1.0001, -MAX_ABS_ARG * 1.0001j,
+                                   complex(1.0, MAX_IMAG_ARG * 1.0001),
+                                   complex(-1.0, -MAX_IMAG_ARG * 1.0001)])
+    def test_rejects_past_limit(self, f, z):
+        limit = MAX_IMAG_ARG if abs(z) < MAX_ABS_ARG else MAX_ABS_ARG
+        with pytest.raises(ValueError, match=f"limit .* <= {limit:g}"):
+            f(z)
 
-    def test_quoted_root(self):
-        assert abs(average_phase_factor(QUOTED_ROOT, 2 ** 16) - 1j) <= QUOTED_ROOT_TOL
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f", [bessel_j0, bessel_j1, kick_sum])
+    def test_finite_at_corner(self, f):
+        # largest node count and largest |Im z| at once
+        y = MAX_IMAG_ARG
+        value = f(complex(math.sqrt(MAX_ABS_ARG ** 2 - y * y), y))
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
 
-    def test_rejects_bad_panel_counts(self):
-        with pytest.raises(ValueError):
-            average_phase_factor(1.0, 3)
-        with pytest.raises(ValueError):
-            average_phase_factor(1.0, 0)
-
-    def test_agrees_with_independent_simpson(self, rng):
-        # same quadrature rule coded twice (library vs conftest); exact
-        # agreement is not required, 1e-13 catches transcription slips
-        for _ in range(5):
-            gamma = complex(*(rng.uniform(-3, 3, 2)))
-            a = average_phase_factor(gamma, 2 ** 12)
-            b = simpson_phase_average(gamma, 2 ** 12)
-            assert abs(a - b) <= 1e-13
+    @pytest.mark.parametrize("z", [MAX_ABS_ARG, -MAX_ABS_ARG, 650j, -689.0j])
+    @pytest.mark.parametrize("order, f", [(0, bessel_j0), (1, bessel_j1)])
+    def test_matches_scipy_inside(self, z, order, f):
+        ref = complex(jv(order, z))
+        assert abs(f(z) - ref) <= 1e-13 * max(abs(ref), 1.0)
 
 
 class TestSolveJ0Equals:

@@ -246,6 +246,16 @@ class TestEvolve:
         assert "sample budget of 1e+08 steps" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
+    def test_averaged_coupling_past_bessel_domain(self, tmp_path, capsys):
+        # J0 argument -omega0 beta / (2 Omega) = -900i, past |Im z| <= 690
+        doc = self.gauged_doc()
+        doc["rhs"] = "averaged"
+        doc["modulation"].update(beta=[0.0, 1800.0], big_omega=1.0)
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+        assert "limit |Im z| <= 690" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
     def test_numerical_blowup_exits_one(self, tmp_path):
         doc = {"omega0": 1.0, "omega": 1.0, "coupling": 1e150, "n": 1,
                "rhs": "static", "initial_c": 1.0, "initial_d": 0.0,
@@ -334,6 +344,20 @@ class TestCompare:
         cfg = write_config(tmp_path, {"omega_ratio": 1e15})
         assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         assert "sample budget of 1e+08 steps" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_kick_past_bessel_domain(self, tmp_path, capsys, no_integration):
+        # relative-phase amplitude omega0 beta / Omega = 800i at ratio 100
+        cfg = write_config(tmp_path, {"beta": [0.0, 4000.0]})
+        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+        assert "limit |Im z| <= 690" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["omega_ratio", "duration_rabi_units"])
+    def test_non_finite_rejected(self, tmp_path, capsys, no_integration, key):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"{key}": 1e400}}', encoding="utf-8")
+        assert main(["compare", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
 
     def test_config_round_trip(self):
         doc = {"omega_ratio": 50.0, "step_per_period": 100,
