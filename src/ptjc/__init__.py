@@ -47,15 +47,11 @@ from .dynamics import (
     bind_lab_rhs,
     bind_static_rhs,
     closed_form_static,
-    from_gauged,
-    from_interaction,
-    gauge_phase,
+    frame_factors,
     integrate,
     map_trajectory,
     read_trajectory_csv,
     suggested_step,
-    to_gauged,
-    to_interaction,
     write_trajectory_csv,
 )
 from .equivalence import (

@@ -53,7 +53,10 @@ class ConfigError(ValueError):
 
 
 def _dump_json(payload: dict, path: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ArithmeticError(f"non-finite value in the payload of {path}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -204,14 +207,16 @@ def cmd_evolve(args) -> int:
     frames = doc.get("frames", [frame.value])
     if not isinstance(frames, list) or not frames:
         raise ConfigError("evolve config: frames must be a non-empty list")
+    try:
+        out_frames = [Frame(name) for name in frames]
+    except ValueError as exc:
+        raise ConfigError(f"evolve config: unknown frame ({exc})") from None
+    if Frame.GAUGED in out_frames and mod is None:
+        raise ConfigError("evolve config: the gauged frame needs a modulation block")
 
     traj = integrate(rhs, state0, 0.0, t1, step)
     os.makedirs(args.output_dir, exist_ok=True)
-    for name in frames:
-        try:
-            out_frame = Frame(name)
-        except ValueError:
-            raise ConfigError(f"evolve config: unknown frame {name!r}") from None
+    for out_frame in out_frames:
         mapped = map_trajectory(traj, params, mod, out_frame)
         path = os.path.join(args.output_dir, f"trajectory_{out_frame.value}.csv")
         try:

@@ -9,15 +9,16 @@ Within one excitation block the state is a pair of complex amplitudes
   exp(+i [omega0/2 + omega (n-1)] t) on c and
   exp(+i [n omega - omega0/2] t) on d.
 * Gauged: the oscillating part of c's diagonal is absorbed as well,
-  c_gauged = c_int * exp(+i phase) with phase = (omega0 beta / 2 Omega)
-  sin(Omega t) for atom-frequency drive and (n omega beta / Omega)
-  sin(Omega t) for cavity-frequency drive.  The gauged d equation keeps
-  its oscillating diagonal term; the pair of gauged equations and this
-  map are mutually consistent (the frame-consistency test in the suite
-  checks exactly that), which pins the sign of the exponent.
+  c_gauged = c_int * exp(+i gamma sin(Omega t)) with
+  gamma = omega0 beta / 2 Omega for atom-frequency drive and
+  n omega beta / Omega for cavity-frequency drive; d is untouched.
+  The gauged d equation keeps its oscillating diagonal term; the pair
+  of gauged equations and this map are mutually consistent (the
+  frame-consistency test in the suite checks exactly that), which pins
+  the sign of the exponent.
 
-States carry an explicit frame tag and the maps refuse mismatched
-input rather than silently composing wrong phases.
+``frame_factors`` holds these factors, one hop up the ladder at a time;
+``map_trajectory`` applies them to whole frame-tagged trajectories.
 
 Integration is classical fixed-step RK4, deterministic, with the final
 step shortened to land exactly on the requested end time.  Structured
@@ -27,7 +28,6 @@ state at a time.  At most MAX_STEPS steps are taken in one call.
 """
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import warnings
@@ -71,6 +71,8 @@ class ModulationTarget(enum.Enum):
 
 
 class Frame(enum.Enum):
+    """Reference frames, declared in ladder order: each is one hop above the last."""
+
     LAB = "lab"
     INTERACTION = "interaction"
     GAUGED = "gauged"
@@ -147,14 +149,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def state_at(self, i: int) -> AmplitudeState:
-        return AmplitudeState(n=self.n, c=complex(self.c[i]), d=complex(self.d[i]),
-                              frame=self.frame)
-
-    def states(self):
-        for i in range(len(self)):
-            yield self.state_at(i)
-
 
 @dataclass(frozen=True)
 class BoundRhs:
@@ -179,11 +173,6 @@ class BoundRhs:
 RhsLike = Union[BoundRhs, Callable[[float, complex, complex], tuple[complex, complex]]]
 
 
-def _require_frame(state: AmplitudeState, frame: Frame, op: str) -> None:
-    if state.frame is not frame:
-        raise FrameMismatchError(f"{op} expects a {frame.value}-frame state, got {state.frame.value}")
-
-
 def _require_real_coupling(params: JcParams, op: str) -> float:
     g = complex(params.coupling)
     if g.imag != 0.0:
@@ -195,52 +184,29 @@ def _require_real_coupling(params: JcParams, op: str) -> float:
 # Frame maps
 
 
-def _interaction_phases(params: JcParams, n: int, t: float) -> tuple[complex, complex]:
-    ph_c = cmath.exp(1j * (params.omega0 / 2.0 + params.omega * (n - 1)) * t)
-    ph_d = cmath.exp(1j * (n * params.omega - params.omega0 / 2.0) * t)
-    return ph_c, ph_d
-
-
-def to_interaction(state: AmplitudeState, params: JcParams, t: float) -> AmplitudeState:
-    """Lab -> interaction frame at time t."""
-    _require_frame(state, Frame.LAB, "to_interaction")
-    ph_c, ph_d = _interaction_phases(params, state.n, t)
-    return AmplitudeState(n=state.n, c=state.c * ph_c, d=state.d * ph_d,
-                          frame=Frame.INTERACTION)
-
-
-def from_interaction(state: AmplitudeState, params: JcParams, t: float) -> AmplitudeState:
-    """Interaction -> lab frame at time t (exact inverse of to_interaction)."""
-    _require_frame(state, Frame.INTERACTION, "from_interaction")
-    ph_c, ph_d = _interaction_phases(params, state.n, t)
-    return AmplitudeState(n=state.n, c=state.c / ph_c, d=state.d / ph_d,
-                          frame=Frame.LAB)
-
-
-def gauge_phase(params: JcParams, mod: ModulationSpec, n: int, t: float) -> complex:
-    """The oscillating phase absorbed by the gauged frame (complex for complex beta)."""
+def _gauge_amplitude(params: JcParams, mod: ModulationSpec, n: int) -> complex:
+    """gamma of the gauged frame's phase gamma sin(Omega t); complex for complex beta."""
     if mod.target is ModulationTarget.ATOM_FREQUENCY:
-        amp = params.omega0 * mod.beta / (2.0 * mod.big_omega)
-    else:
-        amp = n * params.omega * mod.beta / mod.big_omega
-    return amp * math.sin(mod.big_omega * t)
+        return params.omega0 * mod.beta / (2.0 * mod.big_omega)
+    return n * params.omega * mod.beta / mod.big_omega
 
 
-def to_gauged(state: AmplitudeState, mod: ModulationSpec, params: JcParams,
-              t: float) -> AmplitudeState:
-    """Interaction -> gauged frame: c picks up exp(+i phase), d is untouched."""
-    _require_frame(state, Frame.INTERACTION, "to_gauged")
-    factor = cmath.exp(1j * gauge_phase(params, mod, state.n, t))
-    return AmplitudeState(n=state.n, c=state.c * factor, d=state.d, frame=Frame.GAUGED)
+def frame_factors(params: JcParams, mod: Optional[ModulationSpec], n: int, t,
+                  frame: Frame) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(f_c, f_d) taking (c, d) from the frame below ``frame`` into it at times t.
 
-
-def from_gauged(state: AmplitudeState, mod: ModulationSpec, params: JcParams,
-                t: float) -> AmplitudeState:
-    """Gauged -> interaction frame; divides by the exact same factor."""
-    _require_frame(state, Frame.GAUGED, "from_gauged")
-    factor = cmath.exp(1j * gauge_phase(params, mod, state.n, t))
-    return AmplitudeState(n=state.n, c=state.c / factor, d=state.d,
-                          frame=Frame.INTERACTION)
+    Interaction (from lab): exp(+i [omega0/2 + omega (n-1)] t) on c and
+    exp(+i [n omega - omega0/2] t) on d.  Gauged (from interaction, needs
+    ``mod``): exp(+i gamma sin(Omega t)) on c; f_d is None, as the gauge
+    leaves d untouched.
+    """
+    t = np.asarray(t, dtype=float)
+    if frame is Frame.INTERACTION:
+        return (np.exp(1j * (params.omega0 / 2.0 + params.omega * (n - 1)) * t),
+                np.exp(1j * (n * params.omega - params.omega0 / 2.0) * t))
+    if frame is Frame.GAUGED:
+        return np.exp(1j * (_gauge_amplitude(params, mod, n) * np.sin(mod.big_omega * t))), None
+    raise ValueError(f"no frame lies below the {frame.value} frame")
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +227,14 @@ def bind_gauged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
     g = _require_real_coupling(params, "bind_gauged_rhs")
     kappa = g * math.sqrt(n)
     delta = params.detuning()
+    gamma = _gauge_amplitude(params, mod, n)
     if mod.target is ModulationTarget.ATOM_FREQUENCY:
-        gamma0 = params.omega0 * mod.beta / (2.0 * mod.big_omega)
         mod_amp = params.omega0 * mod.beta / 2.0
-        coef = np.array([delta, gamma0, mod_amp, mod.big_omega, kappa], dtype=complex)
+        coef = np.array([delta, gamma, mod_amp, mod.big_omega, kappa], dtype=complex)
         return BoundRhs(form=kernels.FORM_GAUGED_ATOM, coef=coef, frame=Frame.GAUGED, n=n)
-    psi_amp = n * params.omega * mod.beta / mod.big_omega
     diag_c = -params.omega * mod.beta
     diag_d = n * params.omega * mod.beta
-    coef = np.array([delta, psi_amp, diag_c, diag_d, mod.big_omega, kappa], dtype=complex)
+    coef = np.array([delta, gamma, diag_c, diag_d, mod.big_omega, kappa], dtype=complex)
     return BoundRhs(form=kernels.FORM_GAUGED_CAVITY, coef=coef, frame=Frame.GAUGED, n=n)
 
 
@@ -293,11 +258,7 @@ def averaged_effective_coupling(params: JcParams, mod: ModulationSpec,
     relative-phase amplitude omega beta / Omega.
     """
     g = _require_real_coupling(params, "averaged_effective_coupling")
-    if mod.target is ModulationTarget.ATOM_FREQUENCY:
-        arg = -params.omega0 * mod.beta / (2.0 * mod.big_omega)
-    else:
-        arg = -n * params.omega * mod.beta / mod.big_omega
-    return g * bessel_j0(arg)
+    return g * bessel_j0(-_gauge_amplitude(params, mod, n))
 
 
 def bind_averaged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
@@ -427,9 +388,8 @@ def read_trajectory_csv(path) -> Trajectory:
         if header != TRAJECTORY_CSV_HEADER:
             raise ValueError(f"unexpected trajectory header {header!r}")
         times, cs, ds = [], [], []
-        frame = None
-        n = None
-        for line in fh:
+        tags = None
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -439,10 +399,14 @@ def read_trajectory_csv(path) -> Trajectory:
             times.append(float(parts[0]))
             cs.append(complex(float(parts[1]), float(parts[2])))
             ds.append(complex(float(parts[3]), float(parts[4])))
-            frame = Frame(parts[5])
-            n = int(parts[6])
+            if tags is None:
+                tags = parts[5], parts[6]
+            elif (parts[5], parts[6]) != tags:
+                raise ValueError(f"trajectory row {line!r} (line {lineno}) has other "
+                                 f"frame/n tags than the first row's {','.join(tags)}")
     if not times:
         raise ValueError("empty trajectory file")
+    frame, n = Frame(tags[0]), int(tags[1])
     times_arr = np.array(times)
     step = float(times_arr[1] - times_arr[0]) if len(times_arr) > 1 else 1.0
     return Trajectory(times=times_arr, c=np.array(cs), d=np.array(ds),
@@ -451,36 +415,30 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def map_trajectory(traj: Trajectory, params: JcParams,
                    mod: Optional[ModulationSpec], to_frame: Frame) -> Trajectory:
-    """Pointwise frame conversion of a whole trajectory.
+    """Frame conversion of a whole trajectory, one array product per hop.
 
-    Conversions touching the gauged frame need the modulation spec; a
-    missing spec raises ValueError.
+    Each hop up the ladder multiplies by ``frame_factors``; each hop
+    down divides by the same factors.  Conversions touching the gauged
+    frame need the modulation spec; a missing spec raises ValueError,
+    as do amplitudes that the map takes out of float64.
     """
     if traj.frame is to_frame:
         return traj
-    order = [Frame.LAB, Frame.INTERACTION, Frame.GAUGED]
-    i_from = order.index(traj.frame)
-    i_to = order.index(to_frame)
-    cs = np.array(traj.c, dtype=complex)
-    ds = np.array(traj.d, dtype=complex)
-    times = traj.times
-    if (i_from == 2 or i_to == 2) and mod is None:
+    if Frame.GAUGED in (traj.frame, to_frame) and mod is None:
         raise ValueError("gauged-frame conversion requires a modulation spec")
-    step_dir = 1 if i_to > i_from else -1
-    cur = i_from
-    while cur != i_to:
-        nxt = cur + step_dir
-        for k in range(len(times)):
-            st = AmplitudeState(n=traj.n, c=complex(cs[k]), d=complex(ds[k]),
-                                frame=order[cur])
-            if (cur, nxt) == (0, 1):
-                st = to_interaction(st, params, float(times[k]))
-            elif (cur, nxt) == (1, 2):
-                st = to_gauged(st, mod, params, float(times[k]))
-            elif (cur, nxt) == (1, 0):
-                st = from_interaction(st, params, float(times[k]))
-            else:
-                st = from_gauged(st, mod, params, float(times[k]))
-            cs[k], ds[k] = st.c, st.d
-        cur = nxt
-    return Trajectory(times=times, c=cs, d=ds, frame=to_frame, n=traj.n, step=traj.step)
+    ladder = list(Frame)
+    i_from, i_to = ladder.index(traj.frame), ladder.index(to_frame)
+    up = i_to > i_from
+    hops = ladder[i_from + 1:i_to + 1] if up else ladder[i_from:i_to:-1]
+    c = np.asarray(traj.c, dtype=complex)
+    d = np.asarray(traj.d, dtype=complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for frame in hops:
+            f_c, f_d = frame_factors(params, mod, traj.n, traj.times, frame)
+            c = c * f_c if up else c / f_c
+            if f_d is not None:
+                d = d * f_d if up else d / f_d
+    if not (np.isfinite(c).all() and np.isfinite(d).all()):
+        raise ValueError(f"mapping the {traj.frame.value}-frame trajectory to the "
+                         f"{to_frame.value} frame leaves float64 (non-finite amplitudes)")
+    return Trajectory(times=traj.times, c=c, d=d, frame=to_frame, n=traj.n, step=traj.step)

@@ -311,7 +311,8 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     err_d = np.abs(np.abs(d_avg) - np.abs(ref_d)) / np.maximum(np.abs(ref_d), ENVELOPE_FLOOR)
     max_c = float(err_c.max())
     max_d = float(err_d.max())
-    rms = float(math.sqrt(np.mean(np.concatenate([err_c, err_d]) ** 2)))
+    with np.errstate(over="ignore"):  # an inf rms is refused when the report is written
+        rms = float(math.sqrt(np.mean(np.concatenate([err_c, err_d]) ** 2)))
 
     return ComparisonReport(
         beta_used=beta_used,

@@ -210,6 +210,20 @@ class TestEvolve:
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("case", ["unknown_frame", "gauged_without_modulation"])
+    def test_frames_checked_before_integration(self, tmp_path, capsys, no_integration, case):
+        doc = self.gauged_doc()
+        if case == "unknown_frame":
+            doc["frames"] = ["gauged", "bogus"]
+        else:
+            del doc["modulation"]
+            doc.update(rhs="static", frames=["interaction", "gauged"])
+        cfg = write_config(tmp_path, doc)
+        outdir = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        assert "frame" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -351,6 +365,16 @@ class TestCompare:
         cfg = write_config(tmp_path, {"beta": [0.0, 4000.0]})
         assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         assert "limit |Im z| <= 690" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_report_refused(self, tmp_path, capsys):
+        # the driven envelopes grow to about 1e186 times the reference,
+        # so the squared errors overflow and rms_err is infinite
+        cfg = write_config(tmp_path, {"beta": [0.0, 60.0]})
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 1
+        assert "report.json" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
 
     @pytest.mark.parametrize("key", ["omega_ratio", "duration_rabi_units"])
     def test_non_finite_rejected(self, tmp_path, capsys, no_integration, key):

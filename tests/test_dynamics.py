@@ -1,6 +1,5 @@
 """Frame maps, amplitude equations of motion, and the RK4 front end."""
 
-import cmath
 import math
 
 import numpy as np
@@ -22,15 +21,11 @@ from ptjc.dynamics import (
     bind_lab_rhs,
     bind_static_rhs,
     closed_form_static,
-    from_gauged,
-    from_interaction,
-    gauge_phase,
+    frame_factors,
     integrate,
     map_trajectory,
     read_trajectory_csv,
     suggested_step,
-    to_gauged,
-    to_interaction,
     write_trajectory_csv,
 )
 from ptjc.equivalence import solve_modulation_beta
@@ -86,42 +81,55 @@ class TestTypes:
         assert len(traj) == 3
 
 
+def one_sample(state, t):
+    """A single-sample trajectory holding ``state`` at time t."""
+    return Trajectory(times=np.array([t]), c=np.array([state.c]), d=np.array([state.d]),
+                      frame=state.frame, n=state.n, step=1.0)
+
+
+def mapped_sample(state, params, mod, t, to_frame):
+    out = map_trajectory(one_sample(state, t), params, mod, to_frame)
+    assert out.frame is to_frame
+    return complex(out.c[0]), complex(out.d[0])
+
+
 class TestFrameMaps:
     def test_interaction_identity_at_t0(self, rng):
         s = random_state(rng, 2, Frame.LAB)
-        out = to_interaction(s, JcParams(1.2, 1.0, 0.1), 0.0)
-        assert out.c == s.c and out.d == s.d
-        assert out.frame is Frame.INTERACTION
+        c, d = mapped_sample(s, JcParams(1.2, 1.0, 0.1), None, 0.0, Frame.INTERACTION)
+        assert c == s.c and d == s.d
 
     def test_interaction_preserves_moduli(self, rng):
         p = JcParams(1.2, 0.9, 0.1)
         s = random_state(rng, 3, Frame.LAB)
-        out = to_interaction(s, p, 2.7)
-        assert abs(abs(out.c) - abs(s.c)) <= 1e-15
-        assert abs(abs(out.d) - abs(s.d)) <= 1e-15
+        c, d = mapped_sample(s, p, None, 2.7, Frame.INTERACTION)
+        assert abs(abs(c) - abs(s.c)) <= 1e-15
+        assert abs(abs(d) - abs(s.d)) <= 1e-15
 
     def test_interaction_round_trip(self, rng):
         p = JcParams(1.3, 0.8, 0.2)
         for _ in range(20):
             s = random_state(rng, int(rng.integers(1, 6)), Frame.LAB)
-            back = from_interaction(to_interaction(s, p, 7.3), p, 7.3)
-            assert abs(back.c - s.c) <= ROUND_TRIP_TOL
-            assert abs(back.d - s.d) <= ROUND_TRIP_TOL
+            there = map_trajectory(one_sample(s, 7.3), p, None, Frame.INTERACTION)
+            back = map_trajectory(there, p, None, Frame.LAB)
+            assert back.frame is Frame.LAB
+            assert abs(back.c[0] - s.c) <= ROUND_TRIP_TOL
+            assert abs(back.d[0] - s.d) <= ROUND_TRIP_TOL
 
     def test_gauged_identity_at_sin_zero(self, rng):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.4, big_omega=2.0)
         s = random_state(rng, 1, Frame.INTERACTION)
-        out = to_gauged(s, mod, p, math.pi / 2.0)  # sin(2t) = 0 at t = pi/2
-        assert abs(out.c - s.c) <= 1e-12 * abs(s.c)
-        assert out.d == s.d
+        c, d = mapped_sample(s, p, mod, math.pi / 2.0, Frame.GAUGED)  # sin(2t) = 0
+        assert abs(c - s.c) <= 1e-12 * abs(s.c)
+        assert d == s.d
 
     def test_gauged_preserves_modulus_for_real_beta(self, rng):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.7, big_omega=1.3)
         s = random_state(rng, 1, Frame.INTERACTION)
-        out = to_gauged(s, mod, p, 0.37)
-        assert abs(abs(out.c) - abs(s.c)) <= 1e-15
+        c, _ = mapped_sample(s, p, mod, 0.37, Frame.GAUGED)
+        assert abs(abs(c) - abs(s.c)) <= 1e-15
 
     def test_gauged_scaling_for_imaginary_beta(self):
         # beta = i, omega0 = 2, Omega = 1, sin(Omega t) = 1: the absorbed
@@ -129,33 +137,72 @@ class TestFrameMaps:
         p = JcParams(2.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=1j, big_omega=1.0)
         s = AmplitudeState(n=1, c=1.0, d=0.5, frame=Frame.INTERACTION)
-        out = to_gauged(s, mod, p, math.pi / 2.0)
-        assert abs(out.c) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert out.d == s.d
+        c, d = mapped_sample(s, p, mod, math.pi / 2.0, Frame.GAUGED)
+        assert abs(c) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert d == s.d
 
     def test_gauged_round_trip_complex_beta(self, rng):
         p = JcParams(1.0, 1.0, 0.05)
         for target in (ATOM, CAVITY):
             mod = ModulationSpec(target=target, beta=0.5 + 0.3j, big_omega=2.0)
             s = random_state(rng, 2, Frame.INTERACTION)
-            back = from_gauged(to_gauged(s, mod, p, 1.9), mod, p, 1.9)
-            assert abs(back.c - s.c) <= ROUND_TRIP_TOL
-            assert back.d == s.d
+            there = map_trajectory(one_sample(s, 1.9), p, mod, Frame.GAUGED)
+            back = map_trajectory(there, p, mod, Frame.INTERACTION)
+            assert abs(back.c[0] - s.c) <= ROUND_TRIP_TOL
+            assert back.d[0] == s.d
 
     def test_cavity_gauge_phase_scales_with_n(self):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=CAVITY, beta=0.3, big_omega=2.0)
         t = 0.41
-        assert gauge_phase(p, mod, 4, t) == pytest.approx(4.0 * gauge_phase(p, mod, 1, t))
+        f4, d4 = frame_factors(p, mod, 4, t, Frame.GAUGED)
+        f1, d1 = frame_factors(p, mod, 1, t, Frame.GAUGED)
+        assert d4 is None and d1 is None  # the gauge leaves d untouched
+        assert np.log(f4) == pytest.approx(4.0 * np.log(f1))
 
-    def test_frame_mismatch_rejected(self, rng):
+    @pytest.mark.parametrize("target", [ATOM, CAVITY])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_maps_match_hand_written_phases(self, target, n):
+        # independent oracle: every lab/interaction/gauged conversion of
+        # a detuned (aperiodic) complex-beta run against the phases
+        # written out here, with each frame's total phase in one exponent
+        p = JcParams(1.3, 0.8, 0.07)
+        mod = ModulationSpec(target=target, beta=0.35 - 0.2j, big_omega=2.9)
+        s0 = AmplitudeState(n=n, c=0.6 + 0.2j, d=0.5 - 0.1j, frame=Frame.LAB)
+        lab = integrate(bind_lab_rhs(p, mod, n), s0, 0.0, 12.3, 0.01)
+        t = lab.times
+        theta_c = (p.omega0 / 2.0 + p.omega * (n - 1)) * t
+        theta_d = (n * p.omega - p.omega0 / 2.0) * t
+        gamma = (p.omega0 * mod.beta / (2.0 * mod.big_omega) if target is ATOM
+                 else n * p.omega * mod.beta / mod.big_omega)
+        expected = {
+            Frame.LAB: (lab.c, lab.d),
+            Frame.INTERACTION: (lab.c * np.exp(1j * theta_c), lab.d * np.exp(1j * theta_d)),
+            Frame.GAUGED: (lab.c * np.exp(1j * (theta_c + gamma * np.sin(mod.big_omega * t))),
+                           lab.d * np.exp(1j * theta_d)),
+        }
+        for src in Frame:
+            traj = Trajectory(times=t, c=expected[src][0], d=expected[src][1],
+                              frame=src, n=n, step=lab.step)
+            for dst in Frame:
+                out = map_trajectory(traj, p, mod, dst)
+                c_ref, d_ref = expected[dst]
+                scale = np.hypot(np.abs(c_ref), np.abs(d_ref))
+                assert out.frame is dst
+                assert (np.abs(out.c - c_ref) / scale).max() <= 1e-13, (src, dst)
+                assert (np.abs(out.d - d_ref) / scale).max() <= 1e-13, (src, dst)
+
+    @pytest.mark.parametrize("beta, c", [(1400j, 1e10), (2000j, 0.6 + 0.2j)])
+    def test_map_leaving_float64_rejected(self, beta, c):
+        # at t = pi/2 the gauge factor is e^{-700} (the quotient
+        # overflows) or e^{-1000}, which underflows to zero
         p = JcParams(1.0, 1.0, 0.05)
-        mod = ModulationSpec(target=ATOM, beta=0.1, big_omega=1.0)
-        lab = random_state(rng, 1, Frame.LAB)
-        with pytest.raises(FrameMismatchError):
-            to_gauged(lab, mod, p, 0.0)
-        with pytest.raises(FrameMismatchError):
-            from_interaction(lab, p, 0.0)
+        mod = ModulationSpec(target=ATOM, beta=beta, big_omega=1.0)
+        traj = Trajectory(times=np.array([0.0, math.pi / 2.0]), c=np.array([c, c]),
+                          d=np.array([0.5, 0.5], dtype=complex), frame=Frame.GAUGED,
+                          n=1, step=math.pi / 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            map_trajectory(traj, p, mod, Frame.INTERACTION)
 
 
 class TestRhsLab:
@@ -233,7 +280,7 @@ class TestRhsGauged:
         s_lab = AmplitudeState(n=n, c=0.6 + 0.2j, d=0.5 - 0.1j, frame=Frame.LAB)
         lab_traj = integrate(bind_lab_rhs(p, mod, n), s_lab, 0.0, t1, step)
         mapped = map_trajectory(lab_traj, p, mod, Frame.GAUGED)
-        s_gauged = to_gauged(to_interaction(s_lab, p, 0.0), mod, p, 0.0)
+        s_gauged = AmplitudeState(n=n, c=mapped.c[0], d=mapped.d[0], frame=Frame.GAUGED)
         gauged_traj = integrate(bind_gauged_rhs(p, mod, n), s_gauged, 0.0, t1, step)
         err = max(np.abs(mapped.c - gauged_traj.c).max(),
                   np.abs(mapped.d - gauged_traj.d).max())
@@ -455,6 +502,15 @@ class TestStepAndSerialization:
         write_trajectory_csv(traj, path)
         first = path.read_text().splitlines()[0]
         assert first == "t,re_c,im_c,re_d,im_d,frame,n"
+
+    @pytest.mark.parametrize("second_tags", ["gauged,3", "gauged,1", "lab,3"])
+    def test_csv_rejects_mixed_tags(self, tmp_path, second_tags):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,re_c,im_c,re_d,im_d,frame,n\n"
+                        "0.0,1.0,0.0,0.0,0.0,lab,1\n"
+                        f"0.1,1.0,0.0,0.0,0.0,{second_tags}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{second_tags}' \\(line 3\\)"):
+            read_trajectory_csv(path)
 
     def test_map_trajectory_round_trip(self, rng):
         p = JcParams(1.0, 1.0, 0.05)
