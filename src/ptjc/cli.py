@@ -65,14 +65,18 @@ def _complex_pair(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def _parse_complex(value, context: str) -> complex:
+def _parse_real(value, context: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value))
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in value)):
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{context}: expected a number or [re, im] pair, got {value!r}")
+        return float(value)
+    raise ConfigError(f"{context}: expected a real number, got {value!r}")
+
+
+def _parse_complex(value, context: str) -> complex:
+    """A real number, or an [re, im] pair of real numbers."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_parse_real(value[0], f"{context}[0]"),
+                       _parse_real(value[1], f"{context}[1]"))
+    return complex(_parse_real(value, f"{context} (or an [re, im] pair)"))
 
 
 def _parse_int(value, context: str) -> int:
@@ -163,7 +167,7 @@ def _parse_modulation(doc, params: JcParams, n: int) -> ModulationSpec | None:
         if key not in doc:
             raise ConfigError(f"modulation: missing key {key!r}")
     target = _target_from_name(doc["target"])
-    big_omega = float(doc["big_omega"])
+    big_omega = _parse_real(doc["big_omega"], "modulation.big_omega")
     beta_raw = doc["beta"]
     if beta_raw == "condition":
         beta = solve_modulation_beta(params, target, n, big_omega)
@@ -179,7 +183,8 @@ def cmd_evolve(args) -> int:
                 "initial_d", "t1"):
         if key not in doc:
             raise ConfigError(f"evolve config: missing key {key!r}")
-    params = JcParams(omega0=float(doc["omega0"]), omega=float(doc["omega"]),
+    params = JcParams(omega0=_parse_real(doc["omega0"], "evolve.omega0"),
+                      omega=_parse_real(doc["omega"], "evolve.omega"),
                       coupling=_parse_complex(doc["coupling"], "coupling"))
     n = _parse_int(doc["n"], "n")
     mod = _parse_modulation(doc.get("modulation"), params, n)
@@ -201,9 +206,10 @@ def cmd_evolve(args) -> int:
                             c=_parse_complex(doc["initial_c"], "initial_c"),
                             d=_parse_complex(doc["initial_d"], "initial_d"),
                             frame=frame)
-    t1 = float(doc["t1"])
+    t1 = _parse_real(doc["t1"], "evolve.t1")
     step_raw = doc.get("step")
-    step = float(step_raw) if step_raw is not None else suggested_step(params, mod, n)
+    step = (_parse_real(step_raw, "evolve.step") if step_raw is not None
+            else suggested_step(params, mod, n))
     frames = doc.get("frames", [frame.value])
     if not isinstance(frames, list) or not frames:
         raise ConfigError("evolve config: frames must be a non-empty list")
@@ -215,9 +221,10 @@ def cmd_evolve(args) -> int:
         raise ConfigError("evolve config: the gauged frame needs a modulation block")
 
     traj = integrate(rhs, state0, 0.0, t1, step)
+    # map every frame before writing any, so a failed map writes nothing
+    mapped_frames = [map_trajectory(traj, params, mod, f) for f in out_frames]
     os.makedirs(args.output_dir, exist_ok=True)
-    for out_frame in out_frames:
-        mapped = map_trajectory(traj, params, mod, out_frame)
+    for out_frame, mapped in zip(out_frames, mapped_frames):
         path = os.path.join(args.output_dir, f"trajectory_{out_frame.value}.csv")
         try:
             write_trajectory_csv(mapped, path)
@@ -257,14 +264,15 @@ def parse_compare_config(doc: dict) -> dict:
     merged = dict(_COMPARE_DEFAULTS)
     merged.update(doc)
     if merged["ratios"] is not None:
-        if (not isinstance(merged["ratios"], list) or not merged["ratios"]
-                or not all(isinstance(r, (int, float)) for r in merged["ratios"])):
-            raise ConfigError("compare config: ratios must be a list of numbers")
-        merged["ratios"] = [float(r) for r in merged["ratios"]]
+        if not isinstance(merged["ratios"], list) or not merged["ratios"]:
+            raise ConfigError("compare config: ratios must be a non-empty list of numbers")
+        merged["ratios"] = [_parse_real(r, "compare.ratios") for r in merged["ratios"]]
     if merged["beta"] is not None:
         merged["beta"] = _parse_complex(merged["beta"], "compare.beta")
     for key in ("n", "window_periods", "step_per_period"):
         merged[key] = _parse_int(merged[key], f"compare.{key}")
+    for key in ("omega0", "omega", "omega_ratio", "duration_rabi_units"):
+        merged[key] = _parse_real(merged[key], f"compare.{key}")
     return merged
 
 
@@ -279,14 +287,14 @@ def compare_config_to_doc(merged: dict) -> dict:
 def cmd_compare(args) -> int:
     doc = _load_config(args.config) if args.config else {}
     merged = parse_compare_config(doc)
-    params = JcParams(omega0=float(merged["omega0"]), omega=float(merged["omega"]),
+    params = JcParams(omega0=merged["omega0"], omega=merged["omega"],
                       coupling=_parse_complex(merged["coupling"], "coupling"))
     cfg = ExperimentConfig(
         params=params,
         target=_target_from_name(merged["target"]),
         n=merged["n"],
-        omega_ratio=float(merged["omega_ratio"]),
-        duration_rabi_units=float(merged["duration_rabi_units"]),
+        omega_ratio=merged["omega_ratio"],
+        duration_rabi_units=merged["duration_rabi_units"],
         window_periods=merged["window_periods"],
         step_per_period=merged["step_per_period"],
     )
@@ -374,11 +382,12 @@ def cmd_pseudo(args) -> int:
     _require_keys(doc, _PSEUDO_KEYS, "pseudo config")
     merged = dict(_PSEUDO_DEFAULTS)
     merged.update(doc)
-    params = JcParams(omega0=float(merged["omega0"]), omega=float(merged["omega"]),
+    params = JcParams(omega0=_parse_real(merged["omega0"], "pseudo.omega0"),
+                      omega=_parse_real(merged["omega"], "pseudo.omega"),
                       coupling=_parse_complex(merged["epsilon"], "epsilon"))
     space = FockSpace(boson_levels=_parse_int(merged["boson_levels"], "pseudo.boson_levels"))
     count = None if merged["count"] is None else _parse_int(merged["count"], "pseudo.count")
-    smap = build_similarity(space, float(merged["alpha"]))
+    smap = build_similarity(space, _parse_real(merged["alpha"], "pseudo.alpha"))
     h0 = build_h0(params, space)
     system = build_biorthogonal_system(h0, smap, count)
     payload = diagnostics_record(system, smap, h0, params)

@@ -59,6 +59,10 @@ class FockSpace:
         return [2 * m + k for m in range(self.boson_levels) for k in (0, 1)
                 if m <= mmax]
 
+    def block_slots(self) -> np.ndarray:
+        """Row N - 1 holds block N's slots (2N - 1, 2N) = (|N-1, 1>, |N, 0>), N < N_b."""
+        return np.arange(1, self.total_dim - 1).reshape(self.boson_levels - 1, 2)
+
     def safe_block_max(self) -> int:
         """Largest total excitation whose whole block is truncation safe.
 

@@ -1,7 +1,8 @@
 """Similarity-deformed model: biorthogonal eigenfamilies and identities.
 
 A Hermitian generator G and a real deformation strength alpha define
-S = exp(alpha G).  Conjugating the Hermitian excitation-conserving
+S = exp(alpha G); G is a boson plus a fermion term, so S is a
+Kronecker product.  Conjugating the Hermitian excitation-conserving
 Hamiltonian H0 and its ladder operators by S produces a non-Hermitian
 H_alpha with deformed ladder operators whose commutation relations are
 preserved, two biorthogonal eigenfamilies Phi-hat = S Phi, Psi-hat =
@@ -60,7 +61,12 @@ class EnergyConvention(enum.Enum):
 
 @dataclass(frozen=True)
 class SimilarityMap:
-    """S = exp(alpha G) and its inverse from G = V diag(eigvals) V^H, V = eigvecs."""
+    """S = exp(alpha G) and its inverse, built from their boson and fermion factors.
+
+    G = X_b (x) 1 + 1 (x) sigma_x on the interleaved basis, with the
+    boson factor X_b = b + b' = V diag(eigvals) V^T, V = eigvecs.  The
+    two terms commute, so S^k = exp(k alpha X_b) (x) exp(k alpha sigma_x).
+    """
 
     space: FockSpace
     alpha: float
@@ -71,12 +77,12 @@ class SimilarityMap:
 
     @property
     def cond2(self) -> float:
-        """Exact 2-norm condition number of S, exp(|alpha| spread(G))."""
-        return math.exp(abs(self.alpha) * float(self.eigvals[-1] - self.eigvals[0]))
+        """Exact cond2(S) = exp(|alpha| spread(G)), spread(G) = spread(X_b) + 2."""
+        return math.exp(abs(self.alpha) * (float(self.eigvals[-1] - self.eigvals[0]) + 2.0))
 
     def power(self, k: float) -> np.ndarray:
         """S^k as a dense matrix."""
-        return _spectral_exp(self.eigvals, self.eigvecs, k * self.alpha)
+        return _kron_exp(self.eigvals, self.eigvecs, k * self.alpha)
 
 
 @dataclass(frozen=True)
@@ -114,11 +120,13 @@ class BiorthogonalSystem:
         return self.phis.conj().T @ self.psis
 
 
-def _spectral_exp(eigvals: np.ndarray, eigvecs: np.ndarray, t: float) -> np.ndarray:
-    """V diag(exp(t lambda)) V^H, the exact identity at t = 0."""
+def _kron_exp(eigvals: np.ndarray, eigvecs: np.ndarray, t: float) -> np.ndarray:
+    """exp(t X_b) (x) (cosh t + sinh t sigma_x), the exact identity at t = 0."""
     if t == 0.0:
-        return np.eye(len(eigvals), dtype=complex)
-    return (eigvecs * np.exp(t * eigvals)) @ eigvecs.conj().T
+        return np.eye(2 * len(eigvals))
+    boson = (eigvecs * np.exp(t * eigvals)) @ eigvecs.T
+    fermion = np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]])
+    return np.kron(boson, fermion)
 
 
 def default_generator(space: FockSpace) -> OperatorMatrix:
@@ -133,15 +141,18 @@ def _inverse_pair(eigvals: np.ndarray, eigvecs: np.ndarray,
                   alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
     """S, S^-1 and max |S S^-1 - 1|, which is NaN when exp overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _spectral_exp(eigvals, eigvecs, alpha)
-        s_inv = _spectral_exp(eigvals, eigvecs, -alpha)
-        return s, s_inv, float(np.abs(s @ s_inv - np.eye(len(eigvals))).max())
+        s = _kron_exp(eigvals, eigvecs, alpha)
+        s_inv = _kron_exp(eigvals, eigvecs, -alpha)
+        return s, s_inv, float(np.abs(s @ s_inv - np.eye(len(s))).max())
 
 
 def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
-    """Exponentiate alpha times the ladder-sum generator.
+    """Exponentiate alpha times the ladder-sum generator, factor by factor.
 
-    Construction verifies S S^-1 = identity to INVERSE_IDENTITY_TOL; the
+    One eigh of the N_b x N_b boson factor X_b gives exp(+-alpha X_b);
+    the fermion factor is cosh alpha + sinh alpha sigma_x in closed
+    form, and S, S^-1 are one Kronecker product each.  Construction
+    verifies S S^-1 = identity to INVERSE_IDENTITY_TOL; the
     residual grows like exp(|alpha| spread(G)).  On failure a ValueError
     names alpha_max, found by stepping |alpha| down to the log-linear
     estimate |alpha| - ln(residual / tol) / spread(G) on a 1e-3 grid
@@ -151,8 +162,9 @@ def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    eigvals, eigvecs = np.linalg.eigh(default_generator(space).entries)
-    spread = float(eigvals[-1] - eigvals[0])
+    off = np.sqrt(np.arange(1.0, space.boson_levels))
+    eigvals, eigvecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    spread = float(eigvals[-1] - eigvals[0]) + 2.0
     s, s_inv, residual = _inverse_pair(eigvals, eigvecs, alpha)
     alpha_max, check = abs(alpha), residual
     while not check <= INVERSE_IDENTITY_TOL:
@@ -182,7 +194,8 @@ def energy_formula(params: JcParams, n: int, k: int,
 
     E = [omega - sqrt(delta^2 + 4 |eps|^2 arg)] (k - 1/2) + omega n,
     with arg = n + k for TOTAL_EXCITATION and n + k + 1 for
-    TOTAL_EXCITATION_PLUS_ONE.
+    TOTAL_EXCITATION_PLUS_ONE.  At arg = 0 the undressed state takes the
+    root -delta, as in _bare_gap_diagonal, so E(0, 0) = -omega0 / 2.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -195,40 +208,19 @@ def energy_formula(params: JcParams, n: int, k: int,
     else:
         raise ValueError(f"unknown convention {convention!r}")
     delta = params.detuning()
-    gap = math.sqrt(delta ** 2 + 4.0 * abs(params.coupling) ** 2 * arg)
+    gap = (-delta if arg == 0
+           else math.sqrt(delta ** 2 + 4.0 * abs(params.coupling) ** 2 * arg))
     return (params.omega - gap) * (k - 0.5) + params.omega * n
-
-
-def _block_labels(space: FockSpace, energies: np.ndarray,
-                  blocks: np.ndarray) -> list[tuple[int, int]]:
-    """Occupancy labels from block membership and energy ordering.
-
-    Within the total-excitation block N >= 1 the lower-energy state is
-    (N-1, 1) and the higher is (N, 0); the single N = 0 state is
-    (0, 0).  Operates on whole blocks, so it does not depend on any
-    truncation of the state list.
-    """
-    labels: list[tuple[int, int]] = [None] * len(energies)
-    for block in sorted(set(int(b) for b in blocks)):
-        members = [i for i in range(len(blocks)) if blocks[i] == block]
-        if block == 0:
-            for i in members:
-                labels[i] = (0, 0)
-            continue
-        members.sort(key=lambda i: energies[i])
-        if len(members) == 2:
-            labels[members[0]] = (block - 1, 1)
-            labels[members[1]] = (block, 0)
-        else:
-            # Incomplete block (possible only at the truncation edge).
-            for i in members:
-                labels[i] = (block, 0)
-    return labels
 
 
 def build_biorthogonal_system(h0: OperatorMatrix, smap: SimilarityMap,
                               count: int | None = None) -> BiorthogonalSystem:
-    """Diagonalize H0, transport eigenvectors through S and S^-1.
+    """Diagonalize H0 block by block, transport eigenvectors through S and S^-1.
+
+    The 2x2 excitation blocks (``FockSpace.block_slots``) go through one
+    stacked eigh; each eigenpair is labelled by its slot, so block N's
+    lower root is (N-1, 1) and its upper (N, 0).  An H0 with an entry
+    outside those blocks is refused with a ValueError.
 
     Keeps the ``count`` lowest eigenstates whose total excitation block
     is truncation safe (count defaults to the whole safe budget).  The
@@ -245,23 +237,20 @@ def build_biorthogonal_system(h0: OperatorMatrix, smap: SimilarityMap,
     if not (1 <= count <= budget):
         raise ValueError(f"count must be in [1, {budget}], got {count}")
 
-    evals, evecs = np.linalg.eigh(h0.entries)
-    ops = build_fock_operators(space)
-    n_op = ops["number_total"].entries
-    occupancy = np.einsum("ij,jk,ki->i", evecs.conj().T, n_op, evecs).real
-    blocks = np.rint(occupancy).astype(int)
+    blocks = (np.arange(space.total_dim) + 1) // 2  # total excitation m + k per slot
+    if np.any(h0.entries[blocks[:, None] != blocks[None, :]]):
+        raise ValueError("H0 has entries outside its total-excitation blocks")
+    slots = space.block_slots()
+    rows, cols = slots[:, :, None], slots[:, None, :]
+    evals = np.diagonal(h0.entries).real.copy()
+    evecs = np.eye(space.total_dim, dtype=complex)
+    evals[slots], evecs[rows, cols] = np.linalg.eigh(h0.entries[rows, cols])
 
-    safe = np.where(blocks <= space.safe_block_max())[0]
-    all_labels = _block_labels(space, evals, blocks)
-    included = safe[:count]
-
-    gaps = np.empty(len(evals))
-    gaps[:] = np.inf
-    if len(evals) > 1:
-        diff = np.abs(np.diff(evals))
-        gaps[:-1] = np.minimum(gaps[:-1], diff)
-        gaps[1:] = np.minimum(gaps[1:], diff)
-    degenerate = gaps[included] < DEGENERACY_TOL
+    order = np.argsort(evals, kind="stable")
+    diff = np.diff(evals[order])
+    gaps = np.minimum(np.append(diff, np.inf), np.insert(diff, 0, np.inf))
+    kept = np.flatnonzero(blocks[order] <= space.safe_block_max())[:count]
+    included = order[kept]
 
     v_incl = evecs[:, included]
     phis = smap.s.entries @ v_incl
@@ -276,9 +265,9 @@ def build_biorthogonal_system(h0: OperatorMatrix, smap: SimilarityMap,
         alpha=smap.alpha,
         phis=phis,
         psis=psis,
-        energies=np.asarray(evals[included], dtype=float),
-        labels=tuple(all_labels[i] for i in included),
-        degenerate=degenerate,
+        energies=evals[included],
+        labels=tuple(space.unpack(int(i)) for i in included),
+        degenerate=gaps[kept] < DEGENERACY_TOL,
         eigvecs_bare=v_incl,
     )
 
@@ -397,32 +386,28 @@ def _bare_gap_diagonal(space: FockSpace, params: JcParams) -> np.ndarray:
     -delta; with that choice the bare rotation identity is exact on
     every slot.
     """
-    nb = space.boson_levels
     delta = params.detuning()
-    eps = abs(params.coupling)
-    vals = np.array([math.sqrt(delta ** 2 + 4.0 * eps ** 2 * (m + k))
-                     for m in range(nb) for k in (0, 1)])
-    vals[0] = -delta
-    vals[2 * (nb - 1) + 1] = -delta
+    excitation = (np.arange(space.total_dim) + 1) // 2
+    vals = np.sqrt(delta ** 2 + 4.0 * abs(params.coupling) ** 2 * excitation)
+    vals[[0, -1]] = -delta
     return vals
 
 
 def build_block_rotation(space: FockSpace, params: JcParams) -> tuple[np.ndarray, np.ndarray]:
     """T0 and its inverse, assembled block-wise on the bare space.
 
-    Block N couples bare slots 2(N-1)+1 and 2N; each gets the 2x2
-    eigenvector column matrix, whose transpose is its inverse.  The
-    zero-excitation slot and the orphan top slot stay identity.
+    Block N couples its bare slots (``FockSpace.block_slots``); each
+    gets the 2x2 eigenvector column matrix, whose transpose is its
+    inverse.  The zero-excitation slot and the orphan top slot stay
+    identity.
     """
     if params.coupling.imag != 0.0:
         raise ValueError("block rotation is defined for real coupling")
-    nb = space.boson_levels
     dim = space.total_dim
     t0 = np.eye(dim, dtype=complex)
     t0_inv = np.eye(dim, dtype=complex)
-    for n in range(1, nb):
-        i1, i2 = 2 * (n - 1) + 1, 2 * n
-        sel = np.ix_((i1, i2), (i1, i2))
+    for n, pair in enumerate(space.block_slots(), start=1):
+        sel = np.ix_(pair, pair)
         t0[sel] = eigvec_column_matrix(params, n)
         t0_inv[sel] = t_block(params, n)
     return t0, t0_inv
@@ -447,9 +432,7 @@ def t_alpha_diagonalization_check(h0: OperatorMatrix, smap: SimilarityMap,
         raise ValueError("gap operator is singular with zero coupling and zero detuning")
     t0, t0_inv = build_block_rotation(space, params)
     gap = _bare_gap_diagonal(space, params)
-    dim = space.total_dim
-    mvals = np.arange(dim) // 2
-    kvals = np.arange(dim) % 2
+    mvals, kvals = np.divmod(np.arange(space.total_dim), 2)
     diag_vals = params.omega * mvals + (params.omega - gap) * (kvals - 0.5)
 
     s = smap.s.entries

@@ -224,6 +224,35 @@ class TestEvolve:
         assert "frame" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_failed_frame_map_writes_nothing(self, tmp_path, capsys):
+        # |exp(i gamma sin t)| = exp(1000 |sin t|) leaves float64 past t = pi,
+        # in the second frame; the first frame's CSV must not be written
+        doc = {"omega0": 1.0, "omega": 1.0, "coupling": 0.05, "n": 1,
+               "rhs": "static",
+               "modulation": {"target": "atom", "beta": [0.0, 2000.0],
+                              "big_omega": 1.0},
+               "initial_c": 1.0, "initial_d": 0.0, "t1": 6.0, "step": 0.01,
+               "frames": ["interaction", "gauged"]}
+        cfg = write_config(tmp_path, doc)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert main(["evolve", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        assert "leaves float64" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("key, value", [("omega0", "1.0"), ("omega", True),
+                                            ("t1", None), ("step", [0.01]),
+                                            ("big_omega", True)])
+    def test_real_key_rejected(self, tmp_path, capsys, no_integration, key, value):
+        doc = self.gauged_doc()
+        if key == "big_omega":
+            doc["modulation"][key], name = value, "modulation.big_omega"
+        else:
+            doc[key], name = value, f"evolve.{key}"
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+        assert name in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -383,6 +412,19 @@ class TestCompare:
         assert main(["compare", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, name", [
+        ({"omega_ratio": [100]}, "compare.omega_ratio"),
+        ({"omega0": "1.0"}, "compare.omega0"),
+        ({"omega": None}, "compare.omega"),
+        ({"duration_rabi_units": True}, "compare.duration_rabi_units"),
+        ({"ratios": [100, True]}, "compare.ratios"),
+        ({"ratios": ["100"]}, "compare.ratios"),
+    ])
+    def test_real_key_rejected(self, tmp_path, capsys, no_integration, doc, name):
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+        assert name in capsys.readouterr().err
+
     def test_config_round_trip(self):
         doc = {"omega_ratio": 50.0, "step_per_period": 100,
                "beta": [0.1, -0.2], "measure": "slow"}
@@ -454,6 +496,16 @@ class TestPseudoCommand:
             cfg = write_config(tmp_path, {"alpha": alpha})
             assert main(["pseudo", "--config", cfg,
                          "--output-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("key, value", [("alpha", [1]), ("alpha", "0.3"),
+                                            ("alpha", True), ("omega0", None),
+                                            ("omega", "1")])
+    def test_real_key_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {key: value})
+        assert main(["pseudo", "--config", cfg,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"pseudo.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_alpha_overflow(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"alpha": 1e6})

@@ -36,6 +36,15 @@ class TestFockSpace:
         with pytest.raises(ValueError):
             space.index(0, 2)
 
+    def test_block_slots(self):
+        # row N - 1 holds block N: (|N-1, 1>, |N, 0>); slots 0 and 2 N_b - 1 stand alone
+        space = FockSpace(boson_levels=6)
+        slots = space.block_slots()
+        assert slots.shape == (5, 2)
+        for n, (lower, upper) in enumerate(slots, start=1):
+            assert (lower, upper) == (space.index(n - 1, 1), space.index(n, 0))
+        assert sorted(set(range(12)) - set(slots.ravel())) == [0, 11]
+
     def test_safe_sets_at_default_size(self):
         space = FockSpace(boson_levels=32)
         assert space.safe_boson_max() == 28

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ptjc.fockspace import FockSpace, build_fock_operators, build_h0
+from ptjc.fockspace import FockSpace, OperatorMatrix, build_fock_operators, build_h0
 from ptjc.jc import JcParams
 from ptjc.pseudo import (
     EnergyConvention,
@@ -96,6 +96,19 @@ class TestBuildSimilarity:
         ref = scipy.linalg.expm(0.3 * default_generator(space).entries)
         assert np.abs(smap.s.entries - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("alpha", [0.3, -0.3])
+    def test_kronecker_factors_match_expm_at_48_levels(self, alpha):
+        # S and S^-1 are built from X_b and sigma_x alone; the dense G
+        # is the oracle here
+        space = FockSpace(boson_levels=48)
+        smap = build_similarity(space, alpha)
+        gen = default_generator(space).entries
+        for mat, sign in ((smap.s.entries, 1.0), (smap.s_inv.entries, -1.0)):
+            ref = scipy.linalg.expm(sign * alpha * gen)
+            assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()  # measured 7.6e-15
+        lam = np.linalg.eigvalsh(gen)
+        assert smap.cond2 == pytest.approx(math.exp(abs(alpha) * (lam[-1] - lam[0])), rel=1e-12)
+
     def test_alpha_bound(self):
         space = FockSpace(boson_levels=6)
         with pytest.raises(ValueError):
@@ -104,13 +117,14 @@ class TestBuildSimilarity:
             build_similarity(space, math.inf)
 
     def test_named_alpha_max_passes(self):
-        # the named strength was checked with the sign of alpha
+        # the named strength was checked with the sign of alpha; the
+        # Kronecker S runs alpha = 1.0 here and names about 1.01
         space = FockSpace(boson_levels=16)
-        for alpha in (1.0, -1.0, 1e6):
+        for alpha in (1.5, -1.5, 1e6):
             with pytest.raises(ValueError) as info:
                 build_similarity(space, alpha)
             alpha_max = float(str(info.value).split("alpha_max(16) = ")[1].split()[0])
-            assert 0.0 < alpha_max < 1.0
+            assert 0.0 < alpha_max < 1.5
             build_similarity(space, math.copysign(alpha_max, alpha))
 
     def test_metric_powers(self):
@@ -161,6 +175,47 @@ class TestDeform:
         assert np.abs(bare - deformed).max() <= 1e-7  # measured 1.0e-8
 
 
+def dense_labels(space, evecs):
+    """(n, k) per column of a dense ascending eigh: the total excitation N
+    from the number operator; the lower root of a two-state block N is
+    (N-1, 1), every other state (N, 0)."""
+    n_op = build_fock_operators(space)["number_total"].entries
+    blocks = np.rint(np.einsum("ji,jk,ki->i", evecs.conj(), n_op, evecs).real).astype(int)
+    labels = []
+    for i, b in enumerate(blocks):
+        members = np.flatnonzero(blocks == b)
+        labels.append((b - 1, 1) if b > 0 and len(members) == 2 and members[0] == i
+                      else (b, 0))
+    return labels
+
+
+class TestBlockEigenpairs:
+    @pytest.mark.parametrize("boson_levels", [8, 48])
+    @pytest.mark.parametrize("omega0", [0.95, 1.0, 1.05])
+    @pytest.mark.parametrize("eps", [0.1, 0.06 - 0.08j])
+    def test_against_dense_eigh(self, boson_levels, omega0, eps):
+        params, space, h0, smap = small_bundle(alpha=0.2, omega0=omega0, eps=eps,
+                                               boson_levels=boson_levels)
+        system = build_biorthogonal_system(h0, smap)
+        evals, evecs = np.linalg.eigh(h0.entries)
+        # blocks interleave in energy at 48 levels: pair each kept state
+        # with its nearest dense eigenvalue (the spectrum is simple)
+        match = np.abs(system.energies[:, None] - evals[None, :]).argmin(axis=1)
+        assert len(set(match)) == len(system)
+        assert np.abs(system.energies - evals[match]).max() <= 1e-12  # measured 0
+        labels = dense_labels(space, evecs)
+        assert list(system.labels) == [labels[i] for i in match]
+        overlaps = np.abs(np.einsum("ij,ij->j", evecs[:, match].conj(), system.eigvecs_bare))
+        assert np.abs(overlaps - 1.0).max() <= 1e-12  # measured 4.4e-16
+
+    def test_refuses_entries_outside_blocks(self):
+        params, space, h0, smap = small_bundle(boson_levels=6)
+        coupled = h0.entries.copy()
+        coupled[0, 3] = coupled[3, 0] = 0.01  # |0,0> to |1,1>: blocks 0 and 2
+        with pytest.raises(ValueError, match="outside its total-excitation blocks"):
+            build_biorthogonal_system(OperatorMatrix(space, coupled), smap)
+
+
 class TestEnergyFormula:
     def test_ground_state_both_conventions(self):
         p = JcParams(1.0, 1.0, 0.1)
@@ -176,6 +231,13 @@ class TestEnergyFormula:
         upper = energy_formula(p, 1, 0, conv)
         assert lower == pytest.approx(0.5 - 0.1, abs=1e-15)
         assert upper == pytest.approx(0.5 + 0.1, abs=1e-15)
+
+    @pytest.mark.parametrize("omega0", [0.95, 1.0, 1.05])
+    def test_ground_state_is_undressed(self, omega0):
+        # E(0, 0) = -omega0 / 2 on either side of resonance
+        p = JcParams(omega0, 1.0, 0.1)
+        e = energy_formula(p, 0, 0, EnergyConvention.TOTAL_EXCITATION)
+        assert e == pytest.approx(-omega0 / 2.0, abs=1e-15)
 
     def test_validation(self):
         p = JcParams(1.0, 1.0, 0.1)
@@ -377,6 +439,13 @@ class TestConvention:
     def test_unique_match_is_total_excitation(self, pseudo_default):
         conv = convention_match(pseudo_default["params"], pseudo_default["system"])
         assert conv is EnergyConvention.TOTAL_EXCITATION
+
+    @pytest.mark.parametrize("omega0", [0.95, 1.0, 1.05])
+    @pytest.mark.parametrize("eps", [0.1, 0.06 - 0.08j])
+    def test_total_excitation_either_side_of_resonance(self, omega0, eps):
+        params, _, h0, smap = small_bundle(omega0=omega0, eps=eps, boson_levels=16)
+        system = build_biorthogonal_system(h0, smap)
+        assert convention_match(params, system) is EnergyConvention.TOTAL_EXCITATION
 
     def test_other_convention_off_by_coupling(self, pseudo_default):
         system = pseudo_default["system"]
