@@ -46,7 +46,6 @@ from .dynamics import (
     bind_gauged_rhs,
     bind_lab_rhs,
     bind_static_rhs,
-    closed_form_static,
     frame_factors,
     integrate,
     map_trajectory,

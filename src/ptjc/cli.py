@@ -33,6 +33,7 @@ from .dynamics import (
 )
 from .equivalence import (
     ExperimentConfig,
+    condition_argument,
     convergence_sweep,
     report_to_json_dict,
     run_equivalence_experiment,
@@ -46,6 +47,10 @@ from .pseudo import build_biorthogonal_system, build_similarity, diagnostics_rec
 GENERATED_BY = f"ptjc {__version__}"
 
 SOLVE_BETA_RESIDUAL_LIMIT = 1e-10
+
+# Largest magnitude of an integer key or flag: float64 holds every
+# integer up to 2^53 exactly, and n enters the physics as sqrt(n), n omega.
+MAX_INT = 2**53
 
 
 class ConfigError(ValueError):
@@ -80,11 +85,21 @@ def _parse_complex(value, context: str) -> complex:
 
 
 def _parse_int(value, context: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{context}: expected an integer, got {value!r}")
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
+    if abs(value) > MAX_INT:
+        raise ConfigError(f"{context} exceeds 2^53 = {MAX_INT}, "
+                          "the largest integer float64 holds exactly")
+    return value
+
+
+def _int_flag(text: str) -> int:
+    try:
+        return _parse_int(int(text), "integer")
+    except ValueError as exc:  # not an integer, or past MAX_INT
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _require_keys(doc: dict, allowed: set, context: str) -> None:
@@ -123,12 +138,8 @@ def cmd_solve_beta(args) -> int:
     target = _target_from_name(args.target)
     beta = solve_modulation_beta(params, target, args.n, args.big_omega,
                                  convention=args.convention)
-    if target is ModulationTarget.ATOM_FREQUENCY:
-        factor = 2.0 if args.convention == "gauge" else 1.0
-        arg = -params.omega0 * beta / (factor * args.big_omega)
-    else:
-        factor = float(args.n) if args.convention == "gauge" else 1.0
-        arg = -factor * params.omega * beta / args.big_omega
+    arg = condition_argument(params, target, args.n, args.big_omega, beta,
+                             args.convention)
     residual = abs(bessel_j0(arg) - 1j)
     payload = {
         "beta": _complex_pair(beta),
@@ -151,12 +162,8 @@ _EVOLVE_KEYS = {"omega0", "omega", "coupling", "n", "modulation", "rhs",
                 "initial_c", "initial_d", "t1", "step", "frames"}
 _MODULATION_KEYS = {"target", "beta", "big_omega"}
 
-_RHS_FRAME = {
-    "lab": Frame.LAB,
-    "gauged": Frame.GAUGED,
-    "averaged": Frame.GAUGED,
-    "static": Frame.INTERACTION,
-}
+_BINDERS = {"lab": bind_lab_rhs, "gauged": bind_gauged_rhs, "averaged": bind_averaged_rhs,
+            "static": lambda params, mod, n: bind_static_rhs(params, n)}
 
 
 def _parse_modulation(doc, params: JcParams, n: int) -> ModulationSpec | None:
@@ -189,19 +196,12 @@ def cmd_evolve(args) -> int:
     n = _parse_int(doc["n"], "n")
     mod = _parse_modulation(doc.get("modulation"), params, n)
     rhs_name = doc["rhs"]
-    if rhs_name not in _RHS_FRAME:
+    if rhs_name not in _BINDERS:
         raise ConfigError(f"evolve config: unknown rhs {rhs_name!r}")
-    if rhs_name in ("lab", "gauged", "averaged") and mod is None:
+    if rhs_name != "static" and mod is None:
         raise ConfigError(f"evolve config: rhs {rhs_name!r} needs a modulation block")
-    if rhs_name == "lab":
-        rhs = bind_lab_rhs(params, mod, n)
-    elif rhs_name == "gauged":
-        rhs = bind_gauged_rhs(params, mod, n)
-    elif rhs_name == "averaged":
-        rhs = bind_averaged_rhs(params, mod, n)
-    else:
-        rhs = bind_static_rhs(params, n)
-    frame = _RHS_FRAME[rhs_name]
+    rhs = _BINDERS[rhs_name](params, mod, n)
+    frame = rhs.frame or Frame.INTERACTION  # the static rhs runs in any frame
     state0 = AmplitudeState(n=n,
                             c=_parse_complex(doc["initial_c"], "initial_c"),
                             d=_parse_complex(doc["initial_d"], "initial_d"),
@@ -274,14 +274,6 @@ def parse_compare_config(doc: dict) -> dict:
     for key in ("omega0", "omega", "omega_ratio", "duration_rabi_units"):
         merged[key] = _parse_real(merged[key], f"compare.{key}")
     return merged
-
-
-def compare_config_to_doc(merged: dict) -> dict:
-    """Serialize a parsed compare config back to its JSON document form."""
-    doc = dict(merged)
-    if doc["beta"] is not None:
-        doc["beta"] = _complex_pair(doc["beta"])
-    return doc
 
 
 def cmd_compare(args) -> int:
@@ -414,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, choices=["atom", "cavity"])
     p.add_argument("--omega0", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_int_flag, default=1)
     p.add_argument("--big-omega", dest="big_omega", type=float, required=True)
     p.add_argument("--coupling", type=float, default=0.05)
     p.add_argument("--convention", choices=["gauge", "splitting"], default="gauge")
@@ -436,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--g-real", dest="g_real", type=float, default=0.0)
     p.add_argument("--g-imag", dest="g_imag", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_int_flag, default=1)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_spectrum)
 

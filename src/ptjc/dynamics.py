@@ -20,19 +20,18 @@ Within one excitation block the state is a pair of complex amplitudes
 ``frame_factors`` holds these factors, one hop up the ladder at a time;
 ``map_trajectory`` applies them to whole frame-tagged trajectories.
 
-Integration is classical fixed-step RK4, deterministic, with the final
-step shortened to land exactly on the requested end time.  Structured
-right-hand sides (built by the bind_* helpers) run on the vectorized
-step propagators of ``ptjc.kernels``; arbitrary callables step one
-state at a time.  At most MAX_STEPS steps are taken in one call.
+Each bind_* helper returns a ``BoundRhs`` owning its linear
+(c, d)' = A(t) (c, d) and frame.  Integration is fixed-step RK4 on the
+step propagators of ``ptjc.kernels.rk4_linear``, the final step
+shortened to land exactly on t1; at most MAX_STEPS steps per call.
 """
 from __future__ import annotations
 
 import enum
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -152,25 +151,19 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class BoundRhs:
-    """A structured right-hand side: form code + coefficients + frame.
+    """(c, d)' = A(t) (c, d) in ``frame`` (None: any frame).
 
-    Callable as rhs(t, c, d) -> (dc, dd), evaluating the same
-    ``kernels.generator`` matrix that integrate() builds its step
-    propagators from.
-    ``frame`` is None for frame-agnostic systems (static/averaged).
+    ``matrix(t)`` gives A's entries (a11, a12, a21, a22) at an array of
+    times, shape (4,) + t.shape; rhs(t, c, d) -> (dc, dd) evaluates it.
     """
 
-    form: int
-    coef: np.ndarray
+    matrix: Callable[[np.ndarray], np.ndarray]
     frame: Optional[Frame]
     n: int
 
     def __call__(self, t: float, c: complex, d: complex) -> tuple[complex, complex]:
-        a11, a12, a21, a22 = kernels.generator(self.form, self.coef, t).tolist()
+        a11, a12, a21, a22 = self.matrix(np.asarray(t, dtype=float)).tolist()
         return a11 * c + a12 * d, a21 * c + a22 * d
-
-
-RhsLike = Union[BoundRhs, Callable[[float, complex, complex], tuple[complex, complex]]]
 
 
 def _require_real_coupling(params: JcParams, op: str) -> float:
@@ -210,38 +203,62 @@ def frame_factors(params: JcParams, mod: Optional[ModulationSpec], n: int, t,
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides (public one-shot builders over the kernel forms)
+# Right-hand sides: each bind_* helper writes its own A(t)
 
 
 def bind_lab_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
+    """Lab frame: the driven frequency scaled by 1 + beta cos(Omega t)."""
     g = _require_real_coupling(params, "bind_lab_rhs")
     kappa = g * math.sqrt(n)
-    form = (kernels.FORM_LAB_ATOM if mod.target is ModulationTarget.ATOM_FREQUENCY
-            else kernels.FORM_LAB_CAVITY)
-    coef = np.array([params.omega0, params.omega, mod.beta, mod.big_omega,
-                     kappa, float(n)], dtype=complex)
-    return BoundRhs(form=form, coef=coef, frame=Frame.LAB, n=n)
+    atom = mod.target is ModulationTarget.ATOM_FREQUENCY
+
+    def matrix(t):
+        drive = 1.0 + mod.beta * np.cos(mod.big_omega * t)
+        w0t = params.omega0 * drive if atom else params.omega0
+        wt = params.omega if atom else params.omega * drive
+        a = np.zeros((4,) + t.shape, dtype=complex)
+        a[0] = -1j * (w0t / 2.0 + wt * (n - 1.0))
+        a[1] = a[2] = -1j * kappa
+        a[3] = -1j * (n * wt - w0t / 2.0)
+        return a
+
+    return BoundRhs(matrix, Frame.LAB, n)
 
 
 def bind_gauged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
+    """Gauged frame: the coupling carries exp(+-i [delta t + gamma sin(Omega t)])."""
     g = _require_real_coupling(params, "bind_gauged_rhs")
     kappa = g * math.sqrt(n)
     delta = params.detuning()
     gamma = _gauge_amplitude(params, mod, n)
-    if mod.target is ModulationTarget.ATOM_FREQUENCY:
-        mod_amp = params.omega0 * mod.beta / 2.0
-        coef = np.array([delta, gamma, mod_amp, mod.big_omega, kappa], dtype=complex)
-        return BoundRhs(form=kernels.FORM_GAUGED_ATOM, coef=coef, frame=Frame.GAUGED, n=n)
-    diag_c = -params.omega * mod.beta
-    diag_d = n * params.omega * mod.beta
-    coef = np.array([delta, gamma, diag_c, diag_d, mod.big_omega, kappa], dtype=complex)
-    return BoundRhs(form=kernels.FORM_GAUGED_CAVITY, coef=coef, frame=Frame.GAUGED, n=n)
+    atom = mod.target is ModulationTarget.ATOM_FREQUENCY
+
+    def matrix(t):
+        kick = 1j * (delta * t) + 1j * (gamma * np.sin(mod.big_omega * t))
+        cosw = np.cos(mod.big_omega * t)
+        a = np.zeros((4,) + t.shape, dtype=complex)
+        a[1] = -1j * kappa * np.exp(kick)
+        a[2] = -1j * kappa * np.exp(-kick)
+        if atom:
+            a[3] = 1j * (params.omega0 * mod.beta / 2.0) * cosw
+        else:
+            a[0] = 1j * (params.omega * mod.beta) * cosw
+            a[3] = -1j * (n * params.omega * mod.beta) * cosw
+        return a
+
+    return BoundRhs(matrix, Frame.GAUGED, n)
 
 
 def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
+    """The static block i c' = kappa d, i d' = kappa c, kappa = g sqrt(n)."""
     kappa = params.coupling * math.sqrt(n)
-    coef = np.array([kappa], dtype=complex)
-    return BoundRhs(form=kernels.FORM_STATIC, coef=coef, frame=None, n=n)
+
+    def matrix(t):
+        a = np.zeros((4,) + t.shape, dtype=complex)
+        a[1] = a[2] = -1j * kappa
+        return a
+
+    return BoundRhs(matrix, None, n)
 
 
 def averaged_effective_coupling(params: JcParams, mod: ModulationSpec,
@@ -269,25 +286,18 @@ def bind_averaged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs
             stacklevel=2,
         )
     g_eff = averaged_effective_coupling(params, mod, n)
-    coef = np.array([g_eff * math.sqrt(n)], dtype=complex)
-    return BoundRhs(form=kernels.FORM_STATIC, coef=coef, frame=Frame.GAUGED, n=n)
+    return replace(bind_static_rhs(JcParams(params.omega0, params.omega, g_eff), n),
+                   frame=Frame.GAUGED)
 
 
-def closed_form_static(params: JcParams, n: int, state0: AmplitudeState,
-                       t: float) -> AmplitudeState:
-    """Exact solution of the static system at time t.
+def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t):
+    """Exact (c, d) of the static system at a time or an array of times.
 
     With kappa = g_s sqrt(n), the propagator is
     [[cos(kappa t), -i sin(kappa t)], [-i sin(kappa t), cos(kappa t)]],
     analytic in kappa: real coupling gives Rabi cosine/sine, imaginary
     coupling gives cosh/sinh growth.
     """
-    c, d = closed_form_amplitudes(params, n, state0.c, state0.d, t)
-    return AmplitudeState(n=n, c=c, d=d, frame=state0.frame)
-
-
-def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t):
-    """closed_form_static's (c, d) at a time or an array of times."""
     arg = params.coupling * math.sqrt(n) * np.asarray(t, dtype=float)
     cos_a = np.cos(arg)
     sin_a = np.sin(arg)
@@ -326,31 +336,27 @@ def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:
     return n_full, tail
 
 
-def integrate(rhs: RhsLike, state0: AmplitudeState, t0: float, t1: float,
+def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
               step: float) -> Trajectory:
     """Classical fixed-step RK4 from t0 to t1, recording every step.
 
-    ``rhs`` is either a BoundRhs (from the bind_* helpers; integrated
-    by ``kernels.rk4_form``) or any callable (t, c, d) -> (dc, dd),
-    integrated by ``kernels.rk4_generic``.  The final time is reached
-    exactly, via a shortened last step when (t1 - t0) / step is not
-    integral.  More than MAX_STEPS steps raise ValueError before any
-    allocation.
+    ``rhs`` comes from a bind_* helper and is integrated by
+    ``kernels.rk4_linear`` on its A(t); a plain callable raises
+    TypeError.  The final time is reached exactly, via a shortened last
+    step when (t1 - t0) / step is not integral.  More than MAX_STEPS
+    steps raise ValueError before any allocation.
     """
+    if not isinstance(rhs, BoundRhs):
+        raise TypeError(f"integrate needs a BoundRhs, got {type(rhs).__name__}")
+    if rhs.frame is not None and state0.frame is not rhs.frame:
+        raise FrameMismatchError(
+            f"rhs integrates {rhs.frame.value}-frame states, got {state0.frame.value}")
     if not (math.isfinite(step) and step > 0):
         raise IntegrationError(f"step must be positive and finite, got {step}")
     if not t1 > t0:
         raise IntegrationError(f"t1 must exceed t0, got [{t0}, {t1}]")
     n_full, tail = _split_steps(t0, t1, step)
-    if isinstance(rhs, BoundRhs):
-        if rhs.frame is not None and state0.frame is not rhs.frame:
-            raise FrameMismatchError(
-                f"rhs integrates {rhs.frame.value}-frame states, got {state0.frame.value}"
-            )
-        cs, ds = kernels.rk4_form(rhs.form, rhs.coef, state0.c, state0.d,
-                                  t0, step, n_full, tail)
-    else:
-        cs, ds = kernels.rk4_generic(rhs, state0.c, state0.d, t0, step, n_full, tail)
+    cs, ds = kernels.rk4_linear(rhs.matrix, state0.c, state0.d, t0, step, n_full, tail)
     bad = ~(np.isfinite(cs.real) & np.isfinite(cs.imag)
             & np.isfinite(ds.real) & np.isfinite(ds.imag))
     if bad.any():

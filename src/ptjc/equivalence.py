@@ -147,16 +147,27 @@ def _bessel_root() -> complex:
     return res.root
 
 
+def condition_argument(params: JcParams, target: ModulationTarget, n: int,
+                       big_omega: float, beta: complex,
+                       convention: str = GAUGE_CONVENTION) -> complex:
+    """The J0 argument that ``convention`` sets to the root of J0(r) = i.
+
+    Atom: -omega0 beta / (2 Omega) (gauge) or -omega0 beta / Omega.
+    Cavity: -n omega beta / Omega (gauge) or -omega beta / Omega.
+    """
+    gauge = convention == GAUGE_CONVENTION
+    if target is ModulationTarget.ATOM_FREQUENCY:
+        return -params.omega0 * beta / ((2.0 if gauge else 1.0) * big_omega)
+    return -(n if gauge else 1) * params.omega * beta / big_omega
+
+
 def solve_modulation_beta(params: JcParams, target: ModulationTarget, n: int,
                           big_omega: float,
                           convention: str = GAUGE_CONVENTION) -> complex:
     """Modulation depth beta making the averaged coupling imaginary.
 
-    With r the principal root of J0(r) = i, the gauge convention
-    returns beta with -omega0 beta / (2 Omega) = r (atom) or
-    -n omega beta / Omega = r (cavity); the splitting convention drops
-    the factor 2 (atom) and the factor n (cavity).  The residual of
-    the defining condition is re-verified before returning.
+    With r the principal root of J0(r) = i, returns beta with
+    ``condition_argument`` = r, re-verifying that residual.
 
     Only ``splitting`` puts the root on the amplitude of the relative
     phase between c and d (omega0 beta / Omega, omega beta / Omega),
@@ -172,20 +183,12 @@ def solve_modulation_beta(params: JcParams, target: ModulationTarget, n: int,
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     r = _bessel_root()
+    gauge = convention == GAUGE_CONVENTION
     if target is ModulationTarget.ATOM_FREQUENCY:
-        if convention == GAUGE_CONVENTION:
-            beta = -2.0 * big_omega * r / params.omega0
-            arg = -params.omega0 * beta / (2.0 * big_omega)
-        else:
-            beta = -big_omega * r / params.omega0
-            arg = -params.omega0 * beta / big_omega
+        beta = -(2.0 if gauge else 1.0) * big_omega * r / params.omega0
     else:
-        if convention == GAUGE_CONVENTION:
-            beta = -big_omega * r / (n * params.omega)
-            arg = -n * params.omega * beta / big_omega
-        else:
-            beta = -big_omega * r / params.omega
-            arg = -params.omega * beta / big_omega
+        beta = -big_omega * r / ((n if gauge else 1) * params.omega)
+    arg = condition_argument(params, target, n, big_omega, beta, convention)
     residual = abs(bessel_j0(arg) - 1j)
     if residual > BETA_RESIDUAL_TOL:
         raise ArithmeticError(f"beta condition residual {residual:.3e} too large")

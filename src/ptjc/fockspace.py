@@ -21,6 +21,11 @@ TRUNCATION_GUARD_LEVELS = 4
 
 MIN_BOSON_LEVELS = 4
 
+# One dense operator on the space is (2 N_b)^2 complex128 entries,
+# 64 N_b^2 bytes: 16 MiB at this cap, and a pseudo run holds about a
+# dozen of them.
+MAX_BOSON_LEVELS = 512
+
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -29,8 +34,9 @@ class FockSpace:
     boson_levels: int
 
     def __post_init__(self):
-        if self.boson_levels < MIN_BOSON_LEVELS:
-            raise ValueError(f"boson_levels must be >= {MIN_BOSON_LEVELS}")
+        if not MIN_BOSON_LEVELS <= self.boson_levels <= MAX_BOSON_LEVELS:
+            raise ValueError(f"boson_levels must lie in [{MIN_BOSON_LEVELS}, {MAX_BOSON_LEVELS}]"
+                             ": one dense operator takes 64 N_b^2 bytes")
 
     @property
     def total_dim(self) -> int:

@@ -10,9 +10,10 @@ import json
 import numpy as np
 import pytest
 
-from ptjc import kernels
-from ptjc.cli import compare_config_to_doc, main, parse_compare_config
+from ptjc import cli, kernels
+from ptjc.cli import MAX_INT, main, parse_compare_config
 from ptjc.dynamics import MAX_STEPS, Frame, read_trajectory_csv
+from ptjc.fockspace import MAX_BOSON_LEVELS
 
 PRINCIPAL_ROOT = -2.139543213285525 + 1.4202888362948998j
 ROOT_TOL = 1e-10
@@ -34,8 +35,7 @@ def no_integration(monkeypatch):
     def refuse(*args):
         raise AssertionError("integration started")
 
-    monkeypatch.setattr(kernels, "rk4_form", refuse)
-    monkeypatch.setattr(kernels, "rk4_generic", refuse)
+    monkeypatch.setattr(kernels, "rk4_linear", refuse)
 
 
 class TestSolveBeta:
@@ -431,8 +431,7 @@ class TestCompare:
         merged = parse_compare_config(doc)
         assert merged["beta"] == 0.1 - 0.2j
         assert merged["omega0"] == 1.0  # default applied
-        again = parse_compare_config(compare_config_to_doc(merged))
-        assert again == merged
+        assert merged["omega_ratio"] == 50.0 and merged["step_per_period"] == 100
 
 
 class TestPseudoCommand:
@@ -517,6 +516,57 @@ class TestPseudoCommand:
         cfg = write_config(tmp_path, {"count": 0})
         assert main(["pseudo", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 2
+
+
+class TestSizeBounds:
+    """Sizes float64 or memory cannot hold exit 2, naming the bound, before any work."""
+
+    HUGE = 10**400
+
+    @pytest.fixture
+    def no_work(self, monkeypatch, no_integration):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("solve_modulation_beta", "dressed_spectrum", "bind_static_rhs",
+                     "run_equivalence_experiment", "build_similarity", "build_h0"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-beta", "--target", "cavity", "--big-omega", "1.0", "--n", str(HUGE)],
+        ["spectrum", "--omega0", "1.0", "--omega", "1.0", "--n", str(HUGE)],
+        ["spectrum", "--omega0", "1.0", "--omega", "1.0", "--n", str(MAX_INT + 1)],
+    ])
+    def test_huge_n_flag(self, capsys, no_work, argv):
+        assert main(argv) == 2
+        assert f"2^53 = {MAX_INT}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc", [
+        ("evolve", {"omega0": 1.0, "omega": 1.0, "coupling": [0.0, 0.05], "n": HUGE,
+                    "rhs": "static", "initial_c": 0.0, "initial_d": 1.0, "t1": 1.0}),
+        ("compare", {"n": HUGE}),
+        ("compare", {"n": float(MAX_INT) * 2.0}),
+    ])
+    def test_huge_n_key(self, tmp_path, capsys, no_work, command, doc):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
+        assert f"n exceeds 2^53 = {MAX_INT}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_exact_n_runs(self, capsys):
+        assert main(["spectrum", "--omega0", "1.0", "--omega", "1.0",
+                     "--g-imag", "0.1", "--n", str(MAX_INT)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == MAX_INT
+
+    def test_boson_levels_cap(self, tmp_path, capsys, no_work):
+        cfg = write_config(tmp_path, {"boson_levels": MAX_BOSON_LEVELS + 1})
+        out = tmp_path / "out"
+        assert main(["pseudo", "--config", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[4, {MAX_BOSON_LEVELS}]" in err and "64 N_b^2 bytes" in err
+        assert not out.exists()
 
 
 class TestUsage:

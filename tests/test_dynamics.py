@@ -20,7 +20,7 @@ from ptjc.dynamics import (
     bind_gauged_rhs,
     bind_lab_rhs,
     bind_static_rhs,
-    closed_form_static,
+    closed_form_amplitudes,
     frame_factors,
     integrate,
     map_trajectory,
@@ -38,6 +38,9 @@ CONSERVATION_TOL = 1e-10
 
 ATOM = ModulationTarget.ATOM_FREQUENCY
 CAVITY = ModulationTarget.CAVITY_FREQUENCY
+
+# A(t) = 0 in any frame: the static block without coupling.
+ZERO_RHS = bind_static_rhs(JcParams(1.0, 1.0, 0.0), 1)
 
 
 def lab_hamiltonian(params, mod, n, t):
@@ -293,7 +296,7 @@ class TestRhsAveraged:
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         avg = bind_averaged_rhs(p, mod, 3)
         static = bind_static_rhs(p, 3)
-        assert avg.coef[0] == static.coef[0]
+        assert np.array_equal(avg.matrix(np.array(0.0)), static.matrix(np.array(0.0)))
 
     @pytest.mark.parametrize("target", [ATOM, CAVITY])
     def test_solved_beta_gives_imaginary_coupling(self, target):
@@ -304,6 +307,15 @@ class TestRhsAveraged:
         mod = ModulationSpec(target=target, beta=beta, big_omega=big_omega)
         g_eff = averaged_effective_coupling(p, mod, n)
         assert abs(g_eff - 1j * p.coupling.real) <= 1e-12
+
+    def test_runs_in_gauged_frame(self):
+        p = JcParams(1.0, 1.0, 0.06)
+        mod = ModulationSpec(target=ATOM, beta=0.8, big_omega=2.0)
+        avg = bind_averaged_rhs(p, mod, 2)
+        assert avg.frame is Frame.GAUGED and bind_static_rhs(p, 2).frame is None
+        s0 = AmplitudeState(n=2, c=0.0, d=1.0, frame=Frame.INTERACTION)
+        with pytest.raises(FrameMismatchError):
+            integrate(avg, s0, 0.0, 1.0, 0.1)
 
     def test_off_resonance_warns(self):
         p = JcParams(1.1, 1.0, 0.05)
@@ -336,38 +348,36 @@ class TestStaticAndClosedForm:
     def test_closed_form_at_t0(self, rng):
         p = JcParams(1.0, 1.0, 0.2j)
         s = random_state(rng, 2, Frame.INTERACTION)
-        out = closed_form_static(p, 2, s, 0.0)
-        assert out.c == s.c and out.d == s.d
+        c, d = closed_form_amplitudes(p, 2, s.c, s.d, 0.0)
+        assert c == s.c and d == s.d
 
     def test_rabi_oscillation(self):
         p = JcParams(1.0, 1.0, 0.1)
-        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.INTERACTION)
         t = 3.7
-        out = closed_form_static(p, 1, s0, t)
-        assert abs(out.c - (-1j * math.sin(0.1 * t))) <= 1e-15
-        assert abs(out.d - math.cos(0.1 * t)) <= 1e-15
+        c, d = closed_form_amplitudes(p, 1, 0.0, 1.0, t)
+        assert abs(c - (-1j * math.sin(0.1 * t))) <= 1e-15
+        assert abs(d - math.cos(0.1 * t)) <= 1e-15
 
     def test_hyperbolic_growth_for_imaginary_coupling(self):
         p = JcParams(1.0, 1.0, 0.1j)
-        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.INTERACTION)
         t = 2.9
-        out = closed_form_static(p, 1, s0, t)
-        assert abs(out.c - math.sinh(0.1 * t)) <= 1e-14
-        assert abs(out.d - math.cosh(0.1 * t)) <= 1e-14
-        assert abs(abs(out.d) ** 2 - abs(out.c) ** 2 - 1.0) <= 1e-12
+        c, d = closed_form_amplitudes(p, 1, 0.0, 1.0, t)
+        assert abs(c - math.sinh(0.1 * t)) <= 1e-14
+        assert abs(d - math.cosh(0.1 * t)) <= 1e-14
+        assert abs(abs(d) ** 2 - abs(c) ** 2 - 1.0) <= 1e-12
 
     def test_zero_coupling_constant(self, rng):
         p = JcParams(1.0, 1.0, 0.0)
         s = random_state(rng, 1, Frame.INTERACTION)
-        out = closed_form_static(p, 1, s, 11.0)
-        assert out.c == s.c and out.d == s.d
+        c, d = closed_form_amplitudes(p, 1, s.c, s.d, 11.0)
+        assert c == s.c and d == s.d
 
     def test_norm_conserved_real_coupling(self, rng):
         p = JcParams(1.0, 1.0, 0.13)
         s = random_state(rng, 3, Frame.INTERACTION)
-        out = closed_form_static(p, 3, s, 5.21)
+        c, d = closed_form_amplitudes(p, 3, s.c, s.d, 5.21)
         n0 = abs(s.c) ** 2 + abs(s.d) ** 2
-        n1 = abs(out.c) ** 2 + abs(out.d) ** 2
+        n1 = abs(c) ** 2 + abs(d) ** 2
         assert abs(n1 - n0) <= 1e-13 * n0
 
 
@@ -380,8 +390,8 @@ class TestIntegrate:
         traj = integrate(bind_static_rhs(p, 1), s0, 0.0, 10.0 * rabi, step)
         worst = 0.0
         for i in range(0, len(traj), 97):
-            ref = closed_form_static(p, 1, s0, float(traj.times[i]))
-            worst = max(worst, abs(traj.c[i] - ref.c), abs(traj.d[i] - ref.d))
+            ref_c, ref_d = closed_form_amplitudes(p, 1, s0.c, s0.d, float(traj.times[i]))
+            worst = max(worst, abs(traj.c[i] - ref_c), abs(traj.d[i] - ref_d))
         assert worst <= CLOSED_FORM_TOL
 
     def test_fourth_order_convergence(self):
@@ -391,14 +401,14 @@ class TestIntegrate:
         errs = []
         for divisor in (100.0, 200.0):
             traj = integrate(bind_static_rhs(p, 1), s0, 0.0, rabi, rabi / divisor)
-            ref = closed_form_static(p, 1, s0, float(traj.times[-1]))
-            errs.append(max(abs(traj.c[-1] - ref.c), abs(traj.d[-1] - ref.d)))
+            ref_c, ref_d = closed_form_amplitudes(p, 1, s0.c, s0.d, float(traj.times[-1]))
+            errs.append(max(abs(traj.c[-1] - ref_c), abs(traj.d[-1] - ref_d)))
         order = math.log2(errs[0] / errs[1])
         assert 3.7 <= order <= 4.3
 
     def test_zero_rhs_constant_trajectory(self):
         s0 = AmplitudeState(n=1, c=0.3 + 0.1j, d=-0.2j, frame=Frame.LAB)
-        traj = integrate(lambda t, c, d: (0.0, 0.0), s0, 0.0, 1.0, 0.01)
+        traj = integrate(ZERO_RHS, s0, 0.0, 1.0, 0.01)
         assert np.all(traj.c == s0.c)
         assert np.all(traj.d == s0.d)
 
@@ -420,7 +430,7 @@ class TestIntegrate:
 
     def test_lands_exactly_on_t1(self):
         s0 = AmplitudeState(n=1, c=1.0, d=0.0, frame=Frame.LAB)
-        traj = integrate(lambda t, c, d: (0.0, 0.0), s0, 0.0, 0.25, 0.1)
+        traj = integrate(ZERO_RHS, s0, 0.0, 0.25, 0.1)
         assert traj.times[-1] == 0.25
         assert len(traj) == 4  # 0, 0.1, 0.2, 0.25
 
@@ -434,15 +444,20 @@ class TestIntegrate:
     def test_invalid_step_rejected(self):
         s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.LAB)
         with pytest.raises(IntegrationError):
-            integrate(lambda t, c, d: (0.0, 0.0), s0, 0.0, 1.0, 0.0)
+            integrate(ZERO_RHS, s0, 0.0, 1.0, 0.0)
         with pytest.raises(IntegrationError):
-            integrate(lambda t, c, d: (0.0, 0.0), s0, 1.0, 0.5, 0.01)
+            integrate(ZERO_RHS, s0, 1.0, 0.5, 0.01)
 
     def test_blowup_reports_time(self):
         s0 = AmplitudeState(n=1, c=1.0, d=1.0, frame=Frame.LAB)
-        grow = lambda t, c, d: (1e180 * d, 1e180 * c)
+        grow = bind_static_rhs(JcParams(1.0, 1.0, 1e180), 1)
         with pytest.raises(IntegrationError, match="t ="):
             integrate(grow, s0, 0.0, 1.0, 0.1)
+
+    def test_refuses_plain_callable(self):
+        s0 = AmplitudeState(n=1, c=1.0, d=0.0, frame=Frame.LAB)
+        with pytest.raises(TypeError, match="BoundRhs"):
+            integrate(lambda t, c, d: (0.0, 0.0), s0, 0.0, 1.0, 0.1)
 
     @pytest.mark.parametrize("rhs_name", ["static", "lab_atom", "lab_cavity",
                                           "gauged_atom", "gauged_cavity"])
@@ -461,8 +476,8 @@ class TestIntegrate:
         h = 0.004
         n_full = 2 * kernels._CHUNK + 37
         tail = 0.3 * h
-        c, d = kernels.rk4_form(rhs.form, rhs.coef, 0.6 + 0.2j, 0.5 - 0.1j,
-                                0.25, h, n_full, tail)
+        c, d = kernels.rk4_linear(rhs.matrix, 0.6 + 0.2j, 0.5 - 0.1j,
+                                  0.25, h, n_full, tail)
         c_ref, d_ref = kernels.rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j,
                                            0.25, h, n_full, tail)
         assert len(c) == len(c_ref) == n_full + 2
@@ -497,7 +512,7 @@ class TestStepAndSerialization:
 
     def test_csv_header_exact(self, tmp_path):
         s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.LAB)
-        traj = integrate(lambda t, c, d: (0.0, 0.0), s0, 0.0, 0.2, 0.1)
+        traj = integrate(ZERO_RHS, s0, 0.0, 0.2, 0.1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         first = path.read_text().splitlines()[0]
@@ -524,6 +539,6 @@ class TestStepAndSerialization:
 
     def test_map_to_gauged_needs_modulation(self):
         s0 = AmplitudeState(n=1, c=0.5, d=0.5, frame=Frame.LAB)
-        traj = integrate(lambda t, c, d: (0.0, 0.0), s0, 0.0, 0.3, 0.1)
+        traj = integrate(ZERO_RHS, s0, 0.0, 0.3, 0.1)
         with pytest.raises(ValueError):
             map_trajectory(traj, JcParams(1.0, 1.0, 0.05), None, Frame.GAUGED)

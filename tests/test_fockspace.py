@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ptjc.fockspace import (
+    MAX_BOSON_LEVELS,
     FockSpace,
     OperatorMatrix,
     build_fock_operators,
@@ -20,6 +21,12 @@ class TestFockSpace:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             FockSpace(boson_levels=3)
+
+    def test_maximum_size(self):
+        # checked on construction, before any operator is allocated
+        assert FockSpace(boson_levels=MAX_BOSON_LEVELS).total_dim == 2 * MAX_BOSON_LEVELS
+        with pytest.raises(ValueError, match=f"{MAX_BOSON_LEVELS}].*64 N_b\\^2 bytes"):
+            FockSpace(boson_levels=MAX_BOSON_LEVELS + 1)
 
     def test_index_unpack_round_trip(self):
         space = FockSpace(boson_levels=8)
