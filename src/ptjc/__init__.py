@@ -29,7 +29,6 @@ from .jc import (
     classify_pt_phase,
     dressed_spectrum,
     eigvec_column_matrix,
-    ground_state_energy,
     t_block,
 )
 from .dynamics import (

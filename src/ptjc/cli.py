@@ -85,14 +85,13 @@ def _parse_complex(value, context: str) -> complex:
 
 
 def _parse_int(value, context: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
+    integral = isinstance(value, float) and (value.is_integer() or abs(value) > MAX_INT)
+    if not (integral or isinstance(value, int)) or isinstance(value, bool):
         raise ConfigError(f"{context}: expected an integer, got {value!r}")
     if abs(value) > MAX_INT:
         raise ConfigError(f"{context} exceeds 2^53 = {MAX_INT}, "
                           "the largest integer float64 holds exactly")
-    return value
+    return int(value)
 
 
 def _int_flag(text: str) -> int:
@@ -113,7 +112,8 @@ def _require_keys(doc: dict, allowed: set, context: str) -> None:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            # integers past 17 characters (above 2^53) become floats, named by _parse_int
+            return json.load(fh, parse_int=lambda s: int(s) if len(s) <= 17 else float(s))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -21,9 +21,10 @@ Within one excitation block the state is a pair of complex amplitudes
 ``map_trajectory`` applies them to whole frame-tagged trajectories.
 
 Each bind_* helper returns a ``BoundRhs`` owning its linear
-(c, d)' = A(t) (c, d) and frame.  Integration is fixed-step RK4 on the
-step propagators of ``ptjc.kernels.rk4_linear``, the final step
-shortened to land exactly on t1; at most MAX_STEPS steps per call.
+(c, d)' = A(t) (c, d), frame and drive period (lab: always; gauged: at
+resonance).  Fixed-step RK4 (``ptjc.kernels.rk4_periodic`` when the step
+divides that period, else ``rk4_linear``) lands exactly on t1 via a
+shortened last step; at most MAX_STEPS steps per call.
 """
 from __future__ import annotations
 
@@ -160,6 +161,7 @@ class BoundRhs:
     matrix: Callable[[np.ndarray], np.ndarray]
     frame: Optional[Frame]
     n: int
+    period: Optional[float] = None  # a T with A(t + T) = A(t), if known
 
     def __call__(self, t: float, c: complex, d: complex) -> tuple[complex, complex]:
         a11, a12, a21, a22 = self.matrix(np.asarray(t, dtype=float)).tolist()
@@ -222,7 +224,7 @@ def bind_lab_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
         a[3] = -1j * (n * wt - w0t / 2.0)
         return a
 
-    return BoundRhs(matrix, Frame.LAB, n)
+    return BoundRhs(matrix, Frame.LAB, n, 2.0 * math.pi / mod.big_omega)
 
 
 def bind_gauged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
@@ -246,7 +248,7 @@ def bind_gauged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
             a[3] = -1j * (n * params.omega * mod.beta) * cosw
         return a
 
-    return BoundRhs(matrix, Frame.GAUGED, n)
+    return BoundRhs(matrix, Frame.GAUGED, n, None if delta else 2.0 * math.pi / mod.big_omega)
 
 
 def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
@@ -296,12 +298,15 @@ def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t
     With kappa = g_s sqrt(n), the propagator is
     [[cos(kappa t), -i sin(kappa t)], [-i sin(kappa t), cos(kappa t)]],
     analytic in kappa: real coupling gives Rabi cosine/sine, imaginary
-    coupling gives cosh/sinh growth.
+    coupling gives cosh/sinh growth; both from real cos, sin, cosh, sinh.
     """
-    arg = params.coupling * math.sqrt(n) * np.asarray(t, dtype=float)
-    cos_a = np.cos(arg)
-    sin_a = np.sin(arg)
-    return c0 * cos_a - 1j * d0 * sin_a, d0 * cos_a - 1j * c0 * sin_a
+    kappa = complex(params.coupling) * math.sqrt(n)
+    t = np.asarray(t, dtype=float)
+    cos_a, sin_a = np.cos(kappa.real * t), np.sin(kappa.real * t)
+    cosh_b, sinh_b = np.cosh(kappa.imag * t), np.sinh(kappa.imag * t)
+    parts = np.stack([cos_a * cosh_b, -(sin_a * sinh_b),
+                      cos_a * sinh_b, -(sin_a * cosh_b)], axis=-1).view(complex)
+    return c0 * parts[..., 0] + d0 * parts[..., 1], d0 * parts[..., 0] + c0 * parts[..., 1]
 
 
 def suggested_step(params: JcParams, mod: Optional[ModulationSpec], n: int,
@@ -340,11 +345,11 @@ def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
               step: float) -> Trajectory:
     """Classical fixed-step RK4 from t0 to t1, recording every step.
 
-    ``rhs`` comes from a bind_* helper and is integrated by
-    ``kernels.rk4_linear`` on its A(t); a plain callable raises
-    TypeError.  The final time is reached exactly, via a shortened last
-    step when (t1 - t0) / step is not integral.  More than MAX_STEPS
-    steps raise ValueError before any allocation.
+    ``rhs`` comes from a bind_* helper (a plain callable raises TypeError).
+    ``kernels.rk4_periodic`` runs if ``rhs.period`` is k steps to 1e-12
+    relative, 1 <= k <= n_full, else ``kernels.rk4_linear``.  t1 is reached
+    exactly, via a shortened last step when (t1 - t0) / step is not
+    integral.  More than MAX_STEPS steps raise ValueError before any allocation.
     """
     if not isinstance(rhs, BoundRhs):
         raise TypeError(f"integrate needs a BoundRhs, got {type(rhs).__name__}")
@@ -356,12 +361,17 @@ def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
     if not t1 > t0:
         raise IntegrationError(f"t1 must exceed t0, got [{t0}, {t1}]")
     n_full, tail = _split_steps(t0, t1, step)
-    cs, ds = kernels.rk4_linear(rhs.matrix, state0.c, state0.d, t0, step, n_full, tail)
-    bad = ~(np.isfinite(cs.real) & np.isfinite(cs.imag)
-            & np.isfinite(ds.real) & np.isfinite(ds.imag))
-    if bad.any():
-        first = int(np.argmax(bad))
-        t_bad = t0 + min(first, n_full) * step if first <= n_full else t1
+    k = round(min(rhs.period / step, n_full)) if rhs.period else 0
+    periodic = k > 0 and abs(k * step - rhs.period) <= 1e-12 * rhs.period
+    args = (rhs.matrix, state0.c, state0.d, t0, step, n_full, tail)
+    try:
+        cs, ds = kernels.rk4_periodic(*args, k) if periodic else kernels.rk4_linear(*args)
+        # the initial state is finite, so index 0 means every sample is
+        first = int(np.argmin(np.isfinite(cs) & np.isfinite(ds)))
+    except FloatingPointError as exc:  # a period-boundary state left float64
+        first = exc.args[0]
+    if first:
+        t_bad = t0 + first * step if first <= n_full else t1
         raise IntegrationError(f"non-finite amplitudes at t = {t_bad}")
     times = t0 + step * np.arange(n_full + 1, dtype=float)
     if tail > 0.0:

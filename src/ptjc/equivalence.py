@@ -52,6 +52,7 @@ from .bessel import bessel_j0, kick_sum, solve_j0_equals
 from .dynamics import (
     AmplitudeState,
     Frame,
+    IntegrationError,
     ModulationSpec,
     ModulationTarget,
     Trajectory,
@@ -219,13 +220,13 @@ def _slow_frame_arrays(traj: Trajectory, cfg: ExperimentConfig, beta: complex,
     Cavity target: both amplitudes keep micromotion; the slow pair is
     (c exp(-i (omega beta/Omega) sin), d exp(+i (n omega beta/Omega) sin)).
     """
-    s = np.sin(big_omega * traj.times)
+    s = np.sin(big_omega * traj.times[:cfg.step_per_period])  # one period, tiled below
     if cfg.target is ModulationTarget.ATOM_FREQUENCY:
         gamma = cfg.params.omega0 * beta / (2.0 * big_omega)
-        return np.asarray(traj.c), np.asarray(traj.d) * np.exp(-1j * gamma * s)
+        return np.asarray(traj.c), traj.d * np.resize(np.exp(-1j * gamma * s), len(traj))
     unit = cfg.params.omega * beta / big_omega
-    c_slow = np.asarray(traj.c) * np.exp(-1j * unit * s)
-    d_slow = np.asarray(traj.d) * np.exp(1j * cfg.n * unit * s)
+    c_slow = traj.c * np.resize(np.exp(-1j * unit * s), len(traj))
+    d_slow = traj.d * np.resize(np.exp(1j * cfg.n * unit * s), len(traj))
     return c_slow, d_slow
 
 
@@ -268,8 +269,8 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     else:
         beta_used = complex(beta)
     # first-order kick of the reference start (0, 1); S = 0 without drive
-    kick = (g.real * math.sqrt(cfg.n) / big_omega
-            * kick_sum(_relative_phase_amplitude(cfg, beta_used, big_omega)))
+    z = _relative_phase_amplitude(cfg, beta_used, big_omega)
+    kick = g.real * math.sqrt(cfg.n) / big_omega * kick_sum(z)
 
     drive_period = 2.0 * math.pi / big_omega
     dt = drive_period / cfg.step_per_period
@@ -286,7 +287,14 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     state0 = AmplitudeState(n=cfg.n, c=0.0, d=1.0, frame=Frame.GAUGED)
     # Integrate to a whole number of steps (slightly past t1) so every
     # sample interval is uniform for the boxcar.
-    traj = integrate(rhs, state0, 0.0, n_steps * dt, dt)
+    try:
+        traj = integrate(rhs, state0, 0.0, n_steps * dt, dt)
+    except IntegrationError as exc:
+        if z.imag == 0.0:
+            raise
+        raise ValueError(f"{exc}, past the float64 limit {np.finfo(float).max:.4g}: |Im z| = "
+                         f"{abs(z.imag):.6g} grows them up to exp(2 |Im z|)-fold a period"
+                         ) from None
 
     if measure == SLOW_MEASURE:
         c_arr, d_arr = _slow_frame_arrays(traj, cfg, beta_used, big_omega)

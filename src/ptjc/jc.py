@@ -207,8 +207,3 @@ def eigvec_column_matrix(params: JcParams, n: int) -> np.ndarray:
     spec = dressed_spectrum(params, n)
     s, c = spec.theta_half_sin, spec.theta_half_cos
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def ground_state_energy(params: JcParams) -> float:
-    """Energy of the unique 0-excitation state; untouched by coupling."""
-    return -params.omega0 / 2.0

@@ -4,8 +4,9 @@
 times, shape (4,) + t.shape.  One RK4 step of a linear system is a 2x2
 matrix built from A(t), A(t + h/2) and A(t + h): ``rk4_linear`` builds
 them with NumPy, a chunk at a time, and applies them in step order.
-``rk4_generic`` steps any rhs(t, c, d) one state at a time; it is the
-test oracle.
+When A has period k h, ``rk4_periodic`` builds only the first period's
+matrices and expands every sample from their partial products.  The
+test oracle ``rk4_generic`` steps any rhs(t, c, d) one state at a time.
 """
 from __future__ import annotations
 
@@ -65,33 +66,60 @@ def rk4_linear(a_of_t, c0: complex, d0: complex, t0: float, h: float,
     t0 + n_full h landing exactly on the final time.  Overflow is not
     reported here: the caller checks the amplitudes for finiteness.
     """
-    n_out = n_full + 1 + (1 if tail > 0.0 else 0)
-    out_c = np.empty(n_out, dtype=complex)
-    out_d = np.empty(n_out, dtype=complex)
+    out_c, out_d = np.empty((2, n_full + (2 if tail > 0.0 else 1)), dtype=complex)
     c, d = complex(c0), complex(d0)
-    out_c[0] = c
-    out_d[0] = d
+    out_c[0], out_d[0] = c, d
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n_full, _CHUNK):
             half_grid = np.arange(2 * k0, 2 * min(k0 + _CHUNK, n_full) + 1)
             props = _step_propagators(a_of_t, t0 + half_grid * (h / 2.0), h)
             c, d = _advance(props, c, d, out_c, out_d, k0 + 1)
-        if tail > 0.0:
-            t = t0 + n_full * h
-            props = _step_propagators(a_of_t, np.array([t, t + tail / 2.0, t + tail]), tail)
-            _advance(props, c, d, out_c, out_d, n_full + 1)
+        _tail_step(a_of_t, t0 + n_full * h, tail, out_c, out_d)
+    return out_c, out_d
+
+
+def _tail_step(a_of_t, t: float, tail: float, out_c: np.ndarray, out_d: np.ndarray) -> None:
+    """One shortened step of length ``tail`` (if positive) from t into out[-1]."""
+    if tail > 0.0:
+        props = _step_propagators(a_of_t, np.array([t, t + tail / 2.0, t + tail]), tail)
+        _advance(props, complex(out_c[-2]), complex(out_d[-2]), out_c, out_d, len(out_c) - 1)
+
+
+def rk4_periodic(a_of_t, c0: complex, d0: complex, t0: float, h: float,
+                 n_full: int, tail: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rk4_linear`` for A(t + k h) = A(t), 1 <= k <= n_full, from one period.
+
+    The partial products P_j of the first period's step matrices carry
+    the basis vectors; U_T = P_k steps the period-boundary states
+    Y_m = U_T Y_{m-1}, and y[m k + j] = P_j Y_m.  A non-finite Y_m (m >= 1)
+    raises FloatingPointError(m k) before any per-sample array is built.
+    """
+    periods = n_full // k + 1  # the last one possibly partial
+    p = np.empty((4, k + 1), dtype=complex)  # rows P11, P12, P21, P22
+    y = np.empty((2, periods), dtype=complex)  # rows Y_c, Y_d
+    p[:, 0], y[:, 0] = (1.0, 0.0, 0.0, 1.0), (c0, d0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        props = _step_propagators(a_of_t, t0 + np.arange(2 * k + 1) * (h / 2.0), h)
+        _advance(props, 1.0, 0.0, p[0], p[2], 1)
+        _advance(props, 0.0, 1.0, p[1], p[3], 1)
+        _advance(np.repeat(p[:, k:], periods - 1, axis=1), complex(c0), complex(d0), y[0], y[1], 1)
+        first_bad = int(np.argmin(np.isfinite(y).all(axis=0)))
+        if first_bad:
+            raise FloatingPointError(first_bad * k)
+        out = np.empty((2, periods + 1, k), dtype=complex)  # a spare period holds the tail
+        np.multiply(y[0, :, None], p[0::2, None, :k], out=out[:, :-1])
+        out[:, :-1] += y[1, :, None] * p[1::2, None, :k]
+        out_c, out_d = out.reshape(2, -1)[:, :n_full + (2 if tail > 0.0 else 1)]
+        _tail_step(a_of_t, t0 + n_full * h, tail, out_c, out_d)
     return out_c, out_d
 
 
 def rk4_generic(rhs, c0: complex, d0: complex, t0: float, h: float,
                 n_full: int, tail: float) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 for an arbitrary callable rhs(t, c, d) -> (dc, dd)."""
-    n_out = n_full + 1 + (1 if tail > 0.0 else 0)
-    out_c = np.empty(n_out, dtype=complex)
-    out_d = np.empty(n_out, dtype=complex)
+    out_c, out_d = np.empty((2, n_full + (2 if tail > 0.0 else 1)), dtype=complex)
     c, d = complex(c0), complex(d0)
-    out_c[0] = c
-    out_d[0] = d
+    out_c[0], out_d[0] = c, d
     steps = [h] * n_full + ([tail] if tail > 0.0 else [])
     for k, dt in enumerate(steps):
         t = t0 + k * h

@@ -6,6 +6,7 @@ failure, 2 usage or config error.  File outputs land in tmp_path.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -31,11 +32,12 @@ def canonical_json_text(payload):
 
 @pytest.fixture
 def no_integration(monkeypatch):
-    """Fail the test if any RK4 trajectory is started (and allocated)."""
+    """Fail the test if any RK4 trajectory is started (and allocated), on either path."""
     def refuse(*args):
         raise AssertionError("integration started")
 
     monkeypatch.setattr(kernels, "rk4_linear", refuse)
+    monkeypatch.setattr(kernels, "rk4_periodic", refuse)
 
 
 class TestSolveBeta:
@@ -298,6 +300,24 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         assert "limit |Im z| <= 690" in capsys.readouterr().err
 
+    def test_lab_rhs_takes_the_period_path(self, tmp_path, monkeypatch):
+        # 2 pi / 5 is 40 steps of 0.01 pi; t1 = 2 leaves a partial period
+        # and a shortened last step
+        def refuse(*args):
+            raise AssertionError("stepped in order")
+
+        monkeypatch.setattr(kernels, "rk4_linear", refuse)
+        doc = self.gauged_doc()
+        doc.update(rhs="lab", frames=["lab"], step=0.01 * math.pi)
+        doc["modulation"]["beta"] = 0.3
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        traj = read_trajectory_csv(tmp_path / "trajectory_lab.csv")
+        assert traj.times[-1] == 2.0 and len(traj) == 63 + 2
+        # the lab block is Hermitian: the norm drifts only by RK4 truncation
+        norms = np.abs(traj.c) ** 2 + np.abs(traj.d) ** 2
+        assert np.abs(norms - 1.0).max() <= 1e-8
+
     @pytest.mark.filterwarnings("error")
     def test_numerical_blowup_exits_one(self, tmp_path):
         doc = {"omega0": 1.0, "omega": 1.0, "coupling": 1e150, "n": 1,
@@ -404,6 +424,42 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 1
         assert "report.json" in capsys.readouterr().err
         assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("imag", [500.0, 3000.0])
+    def test_complex_beta_overflow_names_the_limit(self, tmp_path, capsys, monkeypatch, imag):
+        # |Im z| = Im beta / 5 at the defaults; the amplitudes grow about
+        # exp(2 |Im z|)-fold a drive period, so a period-boundary state
+        # leaves float64 before any per-sample array is built
+        boundary = []
+        periodic = kernels.rk4_periodic
+
+        def spy(*args):
+            try:
+                return periodic(*args)
+            except FloatingPointError as exc:
+                boundary.append(exc.args[0])
+                raise
+
+        monkeypatch.setattr(kernels, "rk4_periodic", spy)
+        cfg = write_config(tmp_path, {"beta": [0.0, imag]})
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert f"|Im z| = {imag / 5.0:g}" in err and "float64 limit 1.798e+308" in err
+        assert boundary and boundary[0] % 400 == 0
+        assert not list(outdir.iterdir())
+
+    def test_moderate_complex_beta_runs(self, tmp_path):
+        cfg = write_config(tmp_path, {"beta": [0.0, 30.0]})
+        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+
+    def test_real_beta_overflow_stays_numerical(self, tmp_path, capsys):
+        # z = 1000 is real: the a22 = i (omega0 beta / 2) cos term makes
+        # 400 steps a period unstable, an integrator failure (exit 1)
+        cfg = write_config(tmp_path, {"beta": 5000.0})
+        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite amplitudes" in err and "Im z" not in err
 
     @pytest.mark.parametrize("key", ["omega_ratio", "duration_rabi_units"])
     def test_non_finite_rejected(self, tmp_path, capsys, no_integration, key):
@@ -552,6 +608,18 @@ class TestSizeBounds:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--output-dir", str(out)]) == 2
         assert f"n exceeds 2^53 = {MAX_INT}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("digits", [4301, 5001])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_the_interpreter_digit_limit(self, tmp_path, capsys, no_work,
+                                                      sign, digits):
+        # past the 4,300 digits that int() parses from a string
+        path = tmp_path / "config.json"
+        path.write_text('{"n": ' + sign + "1" + "0" * (digits - 1) + "}", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert f"compare.n exceeds 2^53 = {MAX_INT}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_largest_exact_n_runs(self, capsys):

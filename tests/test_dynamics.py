@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ptjc import kernels
+from ptjc import dynamics, kernels
 from ptjc.dynamics import (
     AmplitudeState,
+    BoundRhs,
     Frame,
     FrameMismatchError,
     IntegrationError,
@@ -366,6 +367,17 @@ class TestStaticAndClosedForm:
         assert abs(d - math.cosh(0.1 * t)) <= 1e-14
         assert abs(abs(d) ** 2 - abs(c) ** 2 - 1.0) <= 1e-12
 
+    def test_complex_coupling_matches_complex_trig(self):
+        # one formula for any coupling: cos and sin of kappa t = a + ib
+        p = JcParams(1.0, 1.0, 0.07 - 0.03j)
+        t = np.linspace(0.0, 60.0, 301)
+        c, d = closed_form_amplitudes(p, 3, 0.2 - 0.1j, 0.9j, t)
+        kt = p.coupling * math.sqrt(3) * t
+        ref_c = (0.2 - 0.1j) * np.cos(kt) - 1j * 0.9j * np.sin(kt)
+        ref_d = 0.9j * np.cos(kt) - 1j * (0.2 - 0.1j) * np.sin(kt)
+        assert np.abs(c - ref_c).max() <= 1e-14 * np.abs(ref_c).max()
+        assert np.abs(d - ref_d).max() <= 1e-14 * np.abs(ref_d).max()
+
     def test_zero_coupling_constant(self, rng):
         p = JcParams(1.0, 1.0, 0.0)
         s = random_state(rng, 1, Frame.INTERACTION)
@@ -484,6 +496,99 @@ class TestIntegrate:
         scale = np.maximum(np.hypot(np.abs(c_ref), np.abs(d_ref)), 1e-300)
         assert (np.abs(c - c_ref) / scale).max() <= 1e-12
         assert (np.abs(d - d_ref) / scale).max() <= 1e-12
+
+
+def _refuse(*args):
+    raise AssertionError("this RK4 path must not run")
+
+
+def _max_rel_dev(traj, c_ref, d_ref):
+    """Largest per-sample deviation over the oracle's (c, d) norm."""
+    scale = np.maximum(np.hypot(np.abs(c_ref), np.abs(d_ref)), 1e-300)
+    return max((np.abs(traj.c - c_ref) / scale).max(), (np.abs(traj.d - d_ref) / scale).max())
+
+
+class TestPeriodicPath:
+    """kernels.rk4_periodic: one period of step matrices, every sample expanded."""
+
+    @pytest.mark.parametrize("ratio", [100.0, 200.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("convention", ["gauge", "splitting"])
+    @pytest.mark.parametrize("target", [ATOM, CAVITY])
+    def test_compare_runs_match_generic_rk4(self, monkeypatch, target, convention, n, ratio):
+        # the gauged resonant drive of `ptjc compare` at its defaults:
+        # 400 steps a period over 2 Rabi units
+        p = JcParams(1.0, 1.0, 0.05)
+        big_omega = ratio * 0.05 * math.sqrt(n)
+        beta = solve_modulation_beta(p, target, n, big_omega, convention)
+        rhs = bind_gauged_rhs(p, ModulationSpec(target, beta, big_omega), n)
+        assert rhs.period == 2.0 * math.pi / big_omega
+        h = rhs.period / 400
+        n_steps = math.ceil(2.0 / (0.05 * math.sqrt(n)) / h - 1e-9)
+        monkeypatch.setattr(kernels, "rk4_linear", _refuse)
+        s0 = AmplitudeState(n=n, c=0.0, d=1.0, frame=Frame.GAUGED)
+        traj = integrate(rhs, s0, 0.0, n_steps * h, h)
+        c_ref, d_ref = kernels.rk4_generic(rhs, 0.0, 1.0, 0.0, h, n_steps, 0.0)
+        assert len(traj) == n_steps + 1
+        assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
+
+    @pytest.mark.parametrize("target", [ATOM, CAVITY])
+    def test_partial_last_period_and_tail(self, monkeypatch, target):
+        # lab frame, detuned, complex beta: 7 whole periods of 50 steps,
+        # 13 steps of an eighth and a 0.4-step tail
+        p = JcParams(1.1, 0.9, 0.05)
+        mod = ModulationSpec(target, 0.4 - 0.15j, 2.0)
+        rhs = bind_lab_rhs(p, mod, 2)
+        h = rhs.period / 50
+        t1 = 0.25 + (7 * 50 + 13.4) * h
+        monkeypatch.setattr(kernels, "rk4_linear", _refuse)
+        s0 = AmplitudeState(n=2, c=0.6 + 0.2j, d=0.5 - 0.1j, frame=Frame.LAB)
+        traj = integrate(rhs, s0, 0.25, t1, h)
+        c_ref, d_ref = kernels.rk4_generic(rhs, s0.c, s0.d, 0.25, h, 7 * 50 + 13, 0.4 * h)
+        assert len(traj) == 7 * 50 + 13 + 2 and traj.times[-1] == t1
+        assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["detuned_gauged", "step_not_dividing", "under_one_period",
+                                      "static", "averaged"])
+    def test_other_cases_step_in_order(self, monkeypatch, case):
+        p = JcParams(1.0, 1.0, 0.05)
+        mod = ModulationSpec(ATOM, 0.3, 2.0)
+        rhs, frame, step, t1 = bind_gauged_rhs(p, mod, 1), Frame.GAUGED, math.pi / 40, 10.0
+        if case == "detuned_gauged":
+            rhs = bind_gauged_rhs(JcParams(1.02, 1.0, 0.05), mod, 1)
+            assert rhs.period is None
+        elif case == "step_not_dividing":
+            step = math.pi / 40.5
+        elif case == "under_one_period":
+            t1 = 0.9 * math.pi
+        elif case == "static":
+            rhs, frame = bind_static_rhs(p, 1), Frame.INTERACTION
+        else:
+            rhs = bind_averaged_rhs(p, mod, 1)
+        assert case in ("step_not_dividing", "under_one_period") or rhs.period is None
+        monkeypatch.setattr(kernels, "rk4_periodic", _refuse)
+        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=frame)
+        c_ref, d_ref = kernels.rk4_generic(rhs, 0.0, 1.0, 0.0, step,
+                                           *dynamics._split_steps(0.0, t1, step))
+        assert _max_rel_dev(integrate(rhs, s0, 0.0, t1, step), c_ref, d_ref) <= 1e-12
+
+    def test_overflow_found_at_a_period_boundary(self):
+        # A = 60 I grows e^{60 h} a step: the states leave float64 within
+        # the 12th period of 10 steps; the boundary after it reports
+        def grow(t):
+            a = np.zeros((4,) + t.shape, dtype=complex)
+            a[0] = a[3] = 60.0
+            return a
+
+        c_lin, d_lin = kernels.rk4_linear(grow, 1.0, 1.0, 0.0, 0.1, 400, 0.0)
+        first = int(np.argmin(np.isfinite(c_lin) & np.isfinite(d_lin)))
+        with pytest.raises(FloatingPointError) as info:
+            kernels.rk4_periodic(grow, 1.0, 1.0, 0.0, 0.1, 400, 0.0, 10)
+        assert first > 0 and info.value.args[0] - 10 < first <= info.value.args[0]
+        s0 = AmplitudeState(n=1, c=1.0, d=1.0, frame=Frame.LAB)
+        rhs = BoundRhs(grow, Frame.LAB, 1, 1.0)
+        with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
+            integrate(rhs, s0, 0.0, 40.0, 0.1)
 
 
 class TestStepAndSerialization:

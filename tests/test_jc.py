@@ -11,7 +11,6 @@ from ptjc.jc import (
     classify_pt_phase,
     dressed_spectrum,
     eigvec_column_matrix,
-    ground_state_energy,
     t_block,
 )
 
@@ -250,9 +249,3 @@ class TestTBlock:
                 res = np.linalg.norm(h_neg @ (flip @ vec) - ev * (flip @ vec))
                 assert res <= EIGVEC_RESIDUAL_TOL
 
-
-class TestGroundState:
-    def test_unshifted_by_interaction(self, rng):
-        for _ in range(20):
-            p = random_params(rng, real_coupling=False)
-            assert ground_state_energy(p) == -p.omega0 / 2.0
