@@ -24,7 +24,8 @@ Each bind_* helper returns a ``BoundRhs`` owning its linear
 (c, d)' = A(t) (c, d), frame and drive period (lab: always; gauged: at
 resonance).  Fixed-step RK4 (``ptjc.kernels.rk4_periodic`` when the step
 divides that period, else ``rk4_linear``) lands exactly on t1 via a
-shortened last step; at most MAX_STEPS steps per call.
+shortened last step; at most MAX_STEPS steps per call.  ``period_factors``
+stops at that path's one-period factors, under the same checks.
 """
 from __future__ import annotations
 
@@ -341,16 +342,9 @@ def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:
     return n_full, tail
 
 
-def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
-              step: float) -> Trajectory:
-    """Classical fixed-step RK4 from t0 to t1, recording every step.
-
-    ``rhs`` comes from a bind_* helper (a plain callable raises TypeError).
-    ``kernels.rk4_periodic`` runs if ``rhs.period`` is k steps to 1e-12
-    relative, 1 <= k <= n_full, else ``kernels.rk4_linear``.  t1 is reached
-    exactly, via a shortened last step when (t1 - t0) / step is not
-    integral.  More than MAX_STEPS steps raise ValueError before any allocation.
-    """
+def _plan(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
+          step: float) -> tuple[int, float, int]:
+    """integrate's checks; (n_full, tail, k) with k = 0 off the period path."""
     if not isinstance(rhs, BoundRhs):
         raise TypeError(f"integrate needs a BoundRhs, got {type(rhs).__name__}")
     if rhs.frame is not None and state0.frame is not rhs.frame:
@@ -362,10 +356,23 @@ def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
         raise IntegrationError(f"t1 must exceed t0, got [{t0}, {t1}]")
     n_full, tail = _split_steps(t0, t1, step)
     k = round(min(rhs.period / step, n_full)) if rhs.period else 0
-    periodic = k > 0 and abs(k * step - rhs.period) <= 1e-12 * rhs.period
+    return n_full, tail, k if k > 0 and abs(k * step - rhs.period) <= 1e-12 * rhs.period else 0
+
+
+def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
+              step: float) -> Trajectory:
+    """Classical fixed-step RK4 from t0 to t1, recording every step.
+
+    ``rhs`` comes from a bind_* helper (a plain callable raises TypeError).
+    ``kernels.rk4_periodic`` runs if ``rhs.period`` is k steps to 1e-12
+    relative, 1 <= k <= n_full, else ``kernels.rk4_linear``.  t1 is reached
+    exactly, via a shortened last step when (t1 - t0) / step is not
+    integral.  More than MAX_STEPS steps raise ValueError before any allocation.
+    """
+    n_full, tail, k = _plan(rhs, state0, t0, t1, step)
     args = (rhs.matrix, state0.c, state0.d, t0, step, n_full, tail)
     try:
-        cs, ds = kernels.rk4_periodic(*args, k) if periodic else kernels.rk4_linear(*args)
+        cs, ds = kernels.rk4_periodic(*args, k) if k else kernels.rk4_linear(*args)
         # the initial state is finite, so index 0 means every sample is
         first = int(np.argmin(np.isfinite(cs) & np.isfinite(ds)))
     except FloatingPointError as exc:  # a period-boundary state left float64
@@ -377,6 +384,21 @@ def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
     if tail > 0.0:
         times = np.concatenate([times, [t1]])
     return Trajectory(times=times, c=cs, d=ds, frame=state0.frame, n=state0.n, step=step)
+
+
+def period_factors(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
+                   step: float) -> tuple[np.ndarray, np.ndarray]:
+    """``kernels.rk4_period_factors`` of ``integrate``'s period path, same checks.
+
+    ValueError when ``integrate`` would not take that path; no tail step.
+    """
+    n_full, _, k = _plan(rhs, state0, t0, t1, step)
+    if not k:
+        raise ValueError(f"step {step:g} does not divide a period of the rhs within [{t0}, {t1}]")
+    try:
+        return kernels.rk4_period_factors(rhs.matrix, state0.c, state0.d, t0, step, n_full, k)
+    except FloatingPointError as exc:
+        raise IntegrationError(f"non-finite amplitudes at t = {t0 + exc.args[0] * step}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 The headline experiment: pick the modulation depth beta so that the
 drive-averaged coupling becomes purely imaginary (J0 condition equal to
-i), integrate the driven gauged equations, window-average over drive
-periods, and compare the envelopes against the closed-form static
-evolution with coupling i g.  A convergence sweep in Omega / Omega_R
-quantifies how the deviation shrinks as the drive gets faster.
+i), integrate the driven gauged equations over one drive period,
+window-average over drive periods, and compare the envelopes against
+the closed-form static evolution with coupling i g.  Averages and
+reference both come from per-phase rows times period-boundary states
+(W_r Y_m and E(tau_r) V_m); no per-sample trajectory is built.  A
+convergence sweep in Omega / Omega_R quantifies how the deviation
+shrinks as the drive gets faster.
 
 In the slow frame (micromotion stripped from both amplitudes) the
 driven block reads
@@ -29,8 +32,8 @@ evolution rather than the i g one.
 
 ``measure`` selects which amplitudes get window-averaged: ``slow`` (the
 default) averages the slow-frame pair above, ``printed`` averages the
-gauged pair (c_gauged, d) as produced, whose boxcar scales each
-envelope by |J0| of its leftover micromotion amplitude.
+gauged pair (c_gauged, d) as produced, whose window average scales
+each envelope by |J0| of its leftover micromotion amplitude.
 
 The reference starts from the first-order kicked state (high-frequency
 expansion): the window averages follow the static evolution from
@@ -55,13 +58,13 @@ from .dynamics import (
     IntegrationError,
     ModulationSpec,
     ModulationTarget,
-    Trajectory,
     bind_gauged_rhs,
     closed_form_amplitudes,
-    integrate,
+    period_factors,
     step_ratio,
 )
 from .jc import JcParams
+from .kernels import expand_periods
 
 # Residual demanded of the solved Bessel condition.
 BETA_RESIDUAL_TOL = 1e-12
@@ -196,40 +199,6 @@ def solve_modulation_beta(params: JcParams, target: ModulationTarget, n: int,
     return beta
 
 
-def _boxcar_interior(values: np.ndarray, width: int) -> np.ndarray:
-    """Centered moving average over width+1 samples (width even).
-
-    Output has len(values) - width entries, one per interior center.
-    Computed by cumulative sums, so it is exact up to rounding and
-    costs O(len); returns complex averages (envelopes are taken later).
-    """
-    if width % 2 != 0 or width < 2:
-        raise ValueError("boxcar width must be even and >= 2")
-    if len(values) <= width:
-        raise ValueError("trajectory shorter than one averaging window")
-    csum = np.concatenate(([0.0 + 0.0j], np.cumsum(values)))
-    return (csum[width + 1:] - csum[:-(width + 1)]) / (width + 1)
-
-
-def _slow_frame_arrays(traj: Trajectory, cfg: ExperimentConfig, beta: complex,
-                       big_omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Strip residual micromotion phases from the gauged amplitudes.
-
-    Atom target: c is already slow in the gauged frame; d carries
-    exp(-i Gamma sin(Omega t)) with Gamma = omega0 beta / (2 Omega).
-    Cavity target: both amplitudes keep micromotion; the slow pair is
-    (c exp(-i (omega beta/Omega) sin), d exp(+i (n omega beta/Omega) sin)).
-    """
-    s = np.sin(big_omega * traj.times[:cfg.step_per_period])  # one period, tiled below
-    if cfg.target is ModulationTarget.ATOM_FREQUENCY:
-        gamma = cfg.params.omega0 * beta / (2.0 * big_omega)
-        return np.asarray(traj.c), traj.d * np.resize(np.exp(-1j * gamma * s), len(traj))
-    unit = cfg.params.omega * beta / big_omega
-    c_slow = traj.c * np.resize(np.exp(-1j * unit * s), len(traj))
-    d_slow = traj.d * np.resize(np.exp(1j * cfg.n * unit * s), len(traj))
-    return c_slow, d_slow
-
-
 def _relative_phase_amplitude(cfg: ExperimentConfig, beta: complex,
                               big_omega: float) -> complex:
     """z in the slow-frame equations i c' = kappa exp(i z sin(Omega t)) d."""
@@ -246,12 +215,14 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
 
     Steps: solve for beta (unless an explicit beta is supplied, e.g.
     beta = 0 for the sanity path), integrate the gauged equations from
-    (c, d) = (0, 1), window-average over ``window_periods`` drive
-    periods, evaluate the closed-form static solution with coupling
-    i g at the surviving interior times, started from the kicked state
+    (c, d) = (0, 1) to their one-period factors (no per-sample
+    trajectory), window-average over ``window_periods`` drive periods,
+    evaluate the closed-form static solution with coupling i g at the
+    surviving interior times, started from the kicked state
     (c, d) = ((kappa / Omega) S(z), 1), and report the maximum and RMS
     relative deviation of the envelopes, each normalized by
-    max(|static|, ENVELOPE_FLOOR).
+    max(|static|, ENVELOPE_FLOOR).  A real part of z too large for
+    RK4 at ``step_per_period`` is refused before integrating.
     """
     if measure not in _MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -272,66 +243,68 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     z = _relative_phase_amplitude(cfg, beta_used, big_omega)
     kick = g.real * math.sqrt(cfg.n) / big_omega * kick_sum(z)
 
-    drive_period = 2.0 * math.pi / big_omega
-    dt = drive_period / cfg.step_per_period
+    k = cfg.step_per_period
+    dt = 2.0 * math.pi / big_omega / k
+    atom = cfg.target is ModulationTarget.ATOM_FREQUENCY
+    # h max|Im a_jj| of the gauged diagonal; RK4 amplifies imaginary h lambda past 2 sqrt(2)
+    rate, limit = math.pi * abs(z.real) / k * (1 if atom else 2 * cfg.n), 2.0 * math.sqrt(2.0)
+    if rate > limit:
+        raise ValueError(f"RK4 step times the largest diagonal rate, {rate:.6g}, exceeds RK4's "
+                         f"imaginary-axis stability limit 2 sqrt(2) = {limit:.6g}")
     t1 = cfg.duration_rabi_units / omega_r
     n_steps = int(math.ceil(step_ratio(t1, dt) - 1e-9))
-    width = cfg.window_periods * cfg.step_per_period
-    if width % 2 != 0:
-        width += 1
+    width = cfg.window_periods * k
+    width += width % 2
     if n_steps <= width:
         raise ValueError("duration too short for the averaging window")
+    # beta = 0 sanity path: nothing to average away, static Hermitian reference
+    width, ref_coupling = (0, complex(g.real)) if beta_used == 0 else (width, 1j * g.real)
 
     mod = ModulationSpec(target=cfg.target, beta=beta_used, big_omega=big_omega)
-    rhs = bind_gauged_rhs(params, mod, cfg.n)
     state0 = AmplitudeState(n=cfg.n, c=0.0, d=1.0, frame=Frame.GAUGED)
-    # Integrate to a whole number of steps (slightly past t1) so every
-    # sample interval is uniform for the boxcar.
-    try:
-        traj = integrate(rhs, state0, 0.0, n_steps * dt, dt)
-    except IntegrationError as exc:
-        if z.imag == 0.0:
-            raise
+    try:  # sample m k + j of the drive is P_j Y_m
+        p, y = period_factors(bind_gauged_rhs(params, mod, cfg.n), state0, 0.0, n_steps * dt, dt)
+    except IntegrationError as exc:  # only Im z grows the amplitudes below the limit
         raise ValueError(f"{exc}, past the float64 limit {np.finfo(float).max:.4g}: |Im z| = "
                          f"{abs(z.imag):.6g} grows them up to exp(2 |Im z|)-fold a period"
                          ) from None
 
-    if measure == SLOW_MEASURE:
-        c_arr, d_arr = _slow_frame_arrays(traj, cfg, beta_used, big_omega)
-    else:
-        c_arr, d_arr = np.asarray(traj.c), np.asarray(traj.d)
-    if beta_used == 0:
-        # Sanity path: no drive means nothing to average away, and the
-        # undriven system is the static Hermitian one, so compare the
-        # raw trajectory against the real-coupling closed form.
-        c_avg, d_avg = c_arr, d_arr
-        t_mid = traj.times
-        ref_coupling = complex(g.real)
-    else:
-        c_avg = _boxcar_interior(c_arr, width)
-        d_avg = _boxcar_interior(d_arr, width)
-        half = width // 2
-        t_mid = traj.times[half:len(traj.times) - half]
-        ref_coupling = 1j * g.real
+    # Averaged sample s = m k + r is W_r Y_m: W_r sums the per-phase rows
+    # a_j = f_j (row of P_j) times U_T^q over the window, from one cumsum
+    # over k + width terms; f_j strips the slow measure's micromotion.
+    phases = (0.0, -z / 2.0) if atom else (z, -cfg.n * z)
+    if measure == PRINTED_MEASURE:
+        phases = (0.0, 0.0)
+    f = np.exp(1j * np.multiply.outer(phases, np.sin(big_omega * (dt * np.arange(k)))))
+    blocks = [f[:, None, :] * p[:, :k].reshape(2, 2, k)]
+    u_t = p[:, k].reshape(2, 2)
+    for _ in range(-(-width // k)):
+        blocks.append((blocks[-1][:, :, None, :] * u_t[:, :, None]).sum(axis=1))
+    csum = np.cumsum(np.concatenate(blocks, axis=2)[..., :k + width], axis=2)
+    window = (csum[..., width:] - csum[..., :k] + blocks[0]) / (width + 1)
 
-    static_params = JcParams(omega0=params.omega0, omega=params.omega,
-                             coupling=ref_coupling)
-    ref_c, ref_d = closed_form_amplitudes(static_params, cfg.n, kick, 1.0 + 0.0j, t_mid)
+    count = n_steps + 1 - width
+    avg = expand_periods(window.reshape(4, k), y, count)
+    # The static reference at t_mid = (m k + r + width / 2) dt is E(tau_r) V_m,
+    # V_m the kicked start's closed form at the period boundaries m k dt.
+    static_params = JcParams(omega0=params.omega0, omega=params.omega, coupling=ref_coupling)
+    cos, msin = closed_form_amplitudes(static_params, cfg.n, 1.0, 0.0,
+                                       (np.arange(k) + width / 2) * dt)
+    v = closed_form_amplitudes(static_params, cfg.n, kick, 1.0, dt * (k * np.arange(y.shape[1])))
+    ref = expand_periods(np.array([cos, msin, msin, cos]), np.array(v), count)
 
-    err_c = np.abs(np.abs(c_avg) - np.abs(ref_c)) / np.maximum(np.abs(ref_c), ENVELOPE_FLOOR)
-    err_d = np.abs(np.abs(d_avg) - np.abs(ref_d)) / np.maximum(np.abs(ref_d), ENVELOPE_FLOOR)
-    max_c = float(err_c.max())
-    max_d = float(err_d.max())
+    err = np.abs(np.abs(avg) - np.abs(ref)) / np.maximum(np.abs(ref), ENVELOPE_FLOOR)
+    max_c, max_d = (float(e) for e in err.max(axis=1))
     with np.errstate(over="ignore"):  # an inf rms is refused when the report is written
-        rms = float(math.sqrt(np.mean(np.concatenate([err_c, err_d]) ** 2)))
+        rms = float(math.sqrt(np.mean(err ** 2)))
 
     return ComparisonReport(
         beta_used=beta_used,
         max_rel_err=max(max_c, max_d),
         rms_err=rms,
-        times=np.asarray(t_mid, dtype=float),
-        driven_envelope=np.column_stack([c_avg, d_avg]),
-        static_reference=np.column_stack([ref_c, ref_d]),
+        times=dt * np.arange(width // 2, n_steps + 1 - width // 2, dtype=float),
+        driven_envelope=avg.T,
+        static_reference=ref.T,
         max_rel_err_c=max_c,
         max_rel_err_d=max_d,
         convention=convention,

@@ -4,9 +4,11 @@
 times, shape (4,) + t.shape.  One RK4 step of a linear system is a 2x2
 matrix built from A(t), A(t + h/2) and A(t + h): ``rk4_linear`` builds
 them with NumPy, a chunk at a time, and applies them in step order.
-When A has period k h, ``rk4_periodic`` builds only the first period's
-matrices and expands every sample from their partial products.  The
-test oracle ``rk4_generic`` steps any rhs(t, c, d) one state at a time.
+When A has period k h, ``rk4_period_factors`` builds only the first
+period's matrices, their partial products P_j and the period-boundary
+states Y_m; ``expand_periods`` multiplies per-phase rows (the P_j, for
+``rk4_periodic``) into those states.  The test oracle ``rk4_generic``
+steps any rhs(t, c, d) one state at a time.
 """
 from __future__ import annotations
 
@@ -85,14 +87,13 @@ def _tail_step(a_of_t, t: float, tail: float, out_c: np.ndarray, out_d: np.ndarr
         _advance(props, complex(out_c[-2]), complex(out_d[-2]), out_c, out_d, len(out_c) - 1)
 
 
-def rk4_periodic(a_of_t, c0: complex, d0: complex, t0: float, h: float,
-                 n_full: int, tail: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``rk4_linear`` for A(t + k h) = A(t), 1 <= k <= n_full, from one period.
+def rk4_period_factors(a_of_t, c0: complex, d0: complex, t0: float, h: float,
+                       n_full: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rk4_periodic``'s one-period factors p, y: step m k + j holds P_j Y_m.
 
-    The partial products P_j of the first period's step matrices carry
-    the basis vectors; U_T = P_k steps the period-boundary states
-    Y_m = U_T Y_{m-1}, and y[m k + j] = P_j Y_m.  A non-finite Y_m (m >= 1)
-    raises FloatingPointError(m k) before any per-sample array is built.
+    The partial products P_0 = I ... P_k = U_T of the first period's step
+    matrices carry the basis vectors; Y_m = U_T Y_{m-1} from (c0, d0).  A
+    non-finite Y_m (m >= 1) raises FloatingPointError(m k).
     """
     periods = n_full // k + 1  # the last one possibly partial
     p = np.empty((4, k + 1), dtype=complex)  # rows P11, P12, P21, P22
@@ -103,13 +104,37 @@ def rk4_periodic(a_of_t, c0: complex, d0: complex, t0: float, h: float,
         _advance(props, 1.0, 0.0, p[0], p[2], 1)
         _advance(props, 0.0, 1.0, p[1], p[3], 1)
         _advance(np.repeat(p[:, k:], periods - 1, axis=1), complex(c0), complex(d0), y[0], y[1], 1)
-        first_bad = int(np.argmin(np.isfinite(y).all(axis=0)))
-        if first_bad:
-            raise FloatingPointError(first_bad * k)
-        out = np.empty((2, periods + 1, k), dtype=complex)  # a spare period holds the tail
-        np.multiply(y[0, :, None], p[0::2, None, :k], out=out[:, :-1])
-        out[:, :-1] += y[1, :, None] * p[1::2, None, :k]
-        out_c, out_d = out.reshape(2, -1)[:, :n_full + (2 if tail > 0.0 else 1)]
+    first_bad = int(np.argmin(np.isfinite(y).all(axis=0)))
+    if first_bad:
+        raise FloatingPointError(first_bad * k)
+    return p, y
+
+
+def expand_periods(rows: np.ndarray, states: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` samples R_j states[:, m], sample m k + j, as (2, count).
+
+    ``rows`` (4, k) holds the per-phase 2x2 R_j by entry; each component
+    fills a (periods, k) buffer by contiguous elementwise products.
+    Samples past the last state's period are left unset.
+    """
+    k = rows.shape[1]
+    out = np.empty((2, -(-count // k), k), dtype=complex)
+    m = min(out.shape[1], states.shape[1])
+    for i in range(2):
+        np.multiply(states[0, :m, None], rows[2 * i], out=out[i, :m])
+        out[i, :m] += states[1, :m, None] * rows[2 * i + 1]
+    return out.reshape(2, -1)[:, :count]
+
+
+def rk4_periodic(a_of_t, c0: complex, d0: complex, t0: float, h: float,
+                 n_full: int, tail: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rk4_linear`` for A(t + k h) = A(t), 1 <= k <= n_full, from one period.
+
+    A period-boundary FloatingPointError comes before any per-sample array.
+    """
+    p, y = rk4_period_factors(a_of_t, c0, d0, t0, h, n_full, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_c, out_d = expand_periods(p[:, :k], y, n_full + (2 if tail > 0.0 else 1))
         _tail_step(a_of_t, t0 + n_full * h, tail, out_c, out_d)
     return out_c, out_d
 

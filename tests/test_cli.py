@@ -32,12 +32,13 @@ def canonical_json_text(payload):
 
 @pytest.fixture
 def no_integration(monkeypatch):
-    """Fail the test if any RK4 trajectory is started (and allocated), on either path."""
+    """Fail the test if any RK4 integration is started, on any path."""
     def refuse(*args):
         raise AssertionError("integration started")
 
     monkeypatch.setattr(kernels, "rk4_linear", refuse)
     monkeypatch.setattr(kernels, "rk4_periodic", refuse)
+    monkeypatch.setattr(kernels, "rk4_period_factors", refuse)
 
 
 class TestSolveBeta:
@@ -374,6 +375,19 @@ class TestCompare:
         assert lines[0] == "omega_ratio,max_rel_err"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("doc", [None, {"ratios": [25.0, 50.0, 100.0]}])
+    def test_no_per_sample_trajectory(self, tmp_path, monkeypatch, doc):
+        # headline and sweep runs work from the one-period factors alone
+        def refuse(*args):
+            raise AssertionError("per-sample trajectory built")
+
+        monkeypatch.setattr(kernels, "rk4_linear", refuse)
+        monkeypatch.setattr(kernels, "rk4_periodic", refuse)
+        argv = ["compare", "--output-dir", str(tmp_path / "out")]
+        if doc is not None:
+            argv += ["--config", write_config(tmp_path, doc)]
+        assert main(argv) == 0
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, self.small_doc())
         dir1, dir2 = tmp_path / "r1", tmp_path / "r2"
@@ -431,16 +445,16 @@ class TestCompare:
         # exp(2 |Im z|)-fold a drive period, so a period-boundary state
         # leaves float64 before any per-sample array is built
         boundary = []
-        periodic = kernels.rk4_periodic
+        factors = kernels.rk4_period_factors
 
         def spy(*args):
             try:
-                return periodic(*args)
+                return factors(*args)
             except FloatingPointError as exc:
                 boundary.append(exc.args[0])
                 raise
 
-        monkeypatch.setattr(kernels, "rk4_periodic", spy)
+        monkeypatch.setattr(kernels, "rk4_period_factors", spy)
         cfg = write_config(tmp_path, {"beta": [0.0, imag]})
         outdir = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
@@ -453,13 +467,31 @@ class TestCompare:
         cfg = write_config(tmp_path, {"beta": [0.0, 30.0]})
         assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
 
-    def test_real_beta_overflow_stays_numerical(self, tmp_path, capsys):
-        # z = 1000 is real: the a22 = i (omega0 beta / 2) cos term makes
-        # 400 steps a period unstable, an integrator failure (exit 1)
-        cfg = write_config(tmp_path, {"beta": 5000.0})
-        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 1
+    @pytest.mark.parametrize("doc, rate", [
+        ({"beta": 2000.0}, 2000.0 * math.pi / 2000.0),
+        ({"beta": 3000.0}, 3000.0 * math.pi / 2000.0),
+        ({"beta": 5000.0}, 5000.0 * math.pi / 2000.0),
+        ({"beta": 700.0, "target": "cavity", "n": 2}, 4.0 * math.pi * 700.0 / (400 * 5.0 * 2 ** 0.5)),
+    ])
+    def test_real_beta_past_rk4_stability_refused(self, tmp_path, capsys, no_integration,
+                                                  doc, rate):
+        # the gauged diagonal gives h max|a_jj| = |omega0 beta| pi / (400 Omega)
+        # for the atom (past RK4's imaginary-axis limit 2 sqrt(2) from
+        # beta = 1800.6 at the defaults) and 2 pi n |omega beta| / (400 Omega)
+        # for the cavity
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "non-finite amplitudes" in err and "Im z" not in err
+        assert f"{rate:.6g}" in err and "2 sqrt(2) = 2.82843" in err
+
+    def test_real_beta_under_rk4_limit_runs(self, tmp_path):
+        # h max|a22| = 2.36 is stable but far from accurate: the averages
+        # miss the reference by nearly 100 percent
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, {"beta": 1500.0})
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 0
+        payload = json.loads((outdir / "report.json").read_text())
+        assert 0.99 < payload["max_rel_err"] <= 1.0
 
     @pytest.mark.parametrize("key", ["omega_ratio", "duration_rabi_units"])
     def test_non_finite_rejected(self, tmp_path, capsys, no_integration, key):

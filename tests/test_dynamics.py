@@ -571,6 +571,8 @@ class TestPeriodicPath:
         c_ref, d_ref = kernels.rk4_generic(rhs, 0.0, 1.0, 0.0, step,
                                            *dynamics._split_steps(0.0, t1, step))
         assert _max_rel_dev(integrate(rhs, s0, 0.0, t1, step), c_ref, d_ref) <= 1e-12
+        with pytest.raises(ValueError, match="does not divide a period"):
+            dynamics.period_factors(rhs, s0, 0.0, t1, step)
 
     def test_overflow_found_at_a_period_boundary(self):
         # A = 60 I grows e^{60 h} a step: the states leave float64 within
@@ -589,6 +591,8 @@ class TestPeriodicPath:
         rhs = BoundRhs(grow, Frame.LAB, 1, 1.0)
         with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
             integrate(rhs, s0, 0.0, 40.0, 0.1)
+        with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
+            dynamics.period_factors(rhs, s0, 0.0, 40.0, 0.1)
 
 
 class TestStepAndSerialization:

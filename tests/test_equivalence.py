@@ -14,7 +14,15 @@ import pytest
 from scipy.special import jv
 
 from ptjc.bessel import bessel_j0, solve_j0_equals
-from ptjc.dynamics import ModulationTarget, closed_form_amplitudes
+from ptjc.dynamics import (
+    AmplitudeState,
+    Frame,
+    ModulationSpec,
+    ModulationTarget,
+    bind_gauged_rhs,
+    closed_form_amplitudes,
+    integrate,
+)
 from ptjc.equivalence import (
     COMPARISON_CSV_HEADER,
     ENVELOPE_FLOOR,
@@ -23,7 +31,6 @@ from ptjc.equivalence import (
     PRINTED_MEASURE,
     SLOW_MEASURE,
     SPLITTING_CONVENTION,
-    _boxcar_interior,
     convergence_sweep,
     kick_sum,
     report_to_json_dict,
@@ -135,25 +142,55 @@ class TestExperimentConfig:
             default_cfg(n=0)
 
 
-class TestBoxcar:
-    def test_matches_direct_mean(self, rng):
-        vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        width = 6
-        out = _boxcar_interior(vals, width)
-        assert len(out) == 64 - width
-        for i in range(len(out)):
-            direct = vals[i:i + width + 1].mean()
-            assert abs(out[i] - direct) <= 1e-13
+class TestPeriodResolvedAverages:
+    """The window averages and the static reference come from one period
+    of per-phase rows and the period-boundary states.  Here they are held
+    against a trajectory integrated sample by sample, with the
+    micromotion phases written out, averaged window by window, and
+    against the closed form evaluated at every sample."""
 
-    def test_constant_input_passthrough(self):
-        out = _boxcar_interior(np.full(20, 2.0 - 1.0j), 4)
-        assert np.abs(out - (2.0 - 1.0j)).max() <= 1e-14
+    @staticmethod
+    def direct(cfg, beta, measure):
+        """(times, driven envelope, reference) built sample by sample."""
+        p, n, k = cfg.params, cfg.n, cfg.step_per_period
+        big_omega = cfg.drive_frequency()
+        dt = 2.0 * math.pi / big_omega / k
+        n_steps = math.ceil(cfg.duration_rabi_units / cfg.rabi_frequency() / dt - 1e-9)
+        mod = ModulationSpec(target=cfg.target, beta=beta, big_omega=big_omega)
+        traj = integrate(bind_gauged_rhs(p, mod, n), AmplitudeState(n, 0.0, 1.0, Frame.GAUGED),
+                         0.0, n_steps * dt, dt)
+        c, d, s = traj.c, traj.d, np.sin(big_omega * traj.times)
+        if measure == SLOW_MEASURE and cfg.target is ATOM:
+            d = d * np.exp(-1j * (p.omega0 * beta / (2.0 * big_omega)) * s)
+        elif measure == SLOW_MEASURE:
+            c = c * np.exp(-1j * (p.omega * beta / big_omega) * s)
+            d = d * np.exp(1j * (n * p.omega * beta / big_omega) * s)
+        width = 0 if beta == 0 else cfg.window_periods * k + (cfg.window_periods * k) % 2
+        avg = [np.lib.stride_tricks.sliding_window_view(x, width + 1).mean(axis=-1)
+               for x in (c, d)]
+        times = traj.times[width // 2:len(traj) - width // 2]
+        z = (p.omega0 if cfg.target is ATOM else -p.omega) * beta / big_omega
+        kick = p.coupling * math.sqrt(n) / big_omega * kick_sum(z)
+        static = JcParams(p.omega0, p.omega, p.coupling if beta == 0 else 1j * p.coupling)
+        ref = closed_form_amplitudes(static, n, kick, 1.0, times)
+        return times, np.column_stack(avg), np.column_stack(ref)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            _boxcar_interior(np.ones(10, complex), 3)
-        with pytest.raises(ValueError):
-            _boxcar_interior(np.ones(4, complex), 6)
+    CASES = [(target, measure, window, k, False) for target in (ATOM, CAVITY)
+             for measure in (PRINTED_MEASURE, SLOW_MEASURE) for window in (1, 3)
+             for k in (400, 401)] + [(ATOM, SLOW_MEASURE, 1, 400, True),
+                                     (CAVITY, PRINTED_MEASURE, 3, 401, True)]
+
+    @pytest.mark.parametrize("target, measure, window, k, undriven", CASES)
+    def test_match_sample_by_sample(self, target, measure, window, k, undriven):
+        cfg = default_cfg(target=target, n=1 if target is ATOM else 2, omega_ratio=25.0,
+                          window_periods=window, step_per_period=k)
+        beta = 0.0 if undriven else solve_modulation_beta(
+            cfg.params, target, cfg.n, cfg.drive_frequency(), SPLITTING_CONVENTION)
+        report = run_equivalence_experiment(cfg, beta=beta, measure=measure)
+        times, avg, ref = self.direct(cfg, beta, measure)
+        assert report.times.tobytes() == times.tobytes()
+        assert np.abs(report.driven_envelope - avg).max() <= 1e-12 * np.abs(avg).max()
+        assert np.abs(report.static_reference - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestExperimentGuards:
