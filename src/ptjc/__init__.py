@@ -62,11 +62,9 @@ from .equivalence import (
 from .fockspace import FockSpace, OperatorMatrix, build_fock_operators, build_h0
 from .pseudo import (
     BiorthogonalSystem,
-    EnergyConvention,
     SimilarityMap,
     build_biorthogonal_system,
     build_similarity,
-    convention_match,
     diagnostics_record,
     eigen_residuals,
     energy_formula,

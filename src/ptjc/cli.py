@@ -26,6 +26,7 @@ from .dynamics import (
     bind_gauged_rhs,
     bind_lab_rhs,
     bind_static_rhs,
+    check_rk4_stability,
     integrate,
     map_trajectory,
     suggested_step,
@@ -220,6 +221,8 @@ def cmd_evolve(args) -> int:
     if Frame.GAUGED in out_frames and mod is None:
         raise ConfigError("evolve config: the gauged frame needs a modulation block")
 
+    if mod is not None:
+        check_rk4_stability(rhs, step, mod, t1)
     traj = integrate(rhs, state0, 0.0, t1, step)
     # map every frame before writing any, so a failed map writes nothing
     mapped_frames = [map_trajectory(traj, params, mod, f) for f in out_frames]

@@ -48,6 +48,9 @@ _TAIL_REL_TOL = 1e-12
 # (c, d) samples.
 MAX_STEPS = 10**8
 
+# Stage times at which check_rk4_stability evaluates A at once.
+_CHUNK_TIMES = 4096
+
 # Default number of steps per fastest period in suggested_step().
 DEFAULT_STEPS_PER_PERIOD = 400
 
@@ -331,6 +334,26 @@ def step_ratio(total: float, step: float) -> float:
         raise ValueError(f"{total:g} / {step:g} = {ratio:.3g} RK4 steps exceeds the "
                          f"sample budget of {MAX_STEPS:.0e} steps")
     return ratio
+
+
+def check_rk4_stability(rhs: BoundRhs, step: float, mod: ModulationSpec, t1: float) -> None:
+    """ValueError if h max|Im a_jj| exceeds 2 sqrt(2), RK4's imaginary-axis limit.
+
+    A is evaluated at the RK4 stage times j h / 2 of one drive period
+    from t = 0 (at most [0, t1]); driven diagonals repeat each period,
+    detuned or not, and peak at t = 0.  A bad step or t1 is left to ``integrate``.
+    """
+    if not (0.0 < step < math.inf and t1 > 0.0):
+        return
+    count = 2 * math.ceil(step_ratio(min(2.0 * math.pi / mod.big_omega, t1), step)) + 1
+    diag = 0.0
+    for j0 in range(0, count, _CHUNK_TIMES):
+        a = rhs.matrix((step / 2.0) * np.arange(j0, min(j0 + _CHUNK_TIMES, count)))
+        diag = max(diag, float(np.abs(a[[0, 3]].imag).max()))
+    rate, limit = step * diag, 2.0 * math.sqrt(2.0)
+    if rate > limit:
+        raise ValueError(f"RK4 step times the largest diagonal rate, {rate:.6g}, exceeds RK4's "
+                         f"imaginary-axis stability limit 2 sqrt(2) = {limit:.6g}")
 
 
 def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:

@@ -59,6 +59,7 @@ from .dynamics import (
     ModulationSpec,
     ModulationTarget,
     bind_gauged_rhs,
+    check_rk4_stability,
     closed_form_amplitudes,
     period_factors,
     step_ratio,
@@ -226,6 +227,8 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     """
     if measure not in _MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
     params = cfg.params
     if params.detuning() != 0.0:
         raise ValueError("equivalence experiment is defined at resonance omega0 = omega")
@@ -246,13 +249,11 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     k = cfg.step_per_period
     dt = 2.0 * math.pi / big_omega / k
     atom = cfg.target is ModulationTarget.ATOM_FREQUENCY
-    # h max|Im a_jj| of the gauged diagonal; RK4 amplifies imaginary h lambda past 2 sqrt(2)
-    rate, limit = math.pi * abs(z.real) / k * (1 if atom else 2 * cfg.n), 2.0 * math.sqrt(2.0)
-    if rate > limit:
-        raise ValueError(f"RK4 step times the largest diagonal rate, {rate:.6g}, exceeds RK4's "
-                         f"imaginary-axis stability limit 2 sqrt(2) = {limit:.6g}")
+    mod = ModulationSpec(target=cfg.target, beta=beta_used, big_omega=big_omega)
+    rhs = bind_gauged_rhs(params, mod, cfg.n)
     t1 = cfg.duration_rabi_units / omega_r
     n_steps = int(math.ceil(step_ratio(t1, dt) - 1e-9))
+    check_rk4_stability(rhs, dt, mod, n_steps * dt)
     width = cfg.window_periods * k
     width += width % 2
     if n_steps <= width:
@@ -260,10 +261,9 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     # beta = 0 sanity path: nothing to average away, static Hermitian reference
     width, ref_coupling = (0, complex(g.real)) if beta_used == 0 else (width, 1j * g.real)
 
-    mod = ModulationSpec(target=cfg.target, beta=beta_used, big_omega=big_omega)
     state0 = AmplitudeState(n=cfg.n, c=0.0, d=1.0, frame=Frame.GAUGED)
     try:  # sample m k + j of the drive is P_j Y_m
-        p, y = period_factors(bind_gauged_rhs(params, mod, cfg.n), state0, 0.0, n_steps * dt, dt)
+        p, y = period_factors(rhs, state0, 0.0, n_steps * dt, dt)
     except IntegrationError as exc:  # only Im z grows the amplitudes below the limit
         raise ValueError(f"{exc}, past the float64 limit {np.finfo(float).max:.4g}: |Im z| = "
                          f"{abs(z.imag):.6g} grows them up to exp(2 |Im z|)-fold a period"

@@ -6,6 +6,9 @@ interleaves the fermion index fastest: index(m, k) = 2 m + k.  Ladder
 truncation corrupts the top boson levels, so algebraic identities are
 only asserted on states with boson occupancy at most N_b - 4; helpers
 for those index sets live here as well.
+
+H0 conserves m + k: it is written on its diagonal and 2x2 block slots,
+not multiplied out of the ladder matrices of ``build_fock_operators``.
 """
 from __future__ import annotations
 
@@ -97,33 +100,24 @@ class OperatorMatrix:
             raise ValueError(f"entries must be {dim}x{dim}, got {arr.shape}")
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.space.total_dim
-
 
 def build_fock_operators(space: FockSpace) -> dict:
     """Standard ladder matrices on the product space.
 
     d lowers the boson occupancy (d|m,k> = sqrt(m)|m-1,k>) and c lowers
-    the fermion occupancy; number_total = d'd + c'c counts the total
-    excitation.  [d, d'] equals the identity except for the truncation
-    artifact at the top boson level.
+    the fermion occupancy.  [d, d'] equals the identity except for the
+    truncation artifact at the top boson level.
     """
     nb = space.boson_levels
     lower_b = np.diag(np.sqrt(np.arange(1, nb, dtype=float)), k=1)
     lower_f = np.array([[0.0, 1.0], [0.0, 0.0]])
     d = np.kron(lower_b, np.eye(2))
     c = np.kron(np.eye(nb), lower_f)
-    d_dag = d.conj().T
-    c_dag = c.conj().T
-    number_total = d_dag @ d + c_dag @ c
     return {
         "d": OperatorMatrix(space, d, "boson lowering"),
-        "d_dag": OperatorMatrix(space, d_dag, "boson raising"),
+        "d_dag": OperatorMatrix(space, d.conj().T, "boson raising"),
         "c": OperatorMatrix(space, c, "fermion lowering"),
-        "c_dag": OperatorMatrix(space, c_dag, "fermion raising"),
-        "number_total": OperatorMatrix(space, number_total, "total excitation number"),
+        "c_dag": OperatorMatrix(space, c.conj().T, "fermion raising"),
     }
 
 
@@ -131,19 +125,18 @@ def build_h0(params: JcParams, space: FockSpace) -> OperatorMatrix:
     """Hermitian excitation-conserving Hamiltonian on the product space.
 
     H0 = omega0 (c'c - 1/2) + omega d'd + eps d c' + eps* d' c with
-    eps = params.coupling.  Hermitian for any complex eps; each total
-    excitation block away from the truncation edge reproduces the 2x2
-    subspace Hamiltonian with g_s = conj(eps) in the (c, d) amplitude
-    ordering.
+    eps = params.coupling, written on its slots: omega0 (k - 1/2) +
+    omega m on the diagonal at (m, k), and block N's coupling
+    eps sqrt(N) at (2N - 1, 2N) and eps* sqrt(N) at (2N, 2N - 1)
+    (``FockSpace.block_slots``).  Hermitian for any complex eps; each
+    block reproduces the 2x2 subspace Hamiltonian with g_s = conj(eps)
+    in the (c, d) amplitude ordering.
     """
-    ops = build_fock_operators(space)
-    d = ops["d"].entries
-    c = ops["c"].entries
-    d_dag = ops["d_dag"].entries
-    c_dag = ops["c_dag"].entries
     eps = complex(params.coupling)
-    dim = space.total_dim
-    h0 = (params.omega0 * (c_dag @ c - 0.5 * np.eye(dim))
-          + params.omega * (d_dag @ d)
-          + eps * (d @ c_dag) + np.conj(eps) * (d_dag @ c))
+    m, k = np.divmod(np.arange(space.total_dim), 2)
+    h0 = np.diag(params.omega0 * (k - 0.5) + params.omega * m).astype(complex)
+    row, col = space.block_slots().T
+    root = np.sqrt(np.arange(1.0, space.boson_levels))
+    h0[row, col] = eps * root
+    h0[col, row] = np.conj(eps) * root
     return OperatorMatrix(space, h0, "excitation-conserving Hamiltonian")

@@ -8,7 +8,9 @@ H_alpha with deformed ladder operators whose commutation relations are
 preserved, two biorthogonal eigenfamilies Phi-hat = S Phi, Psi-hat =
 S^-1 Phi, a metric identity Phi-hat = S^2 Psi-hat, and a block
 rotation T_alpha that diagonalizes H_alpha over the truncation-safe
-levels.
+levels.  ``energy_formula`` is the one closed form of H0's block
+spectrum: the T_alpha check's diagonal, and the reference the
+diagnostics record measures the computed energies against.
 
 Numerical policy used throughout this module: identities involving
 deformed operators are never evaluated by forming dense triple
@@ -24,7 +26,6 @@ residuals.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -46,17 +47,6 @@ DEGENERACY_TOL = 1e-10
 # resolution-of-identity checks: matrix elements are sampled between
 # bare states with m + k at most this.
 PROBE_EXCITATION_MAX = 5
-
-# States examined by the energy-convention oracle.
-CONVENTION_STATES = 10
-CONVENTION_TOL = 1e-8
-
-
-class EnergyConvention(enum.Enum):
-    """Argument entering the square root of the closed-form energies."""
-
-    TOTAL_EXCITATION = "total-excitation"
-    TOTAL_EXCITATION_PLUS_ONE = "total-excitation-plus-one"
 
 
 @dataclass(frozen=True)
@@ -188,29 +178,19 @@ def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
     )
 
 
-def energy_formula(params: JcParams, n: int, k: int,
-                   convention: EnergyConvention) -> float:
-    """Closed-form eigenvalue for occupancy label (n, k).
+def energy_formula(params: JcParams, space: FockSpace) -> np.ndarray:
+    """Closed-form energy E = omega m + (omega - gap) (k - 1/2) at every bare slot (m, k).
 
-    E = [omega - sqrt(delta^2 + 4 |eps|^2 arg)] (k - 1/2) + omega n,
-    with arg = n + k for TOTAL_EXCITATION and n + k + 1 for
-    TOTAL_EXCITATION_PLUS_ONE.  At arg = 0 the undressed state takes the
-    root -delta, as in _bare_gap_diagonal, so E(0, 0) = -omega0 / 2.
+    gap = sqrt(delta^2 + 4 |eps|^2 (m + k)): block N's roots are E(N - 1, 1)
+    (lower) and E(N, 0).  The zero-excitation slot and the orphan top slot
+    (N_b - 1, 1) lie in no block and take gap = -delta, their H0 diagonal
+    entry, so E(0, 0) = -omega0 / 2 on either side of resonance.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
-    if convention is EnergyConvention.TOTAL_EXCITATION:
-        arg = n + k
-    elif convention is EnergyConvention.TOTAL_EXCITATION_PLUS_ONE:
-        arg = n + k + 1
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
     delta = params.detuning()
-    gap = (-delta if arg == 0
-           else math.sqrt(delta ** 2 + 4.0 * abs(params.coupling) ** 2 * arg))
-    return (params.omega - gap) * (k - 0.5) + params.omega * n
+    m, k = np.divmod(np.arange(space.total_dim), 2)
+    gap = np.sqrt(delta ** 2 + 4.0 * abs(params.coupling) ** 2 * (m + k))
+    gap[[0, -1]] = -delta
+    return params.omega * m + (params.omega - gap) * (k - 0.5)
 
 
 def build_biorthogonal_system(h0: OperatorMatrix, smap: SimilarityMap,
@@ -376,23 +356,6 @@ def quasi_basis_check(system: BiorthogonalSystem,
     return records
 
 
-def _bare_gap_diagonal(space: FockSpace, params: JcParams) -> np.ndarray:
-    """Diagonal of the gap operator Delta(N) at the bare indices.
-
-    sqrt(delta^2 + 4 eps^2 (m + k)) per slot, except the two slots that
-    belong to no complete two-state block: the zero-excitation state
-    and the orphan top state (m = N_b - 1, k = 1).  There the dressing
-    is absent and matching the actual diagonal energy forces the value
-    -delta; with that choice the bare rotation identity is exact on
-    every slot.
-    """
-    delta = params.detuning()
-    excitation = (np.arange(space.total_dim) + 1) // 2
-    vals = np.sqrt(delta ** 2 + 4.0 * abs(params.coupling) ** 2 * excitation)
-    vals[[0, -1]] = -delta
-    return vals
-
-
 def build_block_rotation(space: FockSpace, params: JcParams) -> tuple[np.ndarray, np.ndarray]:
     """T0 and its inverse, assembled block-wise on the bare space.
 
@@ -418,9 +381,10 @@ def t_alpha_diagonalization_check(h0: OperatorMatrix, smap: SimilarityMap,
     """Residual of the deformed block rotation bringing H_alpha diagonal.
 
     Verifies T_alpha^-1 H_alpha T_alpha = omega D_alpha d_alpha +
-    (omega - Delta(N_alpha)) (C_alpha c_alpha - 1/2) in dual-frame
-    matrix elements over the truncation-safe slots, excluding the
-    zero-excitation slot.  All factors are applied as compositions of
+    (omega - Delta(N_alpha)) (C_alpha c_alpha - 1/2), the right side's
+    diagonal being ``energy_formula``, in dual-frame matrix elements
+    over the truncation-safe slots, excluding the zero-excitation
+    slot.  All factors are applied as compositions of
     S, S^-1 and bare operators to column frames S e_j; forming the
     dense deformed matrices first loses about cond(S) * eps and does
     not meet the tolerance.
@@ -431,9 +395,6 @@ def t_alpha_diagonalization_check(h0: OperatorMatrix, smap: SimilarityMap,
     if params.coupling == 0 and params.detuning() == 0.0:
         raise ValueError("gap operator is singular with zero coupling and zero detuning")
     t0, t0_inv = build_block_rotation(space, params)
-    gap = _bare_gap_diagonal(space, params)
-    mvals, kvals = np.divmod(np.arange(space.total_dim), 2)
-    diag_vals = params.omega * mvals + (params.omega - gap) * (kvals - 0.5)
 
     s = smap.s.entries
     s_inv = smap.s_inv.entries
@@ -449,7 +410,7 @@ def t_alpha_diagonalization_check(h0: OperatorMatrix, smap: SimilarityMap,
     v = s_inv @ v
     v = t0_inv @ v
     lhs = s @ v
-    rhs = frame * diag_vals[cols][None, :]
+    rhs = frame * energy_formula(params, space)[cols][None, :]
     residual = s_inv @ (lhs - rhs)
     return float(np.abs(residual[cols, :]).max())
 
@@ -506,29 +467,6 @@ def pseudo_algebra_residuals(smap: SimilarityMap) -> dict:
     }
 
 
-def convention_match(params: JcParams,
-                     system: BiorthogonalSystem) -> EnergyConvention | None:
-    """Which closed-form convention reproduces the computed spectrum.
-
-    Compares the CONVENTION_STATES lowest included energies against
-    energy_formula under both conventions; returns the unique
-    convention agreeing within CONVENTION_TOL, or None when zero or
-    both agree.
-    """
-    m = min(CONVENTION_STATES, len(system))
-    matches = []
-    for conv in EnergyConvention:
-        dev = max(
-            abs(system.energies[i] - energy_formula(params, *system.labels[i], conv))
-            for i in range(m)
-        )
-        if dev <= CONVENTION_TOL:
-            matches.append(conv)
-    if len(matches) == 1:
-        return matches[0]
-    return None
-
-
 def diagnostics_record(system: BiorthogonalSystem, smap: SimilarityMap,
                        h0: OperatorMatrix, params: JcParams) -> dict:
     """Scalar diagnostics bundle used by the command-line front end."""
@@ -536,7 +474,7 @@ def diagnostics_record(system: BiorthogonalSystem, smap: SimilarityMap,
     off = gram - np.diag(np.diag(gram))
     res_phi, res_psi = eigen_residuals(system, h0, smap)
     metric = metric_checks(system, smap)
-    conv = convention_match(params, system)
+    formula = energy_formula(params, system.space)[[2 * m + k for m, k in system.labels]]
     return {
         "alpha": smap.alpha,
         "boson_levels": system.space.boson_levels,
@@ -550,5 +488,5 @@ def diagnostics_record(system: BiorthogonalSystem, smap: SimilarityMap,
             "resolution_phi": metric["resolution_phi"],
             "resolution_psi": metric["resolution_psi"],
         },
-        "convention_match": None if conv is None else conv.value,
+        "energy_formula_max_dev": float(np.abs(system.energies - formula).max()),
     }

@@ -98,6 +98,18 @@ def charpoly_eigvals(m: np.ndarray) -> tuple[complex, complex]:
 
 
 # ---------------------------------------------------------------------------
+# grid for the block-built H0 and its closed-form energies
+
+H0_GRID_LEVELS = (4, 8, 48, 512)
+H0_GRID_PARAMS = (
+    JcParams(1.0, 1.0, 0.1),  # resonant
+    JcParams(1.07, 1.0, 0.1),  # blue detuned
+    JcParams(1.0, 1.0, 0.06 - 0.08j),  # complex coupling
+    JcParams(1.2, 0.9, 0.0),  # uncoupled, detuned
+)
+
+
+# ---------------------------------------------------------------------------
 # expensive shared pseudo-spectral objects (session scope: build once)
 
 

@@ -243,6 +243,19 @@ class TestEvolve:
         assert "leaves float64" in capsys.readouterr().err
         assert not list(outdir.iterdir())
 
+    def test_step_past_rk4_stability_refused(self, tmp_path, capsys, no_integration):
+        # gauged atom diagonal a22 = i (omega0 beta / 2) cos(Omega t): the
+        # default step 2 pi / (400 Omega) gives h max|Im a22| = pi > 2 sqrt(2);
+        # integrated anyway, |c| reached 2.1e210 by t = 39.7 for real beta
+        doc = self.gauged_doc()
+        doc["modulation"]["beta"] = 2000.0
+        doc["t1"] = 40.0
+        del doc["step"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "3.14159" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("key, value", [("omega0", "1.0"), ("omega", True),
                                             ("t1", None), ("step", [0.01]),
                                             ("big_omega", True)])
@@ -513,6 +526,14 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         assert name in capsys.readouterr().err
 
+    def test_unknown_convention_with_beta(self, tmp_path, capsys, no_integration):
+        # beta given: the convention solves nothing, but it is still checked
+        cfg = write_config(tmp_path, {"beta": 0.0, "convention": "bogus"})
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert not (outdir / "report.json").exists()
+
     def test_config_round_trip(self):
         doc = {"omega_ratio": 50.0, "step_per_period": 100,
                "beta": [0.1, -0.2], "measure": "slow"}
@@ -530,7 +551,7 @@ class TestPseudoCommand:
         assert payload["alpha"] == 0.5
         assert payload["boson_levels"] == 32
         assert len(payload["energies"]) == 57
-        assert payload["convention_match"] == "total-excitation"
+        assert payload["energy_formula_max_dev"] <= 1e-12
         assert payload["gram_max_offdiag"] <= 1e-10
         assert payload["eigen_residual_max"] <= 1e-9
         assert payload["metric_residuals"]["identity_rel_max"] <= 1e-10

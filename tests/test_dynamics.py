@@ -21,6 +21,7 @@ from ptjc.dynamics import (
     bind_gauged_rhs,
     bind_lab_rhs,
     bind_static_rhs,
+    check_rk4_stability,
     closed_form_amplitudes,
     frame_factors,
     integrate,
@@ -593,6 +594,39 @@ class TestPeriodicPath:
             integrate(rhs, s0, 0.0, 40.0, 0.1)
         with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
             dynamics.period_factors(rhs, s0, 0.0, 40.0, 0.1)
+
+
+class TestRk4Stability:
+    """check_rk4_stability: h max|Im a_jj| over one drive period against 2 sqrt(2)."""
+
+    def test_detuned_gauged_atom(self):
+        # rhs.period is None off resonance, but the diagonal
+        # a22 = i (omega0 beta / 2) cos(Omega t) still repeats each drive period
+        mod = ModulationSpec(ATOM, 2000.0, 5.0)
+        rhs = bind_gauged_rhs(JcParams(1.02, 1.0, 0.05), mod, 1)
+        period = 2.0 * math.pi / 5.0
+        with pytest.raises(ValueError, match=f"{1.02 * math.pi:.6g}, exceeds"):
+            check_rk4_stability(rhs, period / 400, mod, 40.0)
+        check_rk4_stability(rhs, period / 480, mod, 40.0)  # rate 2.67
+
+    def test_late_peak_in_a_long_period(self):
+        # 20,001 stage times, several chunks; the diagonal peaks only for t > 0.9
+        def spike(t):
+            a = np.zeros((4,) + t.shape, dtype=complex)
+            a[3] = 3e4j * (t > 0.9)
+            return a
+
+        rhs, mod = BoundRhs(spike, Frame.LAB, 1), ModulationSpec(ATOM, 0.0, 2.0 * math.pi)
+        with pytest.raises(ValueError, match="rate, 3, exceeds"):
+            check_rk4_stability(rhs, 1e-4, mod, 5.0)
+        check_rk4_stability(rhs, 1e-4, mod, 0.5)  # [0, t1] ends before the peak
+
+    def test_lab_and_static_defaults_pass(self):
+        p = JcParams(1.0, 1.0, 0.05)
+        mod = ModulationSpec(CAVITY, 0.3, 2.0)
+        step = suggested_step(p, mod, 3)
+        for rhs in (bind_lab_rhs(p, mod, 3), bind_static_rhs(p, 3)):
+            check_rk4_stability(rhs, step, mod, 10.0)
 
 
 class TestStepAndSerialization:

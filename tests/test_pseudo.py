@@ -10,15 +10,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import H0_GRID_LEVELS, H0_GRID_PARAMS
 
 from ptjc.fockspace import FockSpace, OperatorMatrix, build_fock_operators, build_h0
 from ptjc.jc import JcParams
 from ptjc.pseudo import (
-    EnergyConvention,
     build_biorthogonal_system,
     build_block_rotation,
     build_similarity,
-    convention_match,
     default_generator,
     diagnostics_record,
     dual_frame_algebra_residual,
@@ -177,10 +176,10 @@ class TestDeform:
 
 def dense_labels(space, evecs):
     """(n, k) per column of a dense ascending eigh: the total excitation N
-    from the number operator; the lower root of a two-state block N is
+    as the expectation of m + k; the lower root of a two-state block N is
     (N-1, 1), every other state (N, 0)."""
-    n_op = build_fock_operators(space)["number_total"].entries
-    blocks = np.rint(np.einsum("ji,jk,ki->i", evecs.conj(), n_op, evecs).real).astype(int)
+    excitation = (np.arange(space.total_dim) + 1) // 2
+    blocks = np.rint(excitation @ np.abs(evecs) ** 2).astype(int)
     labels = []
     for i, b in enumerate(blocks):
         members = np.flatnonzero(blocks == b)
@@ -217,34 +216,37 @@ class TestBlockEigenpairs:
 
 
 class TestEnergyFormula:
-    def test_ground_state_both_conventions(self):
-        p = JcParams(1.0, 1.0, 0.1)
-        e_total = energy_formula(p, 0, 0, EnergyConvention.TOTAL_EXCITATION)
-        e_plus = energy_formula(p, 0, 0, EnergyConvention.TOTAL_EXCITATION_PLUS_ONE)
-        assert e_total == pytest.approx(-0.5, abs=1e-15)
-        assert e_plus == pytest.approx(-0.5 + 0.1, abs=1e-15)
-
     def test_resonant_split_pair(self):
-        p = JcParams(1.0, 1.0, 0.1)
-        conv = EnergyConvention.TOTAL_EXCITATION
-        lower = energy_formula(p, 0, 1, conv)
-        upper = energy_formula(p, 1, 0, conv)
-        assert lower == pytest.approx(0.5 - 0.1, abs=1e-15)
-        assert upper == pytest.approx(0.5 + 0.1, abs=1e-15)
+        e = energy_formula(JcParams(1.0, 1.0, 0.1), FockSpace(boson_levels=4))
+        assert e[1] == pytest.approx(0.5 - 0.1, abs=1e-15)  # (0, 1)
+        assert e[2] == pytest.approx(0.5 + 0.1, abs=1e-15)  # (1, 0)
 
     @pytest.mark.parametrize("omega0", [0.95, 1.0, 1.05])
     def test_ground_state_is_undressed(self, omega0):
-        # E(0, 0) = -omega0 / 2 on either side of resonance
-        p = JcParams(omega0, 1.0, 0.1)
-        e = energy_formula(p, 0, 0, EnergyConvention.TOTAL_EXCITATION)
-        assert e == pytest.approx(-omega0 / 2.0, abs=1e-15)
+        # E(0, 0) = -omega0 / 2 on either side of resonance, and the
+        # orphan top slot (N_b - 1, 1) keeps its bare energy too
+        e = energy_formula(JcParams(omega0, 1.0, 0.1), FockSpace(boson_levels=6))
+        assert e[0] == pytest.approx(-omega0 / 2.0, abs=1e-15)
+        assert e[-1] == pytest.approx(5.0 + omega0 / 2.0, abs=1e-15)
 
-    def test_validation(self):
-        p = JcParams(1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            energy_formula(p, -1, 0, EnergyConvention.TOTAL_EXCITATION)
-        with pytest.raises(ValueError):
-            energy_formula(p, 0, 2, EnergyConvention.TOTAL_EXCITATION)
+    @pytest.mark.parametrize("boson_levels", H0_GRID_LEVELS)
+    @pytest.mark.parametrize("params", H0_GRID_PARAMS)
+    def test_matches_dense_eigvalsh(self, boson_levels, params):
+        # every slot, the safe blocks among them: the truncated H0 holds
+        # exactly these blocks and the two undressed slots
+        space = FockSpace(boson_levels=boson_levels)
+        h0 = build_h0(params, space).entries
+        dense = np.linalg.eigvalsh(h0)
+        dev = np.abs(np.sort(energy_formula(params, space)) - dense).max()
+        assert dev <= 1e-14 * np.abs(h0).max()  # measured 3.3e-16 relative
+
+    @pytest.mark.parametrize("omega0", [0.95, 1.0, 1.05])
+    @pytest.mark.parametrize("eps", [0.1, 0.06 - 0.08j])
+    def test_max_dev_either_side_of_resonance(self, omega0, eps):
+        params, _, h0, smap = small_bundle(omega0=omega0, eps=eps, boson_levels=16)
+        system = build_biorthogonal_system(h0, smap)
+        record = diagnostics_record(system, smap, h0, params)
+        assert record["energy_formula_max_dev"] <= 1e-12
 
 
 class TestBiorthogonalSystem:
@@ -435,26 +437,6 @@ class TestPseudoAlgebra:
         assert res == pseudo_algebra_residuals(smap)["car"]
 
 
-class TestConvention:
-    def test_unique_match_is_total_excitation(self, pseudo_default):
-        conv = convention_match(pseudo_default["params"], pseudo_default["system"])
-        assert conv is EnergyConvention.TOTAL_EXCITATION
-
-    @pytest.mark.parametrize("omega0", [0.95, 1.0, 1.05])
-    @pytest.mark.parametrize("eps", [0.1, 0.06 - 0.08j])
-    def test_total_excitation_either_side_of_resonance(self, omega0, eps):
-        params, _, h0, smap = small_bundle(omega0=omega0, eps=eps, boson_levels=16)
-        system = build_biorthogonal_system(h0, smap)
-        assert convention_match(params, system) is EnergyConvention.TOTAL_EXCITATION
-
-    def test_other_convention_off_by_coupling(self, pseudo_default):
-        system = pseudo_default["system"]
-        params = pseudo_default["params"]
-        ground = energy_formula(params, 0, 0,
-                                EnergyConvention.TOTAL_EXCITATION_PLUS_ONE)
-        assert abs(system.energies[0] - ground) == pytest.approx(0.1, abs=1e-6)
-
-
 class TestDiagnosticsRecord:
     def test_layout_and_values(self, pseudo_default):
         record = diagnostics_record(pseudo_default["system"],
@@ -466,7 +448,7 @@ class TestDiagnosticsRecord:
         assert len(record["energies"]) == 57
         assert record["gram_max_offdiag"] <= GRAM_TOL
         assert record["eigen_residual_max"] <= EIGEN_RESIDUAL_TOL
-        assert record["convention_match"] == "total-excitation"
+        assert record["energy_formula_max_dev"] <= 1e-12  # measured 3.6e-15
         assert set(record["metric_residuals"]) == {
             "identity_abs_max", "identity_rel_max",
             "resolution_phi", "resolution_psi"}
