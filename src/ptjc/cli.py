@@ -30,6 +30,7 @@ from .dynamics import (
     integrate,
     map_trajectory,
     suggested_step,
+    write_csv,
     write_trajectory_csv,
 )
 from .equivalence import (
@@ -229,10 +230,7 @@ def cmd_evolve(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     for out_frame, mapped in zip(out_frames, mapped_frames):
         path = os.path.join(args.output_dir, f"trajectory_{out_frame.value}.csv")
-        try:
-            write_trajectory_csv(mapped, path)
-        except OSError as exc:
-            raise RuntimeError(f"cannot write trajectory to {path}: {exc}") from exc
+        write_trajectory_csv(mapped, path)
         print(f"wrote {path} ({len(mapped)} samples)")
     return 0
 
@@ -267,6 +265,9 @@ def parse_compare_config(doc: dict) -> dict:
     merged = dict(_COMPARE_DEFAULTS)
     merged.update(doc)
     if merged["ratios"] is not None:
+        if merged["beta"] is not None:
+            raise ConfigError("compare config: a sweep solves beta for each of its ratios; "
+                              "give 'ratios' or 'beta', not both")
         if not isinstance(merged["ratios"], list) or not merged["ratios"]:
             raise ConfigError("compare config: ratios must be a non-empty list of numbers")
         merged["ratios"] = [_parse_real(r, "compare.ratios") for r in merged["ratios"]]
@@ -293,7 +294,6 @@ def cmd_compare(args) -> int:
         window_periods=merged["window_periods"],
         step_per_period=merged["step_per_period"],
     )
-    os.makedirs(args.output_dir, exist_ok=True)
     report_path = os.path.join(args.output_dir, "report.json")
     csv_path = os.path.join(args.output_dir, "comparison.csv")
 
@@ -307,13 +307,10 @@ def cmd_compare(args) -> int:
             "measure": merged["measure"],
             "generated_by": GENERATED_BY,
         }
+        os.makedirs(args.output_dir, exist_ok=True)
         _dump_json(payload, report_path)
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("omega_ratio,max_rel_err\n")
-            for r, e in curve:
-                fh.write(f"{r!r},{e!r}\n")
-        worst = curve[0][1]
-        print(f"sweep of {len(curve)} ratios written; first error {worst!r}")
+        write_csv(csv_path, "omega_ratio,max_rel_err", zip(*curve))
+        print(f"sweep of {len(curve)} ratios written; first error {curve[0][1]!r}")
         return 0
 
     report = run_equivalence_experiment(cfg, beta=merged["beta"],
@@ -321,6 +318,7 @@ def cmd_compare(args) -> int:
                                         measure=merged["measure"])
     payload = report_to_json_dict(report)
     payload["generated_by"] = GENERATED_BY
+    os.makedirs(args.output_dir, exist_ok=True)
     _dump_json(payload, report_path)
     write_comparison_csv(report, csv_path)
     print(f"max_rel_err = {report.max_rel_err!r}, rms_err = {report.rms_err!r}")

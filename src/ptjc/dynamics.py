@@ -26,6 +26,9 @@ resonance).  Fixed-step RK4 (``ptjc.kernels.rk4_periodic`` when the step
 divides that period, else ``rk4_linear``) lands exactly on t1 via a
 shortened last step; at most MAX_STEPS steps per call.  ``period_factors``
 stops at that path's one-period factors, under the same checks.
+
+``write_csv`` is the package's one CSV formatter; trajectories are read
+back with ``np.loadtxt``.
 """
 from __future__ import annotations
 
@@ -55,6 +58,9 @@ _CHUNK_TIMES = 4096
 DEFAULT_STEPS_PER_PERIOD = 400
 
 TRAJECTORY_CSV_HEADER = "t,re_c,im_c,re_d,im_d,frame,n"
+
+# Rows write_csv formats per batch: bounds the Python floats alive at once.
+_CSV_CHUNK_ROWS = 4096
 
 
 class FrameMismatchError(TypeError):
@@ -428,50 +434,61 @@ def period_factors(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
 # Trajectory serialization
 
 
+def write_csv(path, header: str, columns, suffix: str = "") -> None:
+    """``header``, then per sample each column's float ``repr`` joined by commas, then ``suffix``.
+
+    Rows stream through one format string from ``tolist()`` slices of
+    _CSV_CHUNK_ROWS rows: no list of rows or of whole columns is built.
+    """
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    row = ",".join(["{!r}"] * len(cols)) + suffix.replace("{", "{{").replace("}", "}}") + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
+            fh.writelines(map(row.format, *(col[i:i + _CSV_CHUNK_ROWS].tolist() for col in cols)))
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Plain CSV with the fixed header t,re_c,im_c,re_d,im_d,frame,n."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        frame = traj.frame.value
-        for i in range(len(traj)):
-            t = float(traj.times[i])
-            c = complex(traj.c[i])
-            d = complex(traj.d[i])
-            fh.write(
-                f"{t!r},{c.real!r},{c.imag!r},{d.real!r},{d.imag!r},{frame},{traj.n}\n"
-            )
+    c, d = traj.c, traj.d
+    write_csv(path, TRAJECTORY_CSV_HEADER, [traj.times, c.real, c.imag, d.real, d.imag],
+              suffix=f",{traj.frame.value},{traj.n}")
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Inverse of write_trajectory_csv."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRAJECTORY_CSV_HEADER:
-            raise ValueError(f"unexpected trajectory header {header!r}")
-        times, cs, ds = [], [], []
-        tags = None
-        for lineno, line in enumerate(fh, start=2):
+    """Inverse of write_trajectory_csv, in one streamed pass over the file.
+
+    Each non-blank row is checked (7 fields, the first row's frame/n
+    tags) on its way into ``np.loadtxt``, which parses the five numbers
+    (``comments=None``: a row starting with '#' is malformed, not skipped).
+    """
+    tags = []
+
+    def checked(lines):
+        for lineno, line in enumerate(lines, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 7:
                 raise ValueError(f"malformed trajectory row {line!r}")
-            times.append(float(parts[0]))
-            cs.append(complex(float(parts[1]), float(parts[2])))
-            ds.append(complex(float(parts[3]), float(parts[4])))
-            if tags is None:
-                tags = parts[5], parts[6]
-            elif (parts[5], parts[6]) != tags:
+            if not tags:
+                tags.extend(parts[5:])
+            elif parts[5:] != tags:
                 raise ValueError(f"trajectory row {line!r} (line {lineno}) has other "
                                  f"frame/n tags than the first row's {','.join(tags)}")
-    if not times:
-        raise ValueError("empty trajectory file")
-    frame, n = Frame(tags[0]), int(tags[1])
-    times_arr = np.array(times)
-    step = float(times_arr[1] - times_arr[0]) if len(times_arr) > 1 else 1.0
-    return Trajectory(times=times_arr, c=np.array(cs), d=np.array(ds),
-                      frame=frame, n=n, step=step)
+            yield line
+        if not tags:
+            raise ValueError("empty trajectory file")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != TRAJECTORY_CSV_HEADER:
+            raise ValueError(f"unexpected trajectory header {header!r}")
+        data = np.loadtxt(checked(fh), delimiter=",", usecols=range(5), ndmin=2, comments=None)
+    c, d = data[:, 1:].view(complex).T  # (re, im) pairs, bit for bit
+    step = float(data[1, 0] - data[0, 0]) if len(data) > 1 else 1.0
+    return Trajectory(times=data[:, 0], c=c, d=d, frame=Frame(tags[0]), n=int(tags[1]), step=step)
 
 
 def map_trajectory(traj: Trajectory, params: JcParams,

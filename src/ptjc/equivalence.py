@@ -63,6 +63,7 @@ from .dynamics import (
     closed_form_amplitudes,
     period_factors,
     step_ratio,
+    write_csv,
 )
 from .jc import JcParams
 from .kernels import expand_periods
@@ -351,15 +352,6 @@ COMPARISON_CSV_HEADER = ("t,re_c_avg,im_c_avg,re_d_avg,im_d_avg,"
 
 def write_comparison_csv(report: ComparisonReport, path) -> None:
     """Averaged driven amplitudes next to the static reference."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(COMPARISON_CSV_HEADER + "\n")
-        for i in range(len(report.times)):
-            t = float(report.times[i])
-            ca = complex(report.driven_envelope[i, 0])
-            da = complex(report.driven_envelope[i, 1])
-            cr = complex(report.static_reference[i, 0])
-            dr = complex(report.static_reference[i, 1])
-            fh.write(
-                f"{t!r},{ca.real!r},{ca.imag!r},{da.real!r},{da.imag!r},"
-                f"{cr.real!r},{cr.imag!r},{dr.real!r},{dr.imag!r}\n"
-            )
+    (ca, da), (cr, dr) = report.driven_envelope.T, report.static_reference.T
+    write_csv(path, COMPARISON_CSV_HEADER, [report.times, ca.real, ca.imag, da.real, da.imag,
+                                            cr.real, cr.imag, dr.real, dr.imag])

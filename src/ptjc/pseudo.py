@@ -119,14 +119,6 @@ def _kron_exp(eigvals: np.ndarray, eigvecs: np.ndarray, t: float) -> np.ndarray:
     return np.kron(boson, fermion)
 
 
-def default_generator(space: FockSpace) -> OperatorMatrix:
-    """Hermitian position-like sum (d + d') + (c + c')."""
-    ops = build_fock_operators(space)
-    g = (ops["d"].entries + ops["d_dag"].entries
-         + ops["c"].entries + ops["c_dag"].entries)
-    return OperatorMatrix(space, g, "ladder-sum generator")
-
-
 def _inverse_pair(eigvals: np.ndarray, eigvecs: np.ndarray,
                   alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
     """S, S^-1 and max |S S^-1 - 1|, which is NaN when exp overflows."""

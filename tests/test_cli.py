@@ -340,6 +340,16 @@ class TestEvolve:
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 1
 
+    def test_unwritable_csv_is_an_io_failure(self, tmp_path, capsys):
+        doc = {"omega0": 1.0, "omega": 1.0, "coupling": 0.05, "n": 1, "rhs": "static",
+               "initial_c": 1.0, "initial_d": 0.0, "t1": 1.0, "step": 0.05}
+        cfg = write_config(tmp_path, doc)
+        outdir = tmp_path / "out"
+        (outdir / "trajectory_interaction.csv").mkdir(parents=True)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure: ") and "trajectory_interaction.csv" in err
+
     def test_unwritable_output_dir_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, self.gauged_doc())
         blocker = tmp_path / "blocker"
@@ -474,7 +484,7 @@ class TestCompare:
         err = capsys.readouterr().err
         assert f"|Im z| = {imag / 5.0:g}" in err and "float64 limit 1.798e+308" in err
         assert boundary and boundary[0] % 400 == 0
-        assert not list(outdir.iterdir())
+        assert not outdir.exists()
 
     def test_moderate_complex_beta_runs(self, tmp_path):
         cfg = write_config(tmp_path, {"beta": [0.0, 30.0]})
@@ -533,6 +543,33 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
         assert "'bogus'" in capsys.readouterr().err
         assert not (outdir / "report.json").exists()
+
+    @pytest.mark.parametrize("doc", [{"beta": 0, "convention": "bogus"},
+                                     {"ratios": [50.0, 25.0], "step_per_period": 100}],
+                             ids=["convention", "ratio-order"])
+    def test_refused_run_leaves_no_output_dir(self, tmp_path, no_integration, doc):
+        cfg = write_config(tmp_path, doc)
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        assert not outdir.exists()
+
+    def test_sweep_refuses_beta(self, tmp_path, capsys, no_integration):
+        # a sweep solves beta per ratio, so a given beta would be ignored
+        cfg = write_config(tmp_path, {"ratios": [50.0, 100.0], "beta": 0})
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "'ratios'" in err and "'beta'" in err
+        assert not outdir.exists()
+
+    def test_sweep_csv_bytes_match_the_per_row_writer(self, tmp_path):
+        cfg = write_config(tmp_path, {"ratios": [25.0, 50.0], "step_per_period": 100})
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 0
+        sweep = json.loads((outdir / "report.json").read_text())["sweep"]
+        text = "omega_ratio,max_rel_err\n" + "".join(
+            f"{e['omega_ratio']!r},{e['max_rel_err']!r}\n" for e in sweep)
+        assert (outdir / "comparison.csv").read_bytes() == text.encode("utf-8")
 
     def test_config_round_trip(self):
         doc = {"omega_ratio": 50.0, "step_per_period": 100,

@@ -7,6 +7,7 @@ import pytest
 
 from ptjc import dynamics, kernels
 from ptjc.dynamics import (
+    TRAJECTORY_CSV_HEADER,
     AmplitudeState,
     BoundRhs,
     Frame,
@@ -685,3 +686,95 @@ class TestStepAndSerialization:
         traj = integrate(ZERO_RHS, s0, 0.0, 0.3, 0.1)
         with pytest.raises(ValueError):
             map_trajectory(traj, JcParams(1.0, 1.0, 0.05), None, Frame.GAUGED)
+
+
+def per_row_trajectory_text(traj):
+    """The per-row f-string writer ``write_csv`` replaced: the byte oracle."""
+    rows = [TRAJECTORY_CSV_HEADER + "\n"]
+    for i in range(len(traj)):
+        t, c, d = float(traj.times[i]), complex(traj.c[i]), complex(traj.d[i])
+        rows.append(f"{t!r},{c.real!r},{c.imag!r},{d.real!r},{d.imag!r},"
+                    f"{traj.frame.value},{traj.n}\n")
+    return "".join(rows)
+
+
+class TestCsvCodec:
+    AWKWARD = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 2.0, -1e-300, 0.0, -5e-324]
+
+    def awkward_trajectory(self):
+        parts = np.array(self.AWKWARD)
+        c = parts.view(complex)
+        return Trajectory(times=np.arange(4) * 0.5, c=c, d=c[::-1].copy(),
+                          frame=Frame.GAUGED, n=3, step=0.5)
+
+    def test_trajectory_bytes_match_the_per_row_writer(self, tmp_path):
+        traj = self.awkward_trajectory()
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        text = per_row_trajectory_text(traj)
+        assert "-0.0,5e-324" in text and "0.30000000000000004" in text
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_integrated_bytes_match_the_per_row_writer(self, tmp_path):
+        s0 = AmplitudeState(n=2, c=0.1 + 0.2j, d=1.0 - 0.05j, frame=Frame.INTERACTION)
+        traj = integrate(bind_static_rhs(JcParams(1.0, 1.0, 0.1j), 2), s0, 0.0, 2.05, 0.1)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == per_row_trajectory_text(traj).encode("utf-8")
+
+    def test_read_back_bitwise(self, tmp_path):
+        traj = self.awkward_trajectory()
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+        for got, want in ((back.times, traj.times), (back.c, traj.c), (back.d, traj.d)):
+            assert got.tobytes() == want.tobytes()
+        assert (back.frame, back.n, back.step) == (Frame.GAUGED, 3, 0.5)
+
+    def test_random_bit_patterns_read_back_bitwise(self, tmp_path):
+        bits = np.random.default_rng(20).integers(0, 2**64, size=80000, dtype=np.uint64)
+        values = bits.view(float)
+        c, d = values[np.isfinite(values)][:64000].view(complex).reshape(2, -1)
+        traj = Trajectory(times=np.arange(len(c)) * 0.25, c=c, d=d, frame=Frame.LAB,
+                          n=1, step=0.25)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+        assert back.c.tobytes() == c.tobytes() and back.d.tobytes() == d.tobytes()
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,re_c,im_c,re_d,im_d,frame,n\n\n"
+                        "0.0,1.0,0.0,0.0,0.0,lab,1\n   \n"
+                        "0.1,1.0,-0.0,0.0,0.0,lab,1\n\n", encoding="utf-8")
+        back = read_trajectory_csv(path)
+        assert back.times.tolist() == [0.0, 0.1]
+        assert math.copysign(1.0, back.c[1].imag) == -1.0
+
+    @pytest.mark.parametrize("row", ["0.1,1.0,0.0,0.0,0.0,lab",
+                                     "0.1,1.0,0.0,0.0,0.0,lab,1,9"])
+    def test_refuses_rows_of_other_widths(self, tmp_path, row):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,re_c,im_c,re_d,im_d,frame,n\n"
+                        f"0.0,1.0,0.0,0.0,0.0,lab,1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"malformed trajectory row '{row}'"):
+            read_trajectory_csv(path)
+
+    def test_refuses_a_commented_row(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,re_c,im_c,re_d,im_d,frame,n\n"
+                        "#0.0,1.0,0.0,0.0,0.0,lab,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="#0.0"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "unexpected trajectory header ''"),
+        ("t,re_c,im_c,re_d,im_d,frame,n\n\n", "empty trajectory file"),
+        ("t,re_c,im_c,re_d,im_d,n,frame\n0.0,1.0,0.0,0.0,0.0,1,lab\n",
+         "unexpected trajectory header"),
+    ], ids=["no-header", "no-rows", "wrong-header"])
+    def test_refuses_empty_and_wrong_header(self, tmp_path, text, message):
+        path = tmp_path / "traj.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_csv(path)

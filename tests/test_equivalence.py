@@ -390,3 +390,16 @@ class TestReportSerialization:
         row = [float(x) for x in lines[1].split(",")]
         assert len(row) == 9
         assert row[0] == float(report.times[0])
+
+    def test_csv_bytes_match_the_per_row_writer(self, tmp_path):
+        report = run_equivalence_experiment(default_cfg(omega_ratio=50.0, step_per_period=100))
+        rows = [COMPARISON_CSV_HEADER + "\n"]
+        for i in range(len(report.times)):
+            t = float(report.times[i])
+            ca, da = (complex(z) for z in report.driven_envelope[i])
+            cr, dr = (complex(z) for z in report.static_reference[i])
+            rows.append(f"{t!r},{ca.real!r},{ca.imag!r},{da.real!r},{da.imag!r},"
+                        f"{cr.real!r},{cr.imag!r},{dr.real!r},{dr.imag!r}\n")
+        path = tmp_path / "cmp.csv"
+        write_comparison_csv(report, path)
+        assert path.read_bytes() == "".join(rows).encode("utf-8")

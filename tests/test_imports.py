@@ -1,7 +1,8 @@
-"""Stdlib stand-ins for two linter rules.
+"""Stdlib stand-ins for three linter rules.
 
-Every name a module imports is used, and every module-level private
-function or constant is referenced outside its own definition.
+Every name a module imports is used, every module-level private
+function or constant is referenced outside its own definition, and
+only the JSON and CSV writers open files for writing.
 """
 
 import ast
@@ -81,3 +82,56 @@ def test_finds_an_orphaned_private():
 
 def test_no_orphaned_privates():
     assert orphaned_privates([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+# The only functions that open files for writing: output formats live in one place.
+FILE_WRITERS = {("cli.py", "_dump_json"), ("dynamics.py", "write_csv")}
+
+
+def stray_writes(sources: dict[str, str]) -> list[str]:
+    """``open`` calls with a write mode outside the module-level FILE_WRITERS.
+
+    ``sources`` maps module file names to their text.  Both ``open(...)``
+    and ``<expr>.open(...)`` count; a mode that is not a string literal
+    counts as a write.
+    """
+    found = []
+    for name, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.FunctionDef) and (name, stmt.name) in FILE_WRITERS:
+                continue
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                bare = isinstance(node.func, ast.Name)  # open(file, mode), else x.open(mode)
+                if (node.func.id if bare else getattr(node.func, "attr", None)) != "open":
+                    continue
+                at = 1 if bare else 0
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                            node.args[at] if len(node.args) > at else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    found.append((name, node.lineno))
+    return [f"{name} line {line}" for name, line in sorted(found)]
+
+
+def test_finds_a_stray_write():
+    source = ("def write_csv(path):\n"
+              "    open(path, 'w')\n"
+              "\n"
+              "def other(path, how):\n"
+              "    with open(path, mode='a') as fh:\n"
+              "        fh.write(open(path).read() + open(path, 'rb').read())\n"
+              "    path.open('wb')\n"
+              "    path.open()\n"
+              "    open(path, how)\n"
+              "\n"
+              "open('log', 'r+')\n")
+    assert stray_writes({"dynamics.py": source}) == [
+        "dynamics.py line 5", "dynamics.py line 7", "dynamics.py line 9", "dynamics.py line 11"]
+    assert stray_writes({"cli.py": source}) == [
+        "cli.py line 2", "cli.py line 5", "cli.py line 7", "cli.py line 9", "cli.py line 11"]
+
+
+def test_only_the_json_and_csv_writers_write_files():
+    assert stray_writes({p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == []

@@ -18,7 +18,6 @@ from ptjc.pseudo import (
     build_biorthogonal_system,
     build_block_rotation,
     build_similarity,
-    default_generator,
     diagnostics_record,
     dual_frame_algebra_residual,
     energy_formula,
@@ -35,6 +34,14 @@ EIGEN_RESIDUAL_TOL = 1e-9
 METRIC_REL_TOL = 1e-10
 T_ALPHA_TOL = 1e-9
 ALGEBRA_TOL = 1e-10
+
+
+def default_generator(space: FockSpace) -> OperatorMatrix:
+    """Hermitian position-like sum (d + d') + (c + c')."""
+    ops = build_fock_operators(space)
+    g = (ops["d"].entries + ops["d_dag"].entries
+         + ops["c"].entries + ops["c_dag"].entries)
+    return OperatorMatrix(space, g, "ladder-sum generator")
 
 
 def small_bundle(alpha=0.5, omega0=1.0, omega=1.0, eps=0.1, boson_levels=12):
