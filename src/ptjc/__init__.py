@@ -24,11 +24,9 @@ from .jc import (
     JcParams,
     PtPhase,
     PtPhaseKind,
-    SubspaceHamiltonian,
     build_subspace_hamiltonian,
     classify_pt_phase,
     dressed_spectrum,
-    eigvec_column_matrix,
     t_block,
 )
 from .dynamics import (
@@ -59,7 +57,7 @@ from .equivalence import (
     run_equivalence_experiment,
     solve_modulation_beta,
 )
-from .fockspace import FockSpace, OperatorMatrix, build_fock_operators, build_h0
+from .fockspace import FockSpace, build_fock_operators, build_h0
 from .pseudo import (
     BiorthogonalSystem,
     SimilarityMap,

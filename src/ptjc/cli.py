@@ -59,11 +59,14 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
 
 
-def _dump_json(payload: dict, path: str) -> None:
+def _dump_json(payload: dict, path: str, make_parent: bool = False) -> None:
+    """Write ``payload`` to ``path``; a non-finite value raises before any directory is made."""
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise ArithmeticError(f"non-finite value in the payload of {path}") from None
+    if make_parent:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -307,8 +310,7 @@ def cmd_compare(args) -> int:
             "measure": merged["measure"],
             "generated_by": GENERATED_BY,
         }
-        os.makedirs(args.output_dir, exist_ok=True)
-        _dump_json(payload, report_path)
+        _dump_json(payload, report_path, make_parent=True)
         write_csv(csv_path, "omega_ratio,max_rel_err", zip(*curve))
         print(f"sweep of {len(curve)} ratios written; first error {curve[0][1]!r}")
         return 0
@@ -318,8 +320,7 @@ def cmd_compare(args) -> int:
                                         measure=merged["measure"])
     payload = report_to_json_dict(report)
     payload["generated_by"] = GENERATED_BY
-    os.makedirs(args.output_dir, exist_ok=True)
-    _dump_json(payload, report_path)
+    _dump_json(payload, report_path, make_parent=True)
     write_comparison_csv(report, csv_path)
     print(f"max_rel_err = {report.max_rel_err!r}, rms_err = {report.rms_err!r}")
     return 0
@@ -385,9 +386,8 @@ def cmd_pseudo(args) -> int:
     system = build_biorthogonal_system(h0, smap, count)
     payload = diagnostics_record(system, smap, h0, params)
     payload["generated_by"] = GENERATED_BY
-    os.makedirs(args.output_dir, exist_ok=True)
     path = os.path.join(args.output_dir, "pseudo.json")
-    _dump_json(payload, path)
+    _dump_json(payload, path, make_parent=True)
     print(f"wrote {path} (eigen_residual_max = {payload['eigen_residual_max']!r})")
     return 0
 

@@ -165,17 +165,13 @@ class BoundRhs:
     """(c, d)' = A(t) (c, d) in ``frame`` (None: any frame).
 
     ``matrix(t)`` gives A's entries (a11, a12, a21, a22) at an array of
-    times, shape (4,) + t.shape; rhs(t, c, d) -> (dc, dd) evaluates it.
+    times, shape (4,) + t.shape.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]
     frame: Optional[Frame]
     n: int
     period: Optional[float] = None  # a T with A(t + T) = A(t), if known
-
-    def __call__(self, t: float, c: complex, d: complex) -> tuple[complex, complex]:
-        a11, a12, a21, a22 = self.matrix(np.asarray(t, dtype=float)).tolist()
-        return a11 * c + a12 * d, a21 * c + a22 * d
 
 
 def _require_real_coupling(params: JcParams, op: str) -> float:

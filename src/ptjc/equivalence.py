@@ -46,7 +46,7 @@ relative-phase amplitude z a run accepts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,7 +143,6 @@ class ComparisonReport:
     max_rel_err_d: float
     convention: str = SPLITTING_CONVENTION
     measure: str = SLOW_MEASURE
-    notes: tuple = field(default_factory=tuple)
 
 
 def _bessel_root() -> complex:

@@ -7,8 +7,9 @@ truncation corrupts the top boson levels, so algebraic identities are
 only asserted on states with boson occupancy at most N_b - 4; helpers
 for those index sets live here as well.
 
-H0 conserves m + k: it is written on its diagonal and 2x2 block slots,
-not multiplied out of the ladder matrices of ``build_fock_operators``.
+Operators are plain dense arrays on that basis.  H0 conserves m + k:
+it is written on its diagonal and 2x2 block slots, not multiplied out
+of the ladder matrices of ``build_fock_operators``.
 """
 from __future__ import annotations
 
@@ -72,33 +73,13 @@ class FockSpace:
         """Row N - 1 holds block N's slots (2N - 1, 2N) = (|N-1, 1>, |N, 0>), N < N_b."""
         return np.arange(1, self.total_dim - 1).reshape(self.boson_levels - 1, 2)
 
-    def safe_block_max(self) -> int:
-        """Largest total excitation whose whole block is truncation safe.
-
-        The block at total excitation N spans boson occupancies N - 1
-        and N, so the block is safe when N <= safe_boson_max().
-        """
-        return self.safe_boson_max()
-
     def safe_state_budget(self) -> int:
-        """Number of eigenstates living entirely on safe boson levels."""
-        return 1 + 2 * self.safe_block_max()
+        """Number of eigenstates living entirely on safe boson levels.
 
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """A dense operator tied to its space, with a descriptive label."""
-
-    space: FockSpace
-    entries: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        dim = self.space.total_dim
-        if arr.shape != (dim, dim):
-            raise ValueError(f"entries must be {dim}x{dim}, got {arr.shape}")
-        object.__setattr__(self, "entries", arr)
+        Block N spans boson occupancies N - 1 and N, so it is safe for
+        N <= safe_boson_max(); the zero-excitation state adds one.
+        """
+        return 1 + 2 * self.safe_boson_max()
 
 
 def build_fock_operators(space: FockSpace) -> dict:
@@ -113,15 +94,10 @@ def build_fock_operators(space: FockSpace) -> dict:
     lower_f = np.array([[0.0, 1.0], [0.0, 0.0]])
     d = np.kron(lower_b, np.eye(2))
     c = np.kron(np.eye(nb), lower_f)
-    return {
-        "d": OperatorMatrix(space, d, "boson lowering"),
-        "d_dag": OperatorMatrix(space, d.conj().T, "boson raising"),
-        "c": OperatorMatrix(space, c, "fermion lowering"),
-        "c_dag": OperatorMatrix(space, c.conj().T, "fermion raising"),
-    }
+    return {"d": d, "d_dag": d.T, "c": c, "c_dag": c.T}
 
 
-def build_h0(params: JcParams, space: FockSpace) -> OperatorMatrix:
+def build_h0(params: JcParams, space: FockSpace) -> np.ndarray:
     """Hermitian excitation-conserving Hamiltonian on the product space.
 
     H0 = omega0 (c'c - 1/2) + omega d'd + eps d c' + eps* d' c with
@@ -139,4 +115,4 @@ def build_h0(params: JcParams, space: FockSpace) -> OperatorMatrix:
     root = np.sqrt(np.arange(1.0, space.boson_levels))
     h0[row, col] = eps * root
     h0[col, row] = np.conj(eps) * root
-    return OperatorMatrix(space, h0, "excitation-conserving Hamiltonian")
+    return h0

@@ -55,14 +55,6 @@ class JcParams:
 
 
 @dataclass(frozen=True)
-class SubspaceHamiltonian:
-    """2x2 block of the static Hamiltonian at total excitation n."""
-
-    n: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class DressedSpectrum:
     """Closed-form eigensystem of one excitation block."""
 
@@ -89,7 +81,7 @@ class PtPhase:
     discriminant: float
 
 
-def build_subspace_hamiltonian(params: JcParams, n: int) -> SubspaceHamiltonian:
+def build_subspace_hamiltonian(params: JcParams, n: int) -> np.ndarray:
     """Assemble the 2x2 block in the (|n-1,1>, |n,0>) ordering.
 
     The block is Hermitian exactly when the coupling is real; an
@@ -99,14 +91,13 @@ def build_subspace_hamiltonian(params: JcParams, n: int) -> SubspaceHamiltonian:
     if n < 1:
         raise ValueError("n must be >= 1; the 0-excitation subspace is one-dimensional")
     g_eff = params.coupling * math.sqrt(n)
-    m = np.array(
+    return np.array(
         [
             [params.omega0 / 2.0 + params.omega * (n - 1), g_eff],
             [g_eff, n * params.omega - params.omega0 / 2.0],
         ],
         dtype=complex,
     )
-    return SubspaceHamiltonian(n=n, matrix=m)
 
 
 def dressed_spectrum(params: JcParams, n: int) -> DressedSpectrum:
@@ -174,13 +165,13 @@ def classify_pt_phase(params: JcParams, n: int, tol: float = EXCEPTIONAL_POINT_T
 def t_block(params: JcParams, n: int) -> np.ndarray:
     """2x2 rotation t with t @ H_block @ t^{-1} = diag(e_minus, e_plus).
 
-    Built from the half-angle entries of :func:`dressed_spectrum`; the
-    returned matrix is the inverse of the eigenvector column matrix
-    [[cos, -sin], [sin, cos]] and has unit determinant, so the same
-    expression serves real and complex mixing angles.  With zero
-    coupling there is nothing to mix and the sin(theta) = 0 branch is
-    taken, i.e. the identity is returned (the block is already
-    diagonal, holding its bare energies).
+    Built from the half-angle entries of :func:`dressed_spectrum`.  It
+    has unit determinant, so the same expression serves real and complex
+    mixing angles, and its transpose is its inverse: the eigenvector
+    column matrix [[cos, -sin], [sin, cos]], columns (eigvec_minus,
+    eigvec_plus).  With zero coupling there is nothing to mix and the
+    sin(theta) = 0 branch is taken, i.e. the identity is returned (the
+    block is already diagonal, holding its bare energies).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -191,19 +182,3 @@ def t_block(params: JcParams, n: int) -> np.ndarray:
     spec = dressed_spectrum(params, n)
     s, c = spec.theta_half_sin, spec.theta_half_cos
     return np.array([[c, s], [-s, c]], dtype=complex)
-
-
-def eigvec_column_matrix(params: JcParams, n: int) -> np.ndarray:
-    """Columns (eigvec_minus, eigvec_plus); the inverse of t_block.
-
-    Used when assembling the block rotation on a full Fock space, where
-    the conjugation runs the other way round: M^{-1} @ H @ M is diagonal
-    with M the column matrix returned here.
-    """
-    if params.coupling == 0:
-        if params.detuning() == 0:
-            raise DegenerateBlockError("Delta = 0: block is a multiple of the identity")
-        return np.eye(2, dtype=complex)
-    spec = dressed_spectrum(params, n)
-    s, c = spec.theta_half_sin, spec.theta_half_cos
-    return np.array([[c, -s], [s, c]], dtype=complex)

@@ -7,8 +7,7 @@ them with NumPy, a chunk at a time, and applies them in step order.
 When A has period k h, ``rk4_period_factors`` builds only the first
 period's matrices, their partial products P_j and the period-boundary
 states Y_m; ``expand_periods`` multiplies per-phase rows (the P_j, for
-``rk4_periodic``) into those states.  The test oracle ``rk4_generic``
-steps any rhs(t, c, d) one state at a time.
+``rk4_periodic``) into those states.
 """
 from __future__ import annotations
 
@@ -136,24 +135,4 @@ def rk4_periodic(a_of_t, c0: complex, d0: complex, t0: float, h: float,
     with np.errstate(over="ignore", invalid="ignore"):
         out_c, out_d = expand_periods(p[:, :k], y, n_full + (2 if tail > 0.0 else 1))
         _tail_step(a_of_t, t0 + n_full * h, tail, out_c, out_d)
-    return out_c, out_d
-
-
-def rk4_generic(rhs, c0: complex, d0: complex, t0: float, h: float,
-                n_full: int, tail: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 for an arbitrary callable rhs(t, c, d) -> (dc, dd)."""
-    out_c, out_d = np.empty((2, n_full + (2 if tail > 0.0 else 1)), dtype=complex)
-    c, d = complex(c0), complex(d0)
-    out_c[0], out_d[0] = c, d
-    steps = [h] * n_full + ([tail] if tail > 0.0 else [])
-    for k, dt in enumerate(steps):
-        t = t0 + k * h
-        k1c, k1d = rhs(t, c, d)
-        k2c, k2d = rhs(t + dt / 2.0, c + (dt / 2.0) * k1c, d + (dt / 2.0) * k1d)
-        k3c, k3d = rhs(t + dt / 2.0, c + (dt / 2.0) * k2c, d + (dt / 2.0) * k2d)
-        k4c, k4d = rhs(t + dt, c + dt * k3c, d + dt * k3d)
-        c = c + (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        d = d + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        out_c[k + 1] = c
-        out_d[k + 1] = d
     return out_c, out_d

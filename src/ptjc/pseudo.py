@@ -21,8 +21,10 @@ the 1e-9 targets.  Instead every check applies operators to column
 frames S e_j in composition order and reads the result back through
 S^-1, which measures the matrix elements between the two biorthogonal
 families, the frame in which the identities are actually claimed.
-The evaluation order is load bearing; tests pin the achieved
-residuals.
+``deformed`` is the one evaluator of such products: each factor
+S X S^-1 is applied as S (X (S^-1 v)).  The evaluation order is load
+bearing; tests pin the achieved residuals.  Operators, S and S^-1 are
+plain dense arrays on the interleaved basis of ``FockSpace``.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import FockSpace, OperatorMatrix, build_fock_operators
-from .jc import JcParams, eigvec_column_matrix, t_block
+from .fockspace import FockSpace, build_fock_operators
+from .jc import JcParams, t_block
 
 # Residual allowed in S S^-1 = identity at construction.  Rounding
 # leaves about eps * cond2(S) = eps * exp(|alpha| spread(G)), so this
@@ -56,14 +58,17 @@ class SimilarityMap:
     G = X_b (x) 1 + 1 (x) sigma_x on the interleaved basis, with the
     boson factor X_b = b + b' = V diag(eigvals) V^T, V = eigvecs.  The
     two terms commute, so S^k = exp(k alpha X_b) (x) exp(k alpha sigma_x).
+    ``s`` and ``s_inv`` are stored complex, so every product with them is
+    one complex matmul whatever the other factor's dtype; a real S on
+    real data would round differently.
     """
 
     space: FockSpace
     alpha: float
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    s: OperatorMatrix
-    s_inv: OperatorMatrix
+    s: np.ndarray
+    s_inv: np.ndarray
 
     @property
     def cond2(self) -> float:
@@ -165,8 +170,8 @@ def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
         alpha=float(alpha),
         eigvals=eigvals,
         eigvecs=eigvecs,
-        s=OperatorMatrix(space, s, "similarity"),
-        s_inv=OperatorMatrix(space, s_inv, "inverse similarity"),
+        s=s.astype(complex),
+        s_inv=s_inv.astype(complex),
     )
 
 
@@ -185,7 +190,7 @@ def energy_formula(params: JcParams, space: FockSpace) -> np.ndarray:
     return params.omega * m + (params.omega - gap) * (k - 0.5)
 
 
-def build_biorthogonal_system(h0: OperatorMatrix, smap: SimilarityMap,
+def build_biorthogonal_system(h0: np.ndarray, smap: SimilarityMap,
                               count: int | None = None) -> BiorthogonalSystem:
     """Diagonalize H0 block by block, transport eigenvectors through S and S^-1.
 
@@ -200,8 +205,8 @@ def build_biorthogonal_system(h0: OperatorMatrix, smap: SimilarityMap,
     Psi-hat rescaled so each diagonal pairing is exactly one; energies
     are H0's (similarity preserves the spectrum).
     """
-    space = h0.space
-    if h0.space != smap.space:
+    space = smap.space
+    if h0.shape != smap.s.shape:
         raise ValueError("Hamiltonian and similarity map live on different spaces")
     budget = space.safe_state_budget()
     if count is None:
@@ -210,23 +215,23 @@ def build_biorthogonal_system(h0: OperatorMatrix, smap: SimilarityMap,
         raise ValueError(f"count must be in [1, {budget}], got {count}")
 
     blocks = (np.arange(space.total_dim) + 1) // 2  # total excitation m + k per slot
-    if np.any(h0.entries[blocks[:, None] != blocks[None, :]]):
+    if np.any(h0[blocks[:, None] != blocks[None, :]]):
         raise ValueError("H0 has entries outside its total-excitation blocks")
     slots = space.block_slots()
     rows, cols = slots[:, :, None], slots[:, None, :]
-    evals = np.diagonal(h0.entries).real.copy()
+    evals = np.diagonal(h0).real.copy()
     evecs = np.eye(space.total_dim, dtype=complex)
-    evals[slots], evecs[rows, cols] = np.linalg.eigh(h0.entries[rows, cols])
+    evals[slots], evecs[rows, cols] = np.linalg.eigh(h0[rows, cols])
 
     order = np.argsort(evals, kind="stable")
     diff = np.diff(evals[order])
     gaps = np.minimum(np.append(diff, np.inf), np.insert(diff, 0, np.inf))
-    kept = np.flatnonzero(blocks[order] <= space.safe_block_max())[:count]
+    kept = np.flatnonzero(blocks[order] <= space.safe_boson_max())[:count]
     included = order[kept]
 
     v_incl = evecs[:, included]
-    phis = smap.s.entries @ v_incl
-    psis = smap.s_inv.entries @ v_incl
+    phis = smap.s @ v_incl
+    psis = smap.s_inv @ v_incl
     pairing = np.einsum("ij,ij->j", phis.conj(), psis)
     if np.any(np.abs(pairing) < 1e-8):
         raise ArithmeticError("near-singular family pairing; cannot normalize")
@@ -244,7 +249,7 @@ def build_biorthogonal_system(h0: OperatorMatrix, smap: SimilarityMap,
     )
 
 
-def eigen_residuals(system: BiorthogonalSystem, h0: OperatorMatrix,
+def eigen_residuals(system: BiorthogonalSystem, h0: np.ndarray,
                     smap: SimilarityMap) -> tuple[float, float]:
     """Relative eigen-residuals of H_alpha on Phi-hat and its adjoint on Psi-hat.
 
@@ -254,21 +259,20 @@ def eigen_residuals(system: BiorthogonalSystem, h0: OperatorMatrix,
     similarity sandwich.
     """
     v = system.eigvecs_bare
-    bare = h0.entries @ v - v * system.energies[None, :]
-    res_phi = smap.s.entries @ bare
-    res_psi = smap.s_inv.entries @ bare
+    bare = h0 @ v - v * system.energies[None, :]
+    res_phi = smap.s @ bare
+    res_psi = smap.s_inv @ bare
     phi_norms = np.linalg.norm(system.phis, axis=0)
-    psi_scale = np.linalg.norm(smap.s_inv.entries @ v, axis=0)
+    psi_scale = np.linalg.norm(smap.s_inv @ v, axis=0)
     rel_phi = np.linalg.norm(res_phi, axis=0) / phi_norms
     rel_psi = np.linalg.norm(res_psi, axis=0) / psi_scale
     return float(rel_phi.max()), float(rel_psi.max())
 
 
-def probe_battery(space: FockSpace,
-                  excitation_max: int = PROBE_EXCITATION_MAX) -> np.ndarray:
-    """Columns of bare basis vectors with m + k <= excitation_max."""
+def probe_battery(space: FockSpace) -> np.ndarray:
+    """Columns of bare basis vectors with m + k <= PROBE_EXCITATION_MAX."""
     idx = [space.index(m, k) for m in range(space.boson_levels) for k in (0, 1)
-           if m + k <= excitation_max]
+           if m + k <= PROBE_EXCITATION_MAX]
     return np.eye(space.total_dim)[:, idx]
 
 
@@ -283,8 +287,7 @@ def metric_checks(system: BiorthogonalSystem, smap: SimilarityMap) -> dict:
     grows, so the completeness trend in (b)/(c) is monotone in the
     included family.
     """
-    s = smap.s.entries
-    s_inv = smap.s_inv.entries
+    s = smap.s
     diffs = system.phis - s @ (s @ system.psis)
     abs_per_state = np.linalg.norm(diffs, axis=0)
     rel_per_state = abs_per_state / np.linalg.norm(system.phis, axis=0)
@@ -315,60 +318,57 @@ def quasi_basis_check(system: BiorthogonalSystem,
     when g lies in that span, the swapped one when f does; out-of-span
     vectors get their residual reported without any pass/fail meaning.
     """
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in trial_vectors]
     dim = system.space.total_dim
-    for v in vecs:
-        if v.shape != (dim,):
-            raise ValueError("trial vector has wrong dimension")
-    phis = system.phis
-    psis = system.psis
-    span_defects = []
-    for v in vecs:
-        coeff, *_ = np.linalg.lstsq(phis, v, rcond=None)
-        resid = v - phis @ coeff
-        span_defects.append(float(np.linalg.norm(resid) / max(np.linalg.norm(v), 1e-300)))
-    records = []
-    for i, f in enumerate(vecs):
-        phi_f = phis.conj().T @ f
-        psi_f = psis.conj().T @ f
-        for j, g in enumerate(vecs):
-            exact = np.vdot(f, g)
-            psi_g = psis.conj().T @ g
-            phi_g = phis.conj().T @ g
-            direct = np.sum(np.conj(phi_f) * psi_g)
-            swapped = np.sum(np.conj(psi_f) * phi_g)
-            records.append({
-                "f_index": i,
-                "g_index": j,
-                "direct": float(abs(exact - direct)),
-                "swapped": float(abs(exact - swapped)),
-                "f_span_defect": span_defects[i],
-                "g_span_defect": span_defects[j],
-            })
-    return records
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in trial_vectors]
+    if any(v.shape != (dim,) for v in vecs):
+        raise ValueError("trial vector has wrong dimension")
+    f = np.array(vecs).reshape(len(vecs), dim).T
+    phi_f = system.phis.conj().T @ f
+    psi_f = system.psis.conj().T @ f
+    exact = f.conj().T @ f
+    direct = np.abs(exact - phi_f.conj().T @ psi_f)
+    swapped = np.abs(exact - psi_f.conj().T @ phi_f)
+    coeff, *_ = np.linalg.lstsq(system.phis, f, rcond=None)
+    span_defects = (np.linalg.norm(f - system.phis @ coeff, axis=0)
+                    / np.maximum(np.linalg.norm(f, axis=0), 1e-300))
+    return [{
+        "f_index": i,
+        "g_index": j,
+        "direct": float(direct[i, j]),
+        "swapped": float(swapped[i, j]),
+        "f_span_defect": float(span_defects[i]),
+        "g_span_defect": float(span_defects[j]),
+    } for i in range(len(vecs)) for j in range(len(vecs))]
 
 
 def build_block_rotation(space: FockSpace, params: JcParams) -> tuple[np.ndarray, np.ndarray]:
     """T0 and its inverse, assembled block-wise on the bare space.
 
-    Block N couples its bare slots (``FockSpace.block_slots``); each
-    gets the 2x2 eigenvector column matrix, whose transpose is its
-    inverse.  The zero-excitation slot and the orphan top slot stay
-    identity.
+    Block N couples its bare slots (``FockSpace.block_slots``); T0^-1
+    gets ``t_block`` there, and T0 is its transpose, block by block the
+    2x2 eigenvector column matrix.  The zero-excitation slot and the
+    orphan top slot stay identity.
     """
     if params.coupling.imag != 0.0:
         raise ValueError("block rotation is defined for real coupling")
-    dim = space.total_dim
-    t0 = np.eye(dim, dtype=complex)
-    t0_inv = np.eye(dim, dtype=complex)
+    t0_inv = np.eye(space.total_dim, dtype=complex)
     for n, pair in enumerate(space.block_slots(), start=1):
-        sel = np.ix_(pair, pair)
-        t0[sel] = eigvec_column_matrix(params, n)
-        t0_inv[sel] = t_block(params, n)
-    return t0, t0_inv
+        t0_inv[np.ix_(pair, pair)] = t_block(params, n)
+    return t0_inv.T, t0_inv
 
 
-def t_alpha_diagonalization_check(h0: OperatorMatrix, smap: SimilarityMap,
+def deformed(smap: SimilarityMap, bare_ops: list, v: np.ndarray) -> np.ndarray:
+    """S o_1 S^-1 ... S o_m S^-1 v for bare_ops = [o_1, ..., o_m].
+
+    The rightmost factor acts first, each as S (o (S^-1 v)); no dense
+    deformed matrix is formed.
+    """
+    for op in reversed(bare_ops):
+        v = smap.s @ (op @ (smap.s_inv @ v))
+    return v
+
+
+def t_alpha_diagonalization_check(h0: np.ndarray, smap: SimilarityMap,
                                   params: JcParams) -> float:
     """Residual of the deformed block rotation bringing H_alpha diagonal.
 
@@ -376,34 +376,22 @@ def t_alpha_diagonalization_check(h0: OperatorMatrix, smap: SimilarityMap,
     (omega - Delta(N_alpha)) (C_alpha c_alpha - 1/2), the right side's
     diagonal being ``energy_formula``, in dual-frame matrix elements
     over the truncation-safe slots, excluding the zero-excitation
-    slot.  All factors are applied as compositions of
-    S, S^-1 and bare operators to column frames S e_j; forming the
-    dense deformed matrices first loses about cond(S) * eps and does
-    not meet the tolerance.
+    slot.  All factors go through ``deformed`` on the column frames
+    S e_j; forming the dense deformed matrices first loses about
+    cond(S) * eps and does not meet the tolerance.
     """
-    space = h0.space
-    if h0.space != smap.space:
+    space = smap.space
+    if h0.shape != smap.s.shape:
         raise ValueError("Hamiltonian and similarity map live on different spaces")
     if params.coupling == 0 and params.detuning() == 0.0:
         raise ValueError("gap operator is singular with zero coupling and zero detuning")
     t0, t0_inv = build_block_rotation(space, params)
 
-    s = smap.s.entries
-    s_inv = smap.s_inv.entries
     cols = [i for i in space.safe_bare_indices() if i != 0]
-    frame = s[:, cols]
-
-    v = s_inv @ frame
-    v = t0 @ v
-    v = s @ v
-    v = s_inv @ v
-    v = h0.entries @ v
-    v = s @ v
-    v = s_inv @ v
-    v = t0_inv @ v
-    lhs = s @ v
+    frame = smap.s[:, cols]
+    lhs = deformed(smap, [t0_inv, h0, t0], frame)
     rhs = frame * energy_formula(params, space)[cols][None, :]
-    residual = s_inv @ (lhs - rhs)
+    residual = smap.s_inv @ (lhs - rhs)
     return float(np.abs(residual[cols, :]).max())
 
 
@@ -418,20 +406,13 @@ def dual_frame_algebra_residual(smap: SimilarityMap, a_bare: np.ndarray,
     whenever the bare identity holds on those slots, so the returned
     number measures pure rounding of the evaluation chain.
     """
-    space = smap.space
-    s = smap.s.entries
-    s_inv = smap.s_inv.entries
-    idx = space.safe_bare_indices()
-    frame = s[:, idx]
-
-    def apply_deformed(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return s @ (mat @ (s_inv @ v))
-
-    ab = apply_deformed(a_bare, apply_deformed(b_bare, frame))
-    ba = apply_deformed(b_bare, apply_deformed(a_bare, frame))
+    idx = smap.space.safe_bare_indices()
+    frame = smap.s[:, idx]
+    ab = deformed(smap, [a_bare, b_bare], frame)
+    ba = deformed(smap, [b_bare, a_bare], frame)
     combo = ab + ba if anticommute else ab - ba
-    combo -= apply_deformed(target_bare, frame)
-    residual = s_inv @ combo
+    combo -= deformed(smap, [target_bare], frame)
+    residual = smap.s_inv @ combo
     return float(np.abs(residual[idx, :]).max())
 
 
@@ -447,20 +428,17 @@ def pseudo_algebra_residuals(smap: SimilarityMap) -> dict:
     eye = np.eye(dim)
     zero = np.zeros((dim, dim))
     return {
-        "ccr": dual_frame_algebra_residual(smap, ops["d"].entries,
-                                           ops["d_dag"].entries, eye),
-        "car": dual_frame_algebra_residual(smap, ops["c"].entries,
-                                           ops["c_dag"].entries, eye,
+        "ccr": dual_frame_algebra_residual(smap, ops["d"], ops["d_dag"], eye),
+        "car": dual_frame_algebra_residual(smap, ops["c"], ops["c_dag"], eye,
                                            anticommute=True),
         "fermion_nilpotent": dual_frame_algebra_residual(
-            smap, ops["c"].entries, ops["c"].entries, zero, anticommute=True),
-        "cross_commutator": dual_frame_algebra_residual(
-            smap, ops["d"].entries, ops["c"].entries, zero),
+            smap, ops["c"], ops["c"], zero, anticommute=True),
+        "cross_commutator": dual_frame_algebra_residual(smap, ops["d"], ops["c"], zero),
     }
 
 
 def diagnostics_record(system: BiorthogonalSystem, smap: SimilarityMap,
-                       h0: OperatorMatrix, params: JcParams) -> dict:
+                       h0: np.ndarray, params: JcParams) -> dict:
     """Scalar diagnostics bundle used by the command-line front end."""
     gram = system.gram()
     off = gram - np.diag(np.diag(gram))

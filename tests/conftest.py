@@ -110,6 +110,40 @@ H0_GRID_PARAMS = (
 
 
 # ---------------------------------------------------------------------------
+# step-by-step RK4 oracle (route independent of ptjc.kernels' step matrices)
+
+
+def apply_rhs(rhs, t: float, c: complex, d: complex) -> tuple[complex, complex]:
+    """(dc, dd) = A(t) (c, d) at one time, A's entries from ``rhs.matrix``."""
+    a11, a12, a21, a22 = rhs.matrix(np.asarray(t, dtype=float)).tolist()
+    return a11 * c + a12 * d, a21 * c + a22 * d
+
+
+def rk4_generic(rhs, c0: complex, d0: complex, t0: float, h: float,
+                n_full: int, tail: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of (c, d)' = A(t) (c, d), one state and stage at a time.
+
+    Each stage applies ``rhs.matrix`` through ``apply_rhs``; ptjc.kernels
+    instead multiplies whole step matrices built from the same A.
+    """
+    out_c, out_d = np.empty((2, n_full + (2 if tail > 0.0 else 1)), dtype=complex)
+    c, d = complex(c0), complex(d0)
+    out_c[0], out_d[0] = c, d
+    steps = [h] * n_full + ([tail] if tail > 0.0 else [])
+    for k, dt in enumerate(steps):
+        t = t0 + k * h
+        k1c, k1d = apply_rhs(rhs, t, c, d)
+        k2c, k2d = apply_rhs(rhs, t + dt / 2.0, c + (dt / 2.0) * k1c, d + (dt / 2.0) * k1d)
+        k3c, k3d = apply_rhs(rhs, t + dt / 2.0, c + (dt / 2.0) * k2c, d + (dt / 2.0) * k2d)
+        k4c, k4d = apply_rhs(rhs, t + dt, c + dt * k3c, d + dt * k3d)
+        c = c + (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        d = d + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        out_c[k + 1] = c
+        out_d[k + 1] = d
+    return out_c, out_d
+
+
+# ---------------------------------------------------------------------------
 # expensive shared pseudo-spectral objects (session scope: build once)
 
 

@@ -105,7 +105,7 @@ def test_criterion_3_block_spectra():
                           coupling=rng.uniform(-0.5, 0.5))
         n = int(rng.integers(1, 51))
         spec = dressed_spectrum(params, n)
-        hi, lo = charpoly_eigvals(build_subspace_hamiltonian(params, n).matrix)
+        hi, lo = charpoly_eigvals(build_subspace_hamiltonian(params, n))
         ref = sorted((hi, lo), key=lambda z: z.real)
         got = sorted((spec.e_minus, spec.e_plus), key=lambda z: z.real)
         for a, b in zip(got, ref):
@@ -225,7 +225,7 @@ def test_criterion_7_pt_classification_grid():
         params = JcParams(omega0=1.0 + delta, omega=1.0,
                           coupling=complex(0.0, g))
         phase = classify_pt_phase(params, n)
-        hi, lo = charpoly_eigvals(build_subspace_hamiltonian(params, n).matrix)
+        hi, lo = charpoly_eigvals(build_subspace_hamiltonian(params, n))
         if abs(hi - lo) <= 1e-6:
             direct = PtPhaseKind.EXCEPTIONAL_POINT
         elif max(abs(hi.imag), abs(lo.imag)) <= 1e-6:

@@ -460,7 +460,7 @@ class TestCompare:
         outdir = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 1
         assert "report.json" in capsys.readouterr().err
-        assert not list(outdir.iterdir())
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("imag", [500.0, 3000.0])
     def test_complex_beta_overflow_names_the_limit(self, tmp_path, capsys, monkeypatch, imag):

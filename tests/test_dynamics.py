@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import apply_rhs, rk4_generic
 
 from ptjc import dynamics, kernels
 from ptjc.dynamics import (
@@ -216,7 +217,7 @@ class TestRhsLab:
         p = JcParams(1.4, 0.9, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         s = AmplitudeState(n=3, c=0.8 + 0.1j, d=0.2 - 0.4j, frame=Frame.LAB)
-        dc, dd = bind_lab_rhs(p, mod, s.n)(0.55, s.c, s.d)
+        dc, dd = apply_rhs(bind_lab_rhs(p, mod, s.n), 0.55, s.c, s.d)
         assert abs(dc - (-1j * (1.4 / 2.0 + 0.9 * 2.0) * s.c)) <= 1e-15
         assert abs(dd - (-1j * (3 * 0.9 - 1.4 / 2.0) * s.d)) <= 1e-15
 
@@ -224,7 +225,7 @@ class TestRhsLab:
         p = JcParams(1.0, 1.0, 0.1)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         s = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.LAB)
-        dc, dd = bind_lab_rhs(p, mod, s.n)(0.0, s.c, s.d)
+        dc, dd = apply_rhs(bind_lab_rhs(p, mod, s.n), 0.0, s.c, s.d)
         assert abs(dc - (-0.1j)) <= 1e-15
         assert abs(dd - (-0.5j)) <= 1e-15
 
@@ -232,7 +233,7 @@ class TestRhsLab:
         p = JcParams(1.2, 1.0, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.25, big_omega=2.0)
         s = AmplitudeState(n=1, c=1.0, d=0.0, frame=Frame.LAB)
-        dc, _ = bind_lab_rhs(p, mod, s.n)(0.0, s.c, s.d)  # cos(0) = 1
+        dc, _ = apply_rhs(bind_lab_rhs(p, mod, s.n), 0.0, s.c, s.d)  # cos(0) = 1
         assert abs(dc - (-1j * 1.2 * 1.25 / 2.0)) <= 1e-15
 
     @pytest.mark.parametrize("target", [ATOM, CAVITY])
@@ -243,7 +244,7 @@ class TestRhsLab:
             n = int(rng.integers(1, 6))
             s = random_state(rng, n, Frame.LAB)
             t = float(rng.uniform(0, 10))
-            dc, dd = bind_lab_rhs(p, mod, n)(t, s.c, s.d)
+            dc, dd = apply_rhs(bind_lab_rhs(p, mod, n), t, s.c, s.d)
             ref = -1j * (lab_hamiltonian(p, mod, n, t) @ [s.c, s.d])
             assert abs(dc - ref[0]) <= 1e-13
             assert abs(dd - ref[1]) <= 1e-13
@@ -260,15 +261,15 @@ class TestRhsGauged:
         p = JcParams(1.0, 1.0, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         s = AmplitudeState(n=1, c=0.3, d=0.7, frame=Frame.GAUGED)
-        assert bind_gauged_rhs(p, mod, s.n)(0.9, s.c, s.d) == (0.0, 0.0)
+        assert apply_rhs(bind_gauged_rhs(p, mod, s.n), 0.9, s.c, s.d) == (0.0, 0.0)
 
     def test_reduces_to_static_at_beta_zero(self, rng):
         p = JcParams(1.0, 1.0, 0.08)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         for _ in range(10):
             s = random_state(rng, 2, Frame.GAUGED)
-            dc_g, dd_g = bind_gauged_rhs(p, mod, 2)(float(rng.uniform(0, 5)), s.c, s.d)
-            dc_s, dd_s = bind_static_rhs(p, 2)(0.0, s.c, s.d)
+            dc_g, dd_g = apply_rhs(bind_gauged_rhs(p, mod, 2), float(rng.uniform(0, 5)), s.c, s.d)
+            dc_s, dd_s = apply_rhs(bind_static_rhs(p, 2), 0.0, s.c, s.d)
             assert abs(dc_g - dc_s) <= 1e-15
             assert abs(dd_g - dd_s) <= 1e-15
 
@@ -335,15 +336,15 @@ class TestRhsAveraged:
         for _ in range(10):
             s = random_state(rng, 2, Frame.GAUGED)
             t = float(rng.uniform(0, 4))
-            assert (bind_averaged_rhs(p, mod, 2)(t, s.c, s.d)
-                    == bind_static_rhs(p_eff, 2)(t, s.c, s.d))
+            assert (apply_rhs(bind_averaged_rhs(p, mod, 2), t, s.c, s.d)
+                    == apply_rhs(bind_static_rhs(p_eff, 2), t, s.c, s.d))
 
 
 class TestStaticAndClosedForm:
     def test_rhs_static_structure(self, rng):
         p = JcParams(1.0, 1.0, 0.1 - 0.04j)
         s = random_state(rng, 4, Frame.INTERACTION)
-        dc, dd = bind_static_rhs(p, 4)(0.0, s.c, s.d)
+        dc, dd = apply_rhs(bind_static_rhs(p, 4), 0.0, s.c, s.d)
         kappa = p.coupling * 2.0
         assert abs(dc - (-1j * kappa * s.d)) <= 1e-15
         assert abs(dd - (-1j * kappa * s.c)) <= 1e-15
@@ -492,8 +493,7 @@ class TestIntegrate:
         tail = 0.3 * h
         c, d = kernels.rk4_linear(rhs.matrix, 0.6 + 0.2j, 0.5 - 0.1j,
                                   0.25, h, n_full, tail)
-        c_ref, d_ref = kernels.rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j,
-                                           0.25, h, n_full, tail)
+        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.25, h, n_full, tail)
         assert len(c) == len(c_ref) == n_full + 2
         scale = np.maximum(np.hypot(np.abs(c_ref), np.abs(d_ref)), 1e-300)
         assert (np.abs(c - c_ref) / scale).max() <= 1e-12
@@ -530,7 +530,7 @@ class TestPeriodicPath:
         monkeypatch.setattr(kernels, "rk4_linear", _refuse)
         s0 = AmplitudeState(n=n, c=0.0, d=1.0, frame=Frame.GAUGED)
         traj = integrate(rhs, s0, 0.0, n_steps * h, h)
-        c_ref, d_ref = kernels.rk4_generic(rhs, 0.0, 1.0, 0.0, h, n_steps, 0.0)
+        c_ref, d_ref = rk4_generic(rhs, 0.0, 1.0, 0.0, h, n_steps, 0.0)
         assert len(traj) == n_steps + 1
         assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
 
@@ -546,7 +546,7 @@ class TestPeriodicPath:
         monkeypatch.setattr(kernels, "rk4_linear", _refuse)
         s0 = AmplitudeState(n=2, c=0.6 + 0.2j, d=0.5 - 0.1j, frame=Frame.LAB)
         traj = integrate(rhs, s0, 0.25, t1, h)
-        c_ref, d_ref = kernels.rk4_generic(rhs, s0.c, s0.d, 0.25, h, 7 * 50 + 13, 0.4 * h)
+        c_ref, d_ref = rk4_generic(rhs, s0.c, s0.d, 0.25, h, 7 * 50 + 13, 0.4 * h)
         assert len(traj) == 7 * 50 + 13 + 2 and traj.times[-1] == t1
         assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
 
@@ -570,8 +570,8 @@ class TestPeriodicPath:
         assert case in ("step_not_dividing", "under_one_period") or rhs.period is None
         monkeypatch.setattr(kernels, "rk4_periodic", _refuse)
         s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=frame)
-        c_ref, d_ref = kernels.rk4_generic(rhs, 0.0, 1.0, 0.0, step,
-                                           *dynamics._split_steps(0.0, t1, step))
+        c_ref, d_ref = rk4_generic(rhs, 0.0, 1.0, 0.0, step,
+                                   *dynamics._split_steps(0.0, t1, step))
         assert _max_rel_dev(integrate(rhs, s0, 0.0, t1, step), c_ref, d_ref) <= 1e-12
         with pytest.raises(ValueError, match="does not divide a period"):
             dynamics.period_factors(rhs, s0, 0.0, t1, step)

@@ -7,7 +7,6 @@ from conftest import H0_GRID_LEVELS, H0_GRID_PARAMS
 from ptjc.fockspace import (
     MAX_BOSON_LEVELS,
     FockSpace,
-    OperatorMatrix,
     build_fock_operators,
     build_h0,
 )
@@ -56,7 +55,6 @@ class TestFockSpace:
     def test_safe_sets_at_default_size(self):
         space = FockSpace(boson_levels=32)
         assert space.safe_boson_max() == 28
-        assert space.safe_block_max() == 28
         assert space.safe_state_budget() == 57
         idx = space.safe_bare_indices()
         assert len(idx) == 58
@@ -66,7 +64,7 @@ class TestFockSpace:
 class TestLadderOperators:
     def test_boson_lowering_entries(self):
         space = FockSpace(boson_levels=6)
-        d = build_fock_operators(space)["d"].entries
+        d = build_fock_operators(space)["d"]
         for m in range(1, 6):
             for k in (0, 1):
                 assert d[space.index(m - 1, k), space.index(m, k)] == np.sqrt(m)
@@ -74,13 +72,13 @@ class TestLadderOperators:
 
     def test_fermion_nilpotency_exact(self):
         space = FockSpace(boson_levels=6)
-        c = build_fock_operators(space)["c"].entries
+        c = build_fock_operators(space)["c"]
         assert np.count_nonzero(c @ c) == 0
 
     def test_fermion_anticommutator_exact(self):
         space = FockSpace(boson_levels=6)
         ops = build_fock_operators(space)
-        c, c_dag = ops["c"].entries, ops["c_dag"].entries
+        c, c_dag = ops["c"], ops["c_dag"]
         acom = c @ c_dag + c_dag @ c
         assert np.array_equal(acom, np.eye(space.total_dim))
 
@@ -90,7 +88,7 @@ class TestLadderOperators:
         # sqrt(m)*sqrt(m) products round, so compare to ~eps
         space = FockSpace(boson_levels=6)
         ops = build_fock_operators(space)
-        d, d_dag = ops["d"].entries, ops["d_dag"].entries
+        d, d_dag = ops["d"], ops["d_dag"]
         dev = d @ d_dag - d_dag @ d - np.eye(space.total_dim)
         top = [space.index(5, 0), space.index(5, 1)]
         assert np.abs(dev[np.ix_(top, top)] + 6.0 * np.eye(2)).max() <= 1e-14
@@ -100,14 +98,13 @@ class TestLadderOperators:
     def test_sectors_commute_exactly(self):
         space = FockSpace(boson_levels=6)
         ops = build_fock_operators(space)
-        d, c = ops["d"].entries, ops["c"].entries
+        d, c = ops["d"], ops["c"]
         assert np.count_nonzero(d @ c - c @ d) == 0
 
     def test_total_number_diagonal(self):
         space = FockSpace(boson_levels=6)
         ops = build_fock_operators(space)
-        n_tot = (ops["d_dag"].entries @ ops["d"].entries
-                 + ops["c_dag"].entries @ ops["c"].entries)
+        n_tot = ops["d_dag"] @ ops["d"] + ops["c_dag"] @ ops["c"]
         expected = np.diag([m + k for m in range(6) for k in (0, 1)]).astype(complex)
         assert np.abs(n_tot - expected).max() <= 1e-14
         assert np.count_nonzero(n_tot - np.diag(np.diag(n_tot))) == 0
@@ -121,12 +118,12 @@ class TestH0:
         # multiplied out from the dense ladder matrices, whose d'd diagonal
         # is sqrt(m)^2 rather than m
         space = FockSpace(boson_levels=boson_levels)
-        ops = {name: op.entries.real for name, op in build_fock_operators(space).items()}
+        ops = build_fock_operators(space)
         d, d_dag, c, c_dag = ops["d"], ops["d_dag"], ops["c"], ops["c_dag"]
         eps = complex(params.coupling)
         ladder = (params.omega0 * (c_dag @ c - 0.5 * np.eye(space.total_dim))
                   + params.omega * (d_dag @ d) + eps * (d @ c_dag) + np.conj(eps) * (d_dag @ c))
-        h0 = build_h0(params, space).entries
+        h0 = build_h0(params, space)
         # measured 1.7e-16 at most
         assert np.abs(h0 - ladder).max() <= 1e-14 * np.abs(ladder).max()
 
@@ -135,17 +132,17 @@ class TestH0:
         h0 = build_h0(JcParams(1.2, 0.9, 0.0), space)
         expected = np.diag([1.2 * (k - 0.5) + 0.9 * m
                             for m in range(5) for k in (0, 1)])
-        assert np.abs(h0.entries - expected).max() <= 1e-14
+        assert np.abs(h0 - expected).max() <= 1e-14
 
     def test_commutes_with_total_number(self):
         space = FockSpace(boson_levels=8)
-        h0 = build_h0(JcParams(1.0, 1.0, 0.1), space).entries
+        h0 = build_h0(JcParams(1.0, 1.0, 0.1), space)
         n_tot = np.diag((np.arange(space.total_dim) + 1) // 2)  # m + k per slot
         assert np.abs(h0 @ n_tot - n_tot @ h0).max() <= 1e-14
 
     def test_hermitian_for_any_complex_coupling(self):
         space = FockSpace(boson_levels=5)
-        h0 = build_h0(JcParams(1.0, 1.0, 0.1 + 0.03j), space).entries
+        h0 = build_h0(JcParams(1.0, 1.0, 0.1 + 0.03j), space)
         assert np.abs(h0 - h0.conj().T).max() == 0.0
 
     def test_block_matches_jc_core(self):
@@ -154,26 +151,18 @@ class TestH0:
         # block coincide only there)
         space = FockSpace(boson_levels=8)
         params = JcParams(1.1, 1.0, 0.1)
-        h0 = build_h0(params, space).entries
+        h0 = build_h0(params, space)
         for n in (1, 3, 5):
             rows = [space.index(n - 1, 1), space.index(n, 0)]
             sub = h0[np.ix_(rows, rows)]
-            ref = build_subspace_hamiltonian(params, n).matrix
+            ref = build_subspace_hamiltonian(params, n)
             assert np.abs(sub - ref).max() <= 1e-14
 
     def test_ground_state_energy_unshifted(self):
         space = FockSpace(boson_levels=8)
-        h0 = build_h0(JcParams(1.0, 1.0, 0.1), space).entries
+        h0 = build_h0(JcParams(1.0, 1.0, 0.1), space)
         # |0, 0> is coupled to nothing; its diagonal entry is -omega0/2
         col = h0[:, 0]
         assert col[0] == -0.5
         assert np.count_nonzero(col[1:]) == 0
 
-
-class TestOperatorMatrix:
-    def test_shape_validation(self):
-        space = FockSpace(boson_levels=4)
-        with pytest.raises(ValueError):
-            OperatorMatrix(space, np.zeros((8, 7)), "bad")
-        with pytest.raises(ValueError):
-            OperatorMatrix(space, np.zeros((6, 6)), "wrong dim")

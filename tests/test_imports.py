@@ -1,8 +1,10 @@
-"""Stdlib stand-ins for three linter rules.
+"""Stdlib stand-ins for four linter rules.
 
 Every name a module imports is used, every module-level private
-function or constant is referenced outside its own definition, and
-only the JSON and CSV writers open files for writing.
+function or constant is referenced outside its own definition, every
+module-level public function or class has a caller in the package or
+the benchmark (or a place on an allowlist), and only the JSON and CSV
+writers open files for writing.
 """
 
 import ast
@@ -15,6 +17,7 @@ import ptjc
 PACKAGE = sorted(Path(ptjc.__file__).parent.glob("*.py"))
 # The package __init__ imports names only to re-export them.
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+BENCHMARK = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -82,6 +85,64 @@ def test_finds_an_orphaned_private():
 
 def test_no_orphaned_privates():
     assert orphaned_privates([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+# Public names with no caller yet, each with the ROADMAP item that gives it one.
+UNCALLED_PUBLIC = {
+    "quasi_basis_check": "item 7",
+    "t_alpha_diagonalization_check": "item 7",
+    "pseudo_algebra_residuals": "item 7",
+    "build_subspace_hamiltonian": "item 11",
+}
+
+
+def orphaned_publics(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Module-level public functions and classes of ``sources`` that nothing else loads.
+
+    ``sources`` maps module file names to their text.  A name counts as
+    loaded when a statement of ``sources`` other than its own definition,
+    or any of ``callers``, loads it bare or as an attribute, or holds it
+    as a string constant (the benchmark wraps functions by name).
+    """
+    defined, loaded = {}, set()
+    for module, source in list(sources.items()) + [(None, text) for text in callers]:
+        for stmt in ast.parse(source).body:
+            own = set()
+            if module and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+                if not stmt.name.startswith("_"):
+                    defined[stmt.name] = (module, stmt.lineno)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                if name not in own:
+                    loaded.add(name)
+    return sorted(f"{module} {name} (line {line})" for name, (module, line) in defined.items()
+                  if name not in loaded)
+
+
+def test_finds_an_orphaned_public():
+    source = ("class Used:\n    pass\n\n"
+              "def orphan(n):\n    return orphan(n - 1)\n\n"
+              "def wrapped():\n    return Used()\n\n"
+              "def _private():\n    pass\n")
+    caller = "TARGETS = [('mod', 'wrapped')]\n"
+    assert orphaned_publics({"mod.py": source}, []) == [
+        "mod.py orphan (line 4)", "mod.py wrapped (line 7)"]
+    assert orphaned_publics({"mod.py": source}, [caller]) == ["mod.py orphan (line 4)"]
+
+
+def test_no_orphaned_publics():
+    found = orphaned_publics({p.name: p.read_text(encoding="utf-8") for p in MODULES},
+                             [p.read_text(encoding="utf-8") for p in BENCHMARK])
+    assert [entry for entry in found if entry.split()[1] not in UNCALLED_PUBLIC] == []
+    assert sorted(entry.split()[1] for entry in found) == sorted(UNCALLED_PUBLIC)
 
 
 # The only functions that open files for writing: output formats live in one place.

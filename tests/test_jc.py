@@ -10,7 +10,6 @@ from ptjc.jc import (
     build_subspace_hamiltonian,
     classify_pt_phase,
     dressed_spectrum,
-    eigvec_column_matrix,
     t_block,
 )
 
@@ -39,12 +38,12 @@ def random_params(rng, real_coupling=True, positive_coupling=False):
 class TestSubspaceHamiltonian:
     def test_decoupled_resonant_block(self):
         h = build_subspace_hamiltonian(JcParams(1.0, 1.0, 0.0), n=3)
-        assert np.allclose(h.matrix, np.diag([2.5, 2.5]), atol=0, rtol=0)
+        assert np.allclose(h, np.diag([2.5, 2.5]), atol=0, rtol=0)
 
     def test_detuned_block_entries(self):
         h = build_subspace_hamiltonian(JcParams(1.2, 1.0, 0.1), n=1)
         expected = np.array([[0.6, 0.1], [0.1, 0.4]])
-        assert np.allclose(h.matrix, expected, atol=1e-15)
+        assert np.allclose(h, expected, atol=1e-15)
 
     def test_matches_hand_coded_builder(self, rng):
         for _ in range(50):
@@ -52,18 +51,18 @@ class TestSubspaceHamiltonian:
             n = int(rng.integers(1, 20))
             h = build_subspace_hamiltonian(p, n)
             oracle = block_matrix_oracle(p.omega0, p.omega, p.coupling, n)
-            assert np.allclose(h.matrix, oracle, atol=1e-14)
+            assert np.allclose(h, oracle, atol=1e-14)
 
     def test_imaginary_coupling_block(self):
         h = build_subspace_hamiltonian(JcParams(1.0, 1.0, 0.1j), n=4)
-        assert h.matrix[0, 1] == 0.2j
-        assert h.matrix[1, 0] == 0.2j
-        assert not np.allclose(h.matrix, h.matrix.conj().T)
+        assert h[0, 1] == 0.2j
+        assert h[1, 0] == 0.2j
+        assert not np.allclose(h, h.conj().T)
 
     def test_hermitian_iff_real_coupling(self, rng):
         p = random_params(rng, real_coupling=True)
         h = build_subspace_hamiltonian(p, n=2)
-        assert np.allclose(h.matrix, h.matrix.conj().T, atol=1e-15)
+        assert np.allclose(h, h.conj().T, atol=1e-15)
 
     def test_rejects_vacuum_block(self):
         with pytest.raises(ValueError):
@@ -105,7 +104,7 @@ class TestDressedSpectrum:
             p = random_params(rng, positive_coupling=True)
             n = int(rng.integers(1, 20))
             s = dressed_spectrum(p, n)
-            h = build_subspace_hamiltonian(p, n).matrix
+            h = build_subspace_hamiltonian(p, n)
             for vec, ev in ((s.eigvec_plus, s.e_plus), (s.eigvec_minus, s.e_minus)):
                 res = np.linalg.norm(h @ vec - ev * vec)
                 assert res <= EIGVEC_RESIDUAL_TOL * np.linalg.norm(vec)
@@ -177,7 +176,7 @@ class TestTBlock:
     def test_conjugation_diagonalizes(self):
         p = JcParams(1.0, 1.0, 0.05)
         t = t_block(p, n=1)
-        h = build_subspace_hamiltonian(p, n=1).matrix
+        h = build_subspace_hamiltonian(p, n=1)
         s = dressed_spectrum(p, n=1)
         conj = t @ h @ np.linalg.inv(t)
         assert np.allclose(conj, np.diag([s.e_minus, s.e_plus]), atol=1e-12)
@@ -189,7 +188,7 @@ class TestTBlock:
                 continue
             n = int(rng.integers(1, 20))
             t = t_block(p, n)
-            h = build_subspace_hamiltonian(p, n).matrix
+            h = build_subspace_hamiltonian(p, n)
             s = dressed_spectrum(p, n)
             conj = t @ h @ np.linalg.inv(t)
             assert np.allclose(conj, np.diag([s.e_minus, s.e_plus]), atol=ROTATION_TOL)
@@ -207,13 +206,12 @@ class TestTBlock:
     def test_column_matrix_inverts_t_block(self):
         p = JcParams(1.1, 1.0, 0.07)
         t = t_block(p, n=3)
-        m = eigvec_column_matrix(p, n=3)
-        assert np.allclose(t @ m, np.eye(2), atol=1e-14)
+        assert np.allclose(t @ t.T, np.eye(2), atol=1e-14)
 
     def test_column_matrix_columns_are_eigenvectors(self):
         p = JcParams(1.1, 1.0, 0.07)
         s = dressed_spectrum(p, n=3)
-        m = eigvec_column_matrix(p, n=3)
+        m = t_block(p, n=3).T
         assert np.allclose(m[:, 0], s.eigvec_minus)
         assert np.allclose(m[:, 1], s.eigvec_plus)
 
@@ -224,7 +222,7 @@ class TestTBlock:
             if abs(p.coupling) < 1e-3:
                 continue
             n = int(rng.integers(1, 10))
-            h = build_subspace_hamiltonian(p, n).matrix.real
+            h = build_subspace_hamiltonian(p, n).real
             vals, vecs = np.linalg.eigh(h)
             s = dressed_spectrum(p, n)
             for vec, ev in ((s.eigvec_minus, s.e_minus), (s.eigvec_plus, s.e_plus)):
@@ -243,7 +241,7 @@ class TestTBlock:
             p_neg = JcParams(p_pos.omega0, p_pos.omega, -p_pos.coupling)
             n = int(rng.integers(1, 10))
             assert np.array_equal(t_block(p_pos, n), t_block(p_neg, n))
-            h_neg = build_subspace_hamiltonian(p_neg, n).matrix
+            h_neg = build_subspace_hamiltonian(p_neg, n)
             s = dressed_spectrum(p_pos, n)
             for vec, ev in ((s.eigvec_minus, s.e_minus), (s.eigvec_plus, s.e_plus)):
                 res = np.linalg.norm(h_neg @ (flip @ vec) - ev * (flip @ vec))

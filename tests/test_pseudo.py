@@ -12,12 +12,13 @@ import pytest
 import scipy.linalg
 from conftest import H0_GRID_LEVELS, H0_GRID_PARAMS
 
-from ptjc.fockspace import FockSpace, OperatorMatrix, build_fock_operators, build_h0
+from ptjc.fockspace import FockSpace, build_fock_operators, build_h0
 from ptjc.jc import JcParams
 from ptjc.pseudo import (
     build_biorthogonal_system,
     build_block_rotation,
     build_similarity,
+    deformed,
     diagnostics_record,
     dual_frame_algebra_residual,
     energy_formula,
@@ -36,12 +37,10 @@ T_ALPHA_TOL = 1e-9
 ALGEBRA_TOL = 1e-10
 
 
-def default_generator(space: FockSpace) -> OperatorMatrix:
+def default_generator(space: FockSpace) -> np.ndarray:
     """Hermitian position-like sum (d + d') + (c + c')."""
     ops = build_fock_operators(space)
-    g = (ops["d"].entries + ops["d_dag"].entries
-         + ops["c"].entries + ops["c_dag"].entries)
-    return OperatorMatrix(space, g, "ladder-sum generator")
+    return ops["d"] + ops["d_dag"] + ops["c"] + ops["c_dag"]
 
 
 def small_bundle(alpha=0.5, omega0=1.0, omega=1.0, eps=0.1, boson_levels=12):
@@ -55,10 +54,9 @@ def small_bundle(alpha=0.5, omega0=1.0, omega=1.0, eps=0.1, boson_levels=12):
 class TestGenerator:
     def test_is_hermitian_ladder_sum(self):
         space = FockSpace(boson_levels=6)
-        gen = default_generator(space).entries
+        gen = default_generator(space)
         ops = build_fock_operators(space)
-        expected = (ops["d"].entries + ops["d_dag"].entries
-                    + ops["c"].entries + ops["c_dag"].entries)
+        expected = ops["d"] + ops["d_dag"] + ops["c"] + ops["c_dag"]
         assert np.array_equal(gen, expected)
         assert np.abs(gen - gen.conj().T).max() == 0.0
 
@@ -66,7 +64,7 @@ class TestGenerator:
         # G changes total excitation by one, so (-1)^N G (-1)^N = -G;
         # this symmetry is why the Phi and Psi residual norms coincide
         space = FockSpace(boson_levels=6)
-        gen = default_generator(space).entries
+        gen = default_generator(space)
         parity = np.diag([(-1.0) ** (m + k) for m in range(6) for k in (0, 1)])
         assert np.abs(parity @ gen @ parity + gen).max() == 0.0
 
@@ -74,33 +72,33 @@ class TestGenerator:
 class TestBuildSimilarity:
     def test_alpha_zero_is_identity(self):
         _, space, _, smap = small_bundle(alpha=0.0, boson_levels=6)
-        assert np.array_equal(smap.s.entries, np.eye(space.total_dim))
-        assert np.array_equal(smap.s_inv.entries, np.eye(space.total_dim))
+        assert np.array_equal(smap.s, np.eye(space.total_dim))
+        assert np.array_equal(smap.s_inv, np.eye(space.total_dim))
         assert np.array_equal(smap.power(2.0), np.eye(space.total_dim))
         assert smap.cond2 == 1.0
 
     def test_inverse_identity(self, pseudo_default):
         smap = pseudo_default["smap"]
         dim = smap.space.total_dim
-        res = np.abs(smap.s.entries @ smap.s_inv.entries - np.eye(dim)).max()
+        res = np.abs(smap.s @ smap.s_inv - np.eye(dim)).max()
         assert res <= 1e-10
 
     def test_self_adjoint(self, pseudo_default):
-        s = pseudo_default["smap"].s.entries
+        s = pseudo_default["smap"].s
         assert np.abs(s - s.conj().T).max() <= 1e-11 * np.abs(s).max()
 
     def test_default_conditioning_not_flagged(self, pseudo_default):
         # cond2(S) = exp(|alpha| spread(G)) exactly, for Hermitian G
         smap = pseudo_default["smap"]
-        lam = np.linalg.eigvalsh(default_generator(smap.space).entries)
+        lam = np.linalg.eigvalsh(default_generator(smap.space))
         expected = math.exp(0.5 * (lam[-1] - lam[0]))
         assert smap.cond2 == pytest.approx(expected, rel=1e-12)
         assert 6e4 <= smap.cond2 <= 7e4  # spread 22.15 at 32 levels
 
     def test_matches_expm_of_generator(self):
         _, space, _, smap = small_bundle(alpha=0.3, boson_levels=8)
-        ref = scipy.linalg.expm(0.3 * default_generator(space).entries)
-        assert np.abs(smap.s.entries - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = scipy.linalg.expm(0.3 * default_generator(space))
+        assert np.abs(smap.s - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("alpha", [0.3, -0.3])
     def test_kronecker_factors_match_expm_at_48_levels(self, alpha):
@@ -108,8 +106,8 @@ class TestBuildSimilarity:
         # is the oracle here
         space = FockSpace(boson_levels=48)
         smap = build_similarity(space, alpha)
-        gen = default_generator(space).entries
-        for mat, sign in ((smap.s.entries, 1.0), (smap.s_inv.entries, -1.0)):
+        gen = default_generator(space)
+        for mat, sign in ((smap.s, 1.0), (smap.s_inv, -1.0)):
             ref = scipy.linalg.expm(sign * alpha * gen)
             assert np.abs(mat - ref).max() <= 1e-12 * np.abs(ref).max()  # measured 7.6e-15
         lam = np.linalg.eigvalsh(gen)
@@ -136,27 +134,27 @@ class TestBuildSimilarity:
     def test_metric_powers(self):
         # S^2 and S^-2 from the same eigendecomposition as S^+-1
         _, space, _, smap = small_bundle(alpha=0.3, boson_levels=8)
-        s = smap.s.entries
-        s_inv = smap.s_inv.entries
+        s = smap.s
+        s_inv = smap.s_inv
         assert np.abs(smap.power(2.0) - s @ s).max() <= 1e-12 * np.abs(s @ s).max()
         assert np.abs(smap.power(-2.0) - s_inv @ s_inv).max() <= 1e-12 * np.abs(s_inv @ s_inv).max()
 
 
 def conjugated(smap, mat):
     """Dense X_alpha = S X S^-1; the module itself never forms these."""
-    return smap.s.entries @ (mat @ smap.s_inv.entries)
+    return smap.s @ (mat @ smap.s_inv)
 
 
 class TestDeform:
     def test_alpha_zero_leaves_everything_bare(self):
         params, space, h0, smap = small_bundle(alpha=0.0, boson_levels=6)
-        assert np.abs(conjugated(smap, h0.entries) - h0.entries).max() == 0.0
+        assert np.abs(conjugated(smap, h0) - h0).max() == 0.0
         ops = build_fock_operators(space)
-        d = ops["d"].entries
+        d = ops["d"]
         assert np.abs(conjugated(smap, d) - d).max() == 0.0
 
     def test_deformed_hamiltonian_is_not_hermitian(self, pseudo_default):
-        h_a = conjugated(pseudo_default["smap"], pseudo_default["h0"].entries)
+        h_a = conjugated(pseudo_default["smap"], pseudo_default["h0"])
         assert np.abs(h_a - h_a.conj().T).max() > 0.01
 
     def test_number_operator_assembly(self, pseudo_default):
@@ -164,10 +162,9 @@ class TestDeform:
         # pairs cancel up to the conditioning of S
         smap = pseudo_default["smap"]
         ops = build_fock_operators(smap.space)
-        n_alpha = (conjugated(smap, ops["d_dag"].entries) @ conjugated(smap, ops["d"].entries)
-                   + conjugated(smap, ops["c_dag"].entries) @ conjugated(smap, ops["c"].entries))
-        number = (ops["d_dag"].entries @ ops["d"].entries
-                  + ops["c_dag"].entries @ ops["c"].entries)
+        n_alpha = (conjugated(smap, ops["d_dag"]) @ conjugated(smap, ops["d"])
+                   + conjugated(smap, ops["c_dag"]) @ conjugated(smap, ops["c"]))
+        number = ops["d_dag"] @ ops["d"] + ops["c_dag"] @ ops["c"]
         ref = conjugated(smap, number)
         assert np.abs(n_alpha - ref).max() <= 1e-9 * np.abs(ref).max()  # measured 6.5e-11
 
@@ -175,10 +172,23 @@ class TestDeform:
         # similarity cannot move eigenvalues; numpy eigvals on the dense
         # deformed matrix is the independent route here
         h0 = pseudo_default["h0"]
-        h_a = conjugated(pseudo_default["smap"], h0.entries)
-        bare = np.sort(np.linalg.eigvalsh(h0.entries))
-        deformed = np.sort(np.linalg.eigvals(h_a).real)
-        assert np.abs(bare - deformed).max() <= 1e-7  # measured 1.0e-8
+        h_a = conjugated(pseudo_default["smap"], h0)
+        bare = np.sort(np.linalg.eigvalsh(h0))
+        deformed_evals = np.sort(np.linalg.eigvals(h_a).real)
+        assert np.abs(bare - deformed_evals).max() <= 1e-7  # measured 1.0e-8
+
+    @pytest.mark.parametrize("names", [("d", "c_dag"), ("d_dag", "h0", "c")])
+    def test_deformed_matches_dense_products(self, names):
+        # the evaluator against the dense sandwiches it never forms, at a
+        # conditioning where the dense route is still accurate
+        params, space, h0, smap = small_bundle(alpha=0.3, boson_levels=8)
+        ops = dict(build_fock_operators(space), h0=h0)
+        v = np.random.default_rng(3).standard_normal((space.total_dim, 5))
+        got = deformed(smap, [ops[name] for name in names], v)
+        dense = v
+        for name in reversed(names):
+            dense = conjugated(smap, ops[name]) @ dense
+        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def dense_labels(space, evecs):
@@ -203,7 +213,7 @@ class TestBlockEigenpairs:
         params, space, h0, smap = small_bundle(alpha=0.2, omega0=omega0, eps=eps,
                                                boson_levels=boson_levels)
         system = build_biorthogonal_system(h0, smap)
-        evals, evecs = np.linalg.eigh(h0.entries)
+        evals, evecs = np.linalg.eigh(h0)
         # blocks interleave in energy at 48 levels: pair each kept state
         # with its nearest dense eigenvalue (the spectrum is simple)
         match = np.abs(system.energies[:, None] - evals[None, :]).argmin(axis=1)
@@ -214,12 +224,20 @@ class TestBlockEigenpairs:
         overlaps = np.abs(np.einsum("ij,ij->j", evecs[:, match].conj(), system.eigvecs_bare))
         assert np.abs(overlaps - 1.0).max() <= 1e-12  # measured 4.4e-16
 
+    def test_refuses_h0_of_another_space(self):
+        params, space, _, smap = small_bundle(boson_levels=6)
+        h0 = build_h0(params, FockSpace(boson_levels=8))
+        with pytest.raises(ValueError, match="different spaces"):
+            build_biorthogonal_system(h0, smap)
+        with pytest.raises(ValueError, match="different spaces"):
+            t_alpha_diagonalization_check(h0, smap, params)
+
     def test_refuses_entries_outside_blocks(self):
         params, space, h0, smap = small_bundle(boson_levels=6)
-        coupled = h0.entries.copy()
+        coupled = h0.copy()
         coupled[0, 3] = coupled[3, 0] = 0.01  # |0,0> to |1,1>: blocks 0 and 2
         with pytest.raises(ValueError, match="outside its total-excitation blocks"):
-            build_biorthogonal_system(OperatorMatrix(space, coupled), smap)
+            build_biorthogonal_system(coupled, smap)
 
 
 class TestEnergyFormula:
@@ -242,7 +260,7 @@ class TestEnergyFormula:
         # every slot, the safe blocks among them: the truncated H0 holds
         # exactly these blocks and the two undressed slots
         space = FockSpace(boson_levels=boson_levels)
-        h0 = build_h0(params, space).entries
+        h0 = build_h0(params, space)
         dense = np.linalg.eigvalsh(h0)
         dev = np.abs(np.sort(energy_formula(params, space)) - dense).max()
         assert dev <= 1e-14 * np.abs(h0).max()  # measured 3.3e-16 relative
@@ -351,7 +369,42 @@ class TestMetricChecks:
         assert np.all(probes.sum(axis=0) == 1.0)
 
 
+def quasi_basis_loop(system, trial_vectors):
+    """The per-pair records of ``quasi_basis_check``, one vector pair at a time."""
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in trial_vectors]
+    phis, psis = system.phis, system.psis
+    defects = []
+    for v in vecs:
+        coeff, *_ = np.linalg.lstsq(phis, v, rcond=None)
+        defects.append(float(np.linalg.norm(v - phis @ coeff) / max(np.linalg.norm(v), 1e-300)))
+    records = []
+    for i, f in enumerate(vecs):
+        for j, g in enumerate(vecs):
+            exact = np.vdot(f, g)
+            direct = np.sum(np.conj(phis.conj().T @ f) * (psis.conj().T @ g))
+            swapped = np.sum(np.conj(psis.conj().T @ f) * (phis.conj().T @ g))
+            records.append({"f_index": i, "g_index": j,
+                            "direct": float(abs(exact - direct)),
+                            "swapped": float(abs(exact - swapped)),
+                            "f_span_defect": defects[i], "g_span_defect": defects[j]})
+    return records
+
+
 class TestQuasiBasis:
+    def test_matches_the_per_pair_loop(self, pseudo_default, rng):
+        system = pseudo_default["system"]
+        dim = system.space.total_dim
+        trials = [np.eye(dim)[:, 7], system.phis[:, 5],
+                  rng.standard_normal(dim) + 1j * rng.standard_normal(dim)]
+        got = quasi_basis_check(system, trials)
+        want = quasi_basis_loop(system, trials)
+        assert [list(r) for r in got] == [list(r) for r in want]
+        for r, w in zip(got, want):
+            assert (r["f_index"], r["g_index"]) == (w["f_index"], w["g_index"])
+            for key in ("direct", "swapped", "f_span_defect", "g_span_defect"):
+                # relative for the random vector, whose residuals reach ~1e4
+                assert abs(r[key] - w[key]) <= 1e-13 * max(1.0, w[key]), key
+
     def test_in_span_pairs(self, pseudo_default, rng):
         system = pseudo_default["system"]
         phis = system.phis
@@ -406,6 +459,7 @@ class TestTAlpha:
     def test_block_rotation_orthogonality(self):
         params, space, _, _ = small_bundle(boson_levels=8)
         t0, t0_inv = build_block_rotation(space, params)
+        assert np.array_equal(t0, t0_inv.T)
         assert np.abs(t0 @ t0_inv - np.eye(space.total_dim)).max() <= 1e-13
 
     def test_block_rotation_needs_real_coupling(self):
@@ -438,9 +492,7 @@ class TestPseudoAlgebra:
         smap = pseudo_default["smap"]
         ops = build_fock_operators(smap.space)
         eye = np.eye(smap.space.total_dim)
-        res = dual_frame_algebra_residual(smap, ops["c"].entries,
-                                          ops["c_dag"].entries, eye,
-                                          anticommute=True)
+        res = dual_frame_algebra_residual(smap, ops["c"], ops["c_dag"], eye, anticommute=True)
         assert res == pseudo_algebra_residuals(smap)["car"]
 
 
