@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,16 +60,22 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration document."""
 
 
-def _dump_json(payload: dict, path: str, make_parent: bool = False) -> None:
-    """Write ``payload`` to ``path``; a non-finite value raises before any directory is made."""
+def _dump_json(payload: dict, path: str | None, make_parent: bool = False) -> str:
+    """Serialize ``payload`` strictly, write it to ``path`` unless None, return the text.
+
+    A non-finite value raises before any directory is made.
+    """
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        raise ArithmeticError(f"non-finite value in the payload of {path}") from None
+        raise ArithmeticError(f"non-finite value in the payload of {path or 'stdout'}") from None
+    if path is None:
+        return text
     if make_parent:
         os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+    return text
 
 
 def _complex_pair(z: complex) -> list:
@@ -349,10 +356,7 @@ def cmd_spectrum(args) -> int:
     else:
         payload["pt_phase"] = None
         payload["pt_discriminant"] = None
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.output:
-        _dump_json(payload, args.output)
-    print(text)
+    print(_dump_json(payload, args.output), end="")
     return 0
 
 
@@ -396,7 +400,9 @@ def cmd_pseudo(args) -> int:
 # parser and dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ptjc parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ptjc",
         description="Driven and similarity-deformed two-state block experiments",

@@ -102,7 +102,7 @@ class ModulationSpec:
             raise ValueError(f"beta must be finite, got {self.beta!r}")
         object.__setattr__(self, "beta", b)
         if not (self.big_omega > 0 and math.isfinite(self.big_omega)):
-            raise ValueError(f"big_omega must be positive, got {self.big_omega}")
+            raise ValueError(f"big_omega must be positive and finite, got {self.big_omega!r}")
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ relative-phase amplitude z a run accepts.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -181,8 +182,8 @@ def solve_modulation_beta(params: JcParams, target: ModulationTarget, n: int,
     coupling g J0(2 r); for the cavity it is n times it, giving
     g J0(r / n).
     """
-    if big_omega <= 0:
-        raise ValueError("big_omega must be positive")
+    if not (big_omega > 0 and math.isfinite(big_omega)):
+        raise ValueError(f"big_omega must be positive and finite, got {big_omega!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if convention not in _CONVENTIONS:
@@ -193,6 +194,10 @@ def solve_modulation_beta(params: JcParams, target: ModulationTarget, n: int,
         beta = -(2.0 if gauge else 1.0) * big_omega * r / params.omega0
     else:
         beta = -big_omega * r / ((n if gauge else 1) * params.omega)
+    if not cmath.isfinite(beta):
+        freq = "omega0" if target is ModulationTarget.ATOM_FREQUENCY else "omega"
+        raise ValueError(f"beta = {beta!r} leaves float64: the ratio big_omega / {freq} = "
+                         f"{big_omega!r} / {getattr(params, freq)!r} is too large")
     arg = condition_argument(params, target, n, big_omega, beta, convention)
     residual = abs(bessel_j0(arg) - 1j)
     if residual > BETA_RESIDUAL_TOL:

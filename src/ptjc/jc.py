@@ -114,6 +114,9 @@ def dressed_spectrum(params: JcParams, n: int) -> DressedSpectrum:
     delta = params.detuning()
     g = params.coupling
     big_delta = cmath.sqrt(delta * delta + 4.0 * g * g * n)
+    if not cmath.isfinite(big_delta):
+        raise ValueError(f"Delta = sqrt(delta^2 + 4 g^2 n) leaves float64 at delta = {delta!r}, "
+                         f"g = {g!r}, n = {n}")
     if big_delta == 0:
         raise DegenerateBlockError(
             "Delta = 0: the block is already diagonal and the mixing angle "
@@ -123,12 +126,16 @@ def dressed_spectrum(params: JcParams, n: int) -> DressedSpectrum:
     s_half = _SQRT_HALF * cmath.sqrt(1.0 + ratio)
     c_half = -_SQRT_HALF * cmath.sqrt(1.0 - ratio)
     mid = (n - 0.5) * params.omega
+    e_plus, e_minus = mid + big_delta / 2.0, mid - big_delta / 2.0
+    if not (cmath.isfinite(e_plus) and cmath.isfinite(e_minus)):
+        raise ValueError(f"E+- = (n - 1/2) omega +- Delta / 2 leaves float64 at n = {n}, "
+                         f"omega = {params.omega!r}, Delta = {big_delta!r}")
     return DressedSpectrum(
         n=n,
         delta=delta,
         big_delta=big_delta,
-        e_plus=mid + big_delta / 2.0,
-        e_minus=mid - big_delta / 2.0,
+        e_plus=e_plus,
+        e_minus=e_minus,
         theta_half_sin=s_half,
         theta_half_cos=c_half,
         eigvec_plus=np.array([-s_half, c_half], dtype=complex),

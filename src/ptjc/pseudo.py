@@ -41,43 +41,30 @@ from .jc import JcParams, t_block
 # tolerance is what bounds alpha for a given truncation.
 INVERSE_IDENTITY_TOL = 1e-10
 
-# Eigenvalue gaps below this flag a degenerate cluster: the pairing of
-# the two families inside the cluster would be arbitrary.
-DEGENERACY_TOL = 1e-10
-
 # Bare excitation cutoff for the fixed probe battery used by the
 # resolution-of-identity checks: matrix elements are sampled between
-# bare states with m + k at most this.
+# bare states with m + k at most this, which are the slots 2m + k up to
+# 2 PROBE_EXCITATION_MAX.
 PROBE_EXCITATION_MAX = 5
 
 
 @dataclass(frozen=True)
 class SimilarityMap:
-    """S = exp(alpha G) and its inverse, built from their boson and fermion factors.
+    """S = exp(alpha G) and its inverse as dense Hermitian matrices.
 
     G = X_b (x) 1 + 1 (x) sigma_x on the interleaved basis, with the
-    boson factor X_b = b + b' = V diag(eigvals) V^T, V = eigvecs.  The
-    two terms commute, so S^k = exp(k alpha X_b) (x) exp(k alpha sigma_x).
-    ``s`` and ``s_inv`` are stored complex, so every product with them is
-    one complex matmul whatever the other factor's dtype; a real S on
-    real data would round differently.
+    boson factor X_b = b + b'.  ``cond2`` is the exact cond2(S) =
+    exp(|alpha| spread(G)), spread(G) = spread(X_b) + 2.  ``s`` and
+    ``s_inv`` are stored complex, so every product with them is one
+    complex matmul whatever the other factor's dtype; a real S on real
+    data would round differently.
     """
 
     space: FockSpace
     alpha: float
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
+    cond2: float
     s: np.ndarray
     s_inv: np.ndarray
-
-    @property
-    def cond2(self) -> float:
-        """Exact cond2(S) = exp(|alpha| spread(G)), spread(G) = spread(X_b) + 2."""
-        return math.exp(abs(self.alpha) * (float(self.eigvals[-1] - self.eigvals[0]) + 2.0))
-
-    def power(self, k: float) -> np.ndarray:
-        """S^k as a dense matrix."""
-        return _kron_exp(self.eigvals, self.eigvecs, k * self.alpha)
 
 
 @dataclass(frozen=True)
@@ -87,25 +74,22 @@ class BiorthogonalSystem:
     Columns of ``phis`` are Phi-hat = S Phi (right eigenvectors of
     H_alpha); columns of ``psis`` are Psi-hat = S^-1 Phi scaled so the
     pairing <Phi-hat_j, Psi-hat_j> is exactly 1.  ``labels`` holds the
-    (n, k) occupancy labels, ``degenerate`` flags members of
-    eigenvalue clusters closer than DEGENERACY_TOL, where the pairing
-    across families is not well defined.
+    (n, k) occupancy labels.  The bare eigenvectors are orthonormal even
+    inside a degenerate cluster and S is Hermitian, so
+    <S V_i, S^-1 V_j> = delta_ij: the pairing is never arbitrary.
     """
 
     space: FockSpace
-    alpha: float
     phis: np.ndarray
     psis: np.ndarray
     energies: np.ndarray
     labels: tuple
-    degenerate: np.ndarray
     eigvecs_bare: np.ndarray
 
     def __post_init__(self):
         m = len(self.energies)
         if not (self.phis.shape[1] == self.psis.shape[1] == m
-                == len(self.labels) == len(self.degenerate)
-                == self.eigvecs_bare.shape[1]):
+                == len(self.labels) == self.eigvecs_bare.shape[1]):
             raise ValueError("inconsistent system component lengths")
 
     def __len__(self) -> int:
@@ -168,8 +152,7 @@ def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
     return SimilarityMap(
         space=space,
         alpha=float(alpha),
-        eigvals=eigvals,
-        eigvecs=eigvecs,
+        cond2=math.exp(abs(alpha) * spread),
         s=s.astype(complex),
         s_inv=s_inv.astype(complex),
     )
@@ -224,8 +207,6 @@ def build_biorthogonal_system(h0: np.ndarray, smap: SimilarityMap,
     evals[slots], evecs[rows, cols] = np.linalg.eigh(h0[rows, cols])
 
     order = np.argsort(evals, kind="stable")
-    diff = np.diff(evals[order])
-    gaps = np.minimum(np.append(diff, np.inf), np.insert(diff, 0, np.inf))
     kept = np.flatnonzero(blocks[order] <= space.safe_boson_max())[:count]
     included = order[kept]
 
@@ -239,12 +220,10 @@ def build_biorthogonal_system(h0: np.ndarray, smap: SimilarityMap,
 
     return BiorthogonalSystem(
         space=space,
-        alpha=smap.alpha,
         phis=phis,
         psis=psis,
         energies=evals[included],
         labels=tuple(space.unpack(int(i)) for i in included),
-        degenerate=gaps[kept] < DEGENERACY_TOL,
         eigvecs_bare=v_incl,
     )
 
@@ -269,41 +248,35 @@ def eigen_residuals(system: BiorthogonalSystem, h0: np.ndarray,
     return float(rel_phi.max()), float(rel_psi.max())
 
 
-def probe_battery(space: FockSpace) -> np.ndarray:
-    """Columns of bare basis vectors with m + k <= PROBE_EXCITATION_MAX."""
-    idx = [space.index(m, k) for m in range(space.boson_levels) for k in (0, 1)
-           if m + k <= PROBE_EXCITATION_MAX]
-    return np.eye(space.total_dim)[:, idx]
-
-
 def metric_checks(system: BiorthogonalSystem, smap: SimilarityMap) -> dict:
     """Metric identity and resolution-of-identity diagnostics.
 
     (a) per-state residual of Phi-hat = S^2 Psi-hat, evaluated as
     S (S Psi-hat) and reported both absolutely and relative to
     ||Phi-hat||; (b) matrix elements of sum |Phi-hat><Phi-hat| - S^2
-    on the fixed low-excitation probe battery; (c) the dual check with
-    Psi-hat and S^-2.  The probe battery stays fixed as ``count``
-    grows, so the completeness trend in (b)/(c) is monotone in the
-    included family.
+    between the probe slots, the bare states with m + k <=
+    PROBE_EXCITATION_MAX; (c) the dual check with Psi-hat and S^-2.
+    S is Hermitian, so S^2 between probes is S^H S read off S's probe
+    columns, and no dim x dim product is formed.  The probe battery
+    stays fixed as ``count`` grows, so the completeness trend in (b)/(c)
+    is monotone in the included family.
     """
     s = smap.s
     diffs = system.phis - s @ (s @ system.psis)
     abs_per_state = np.linalg.norm(diffs, axis=0)
     rel_per_state = abs_per_state / np.linalg.norm(system.phis, axis=0)
 
-    s2 = smap.power(2.0)
-    sm2 = smap.power(-2.0)
-    probes = probe_battery(system.space)
-    res_phi = probes.conj().T @ (system.phis @ system.phis.conj().T - s2) @ probes
-    res_psi = probes.conj().T @ (system.psis @ system.psis.conj().T - sm2) @ probes
+    p = 2 * PROBE_EXCITATION_MAX + 1  # slots 2m + k with m + k <= the cutoff
+    phis, psis = system.phis[:p], system.psis[:p]
+    s_cols, s_inv_cols = s[:, :p], smap.s_inv[:, :p]
+    res_phi = phis @ phis.conj().T - s_cols.conj().T @ s_cols
+    res_psi = psis @ psis.conj().T - s_inv_cols.conj().T @ s_inv_cols
 
     return {
         "identity_abs_max": float(abs_per_state.max()),
         "identity_rel_max": float(rel_per_state.max()),
         "resolution_phi": float(np.abs(res_phi).max()),
         "resolution_psi": float(np.abs(res_psi).max()),
-        "probe_count": probes.shape[1],
     }
 
 
@@ -443,7 +416,6 @@ def diagnostics_record(system: BiorthogonalSystem, smap: SimilarityMap,
     gram = system.gram()
     off = gram - np.diag(np.diag(gram))
     res_phi, res_psi = eigen_residuals(system, h0, smap)
-    metric = metric_checks(system, smap)
     formula = energy_formula(params, system.space)[[2 * m + k for m, k in system.labels]]
     return {
         "alpha": smap.alpha,
@@ -452,11 +424,6 @@ def diagnostics_record(system: BiorthogonalSystem, smap: SimilarityMap,
         "energies": [float(e) for e in system.energies],
         "gram_max_offdiag": float(np.abs(off).max()),
         "eigen_residual_max": max(res_phi, res_psi),
-        "metric_residuals": {
-            "identity_abs_max": metric["identity_abs_max"],
-            "identity_rel_max": metric["identity_rel_max"],
-            "resolution_phi": metric["resolution_phi"],
-            "resolution_psi": metric["resolution_psi"],
-        },
+        "metric_residuals": metric_checks(system, smap),
         "energy_formula_max_dev": float(np.abs(system.energies - formula).max()),
     }

@@ -7,6 +7,10 @@ failure, 2 usage or config error.  File outputs land in tmp_path.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,16 @@ class TestSolveBeta:
         code = main(["solve-beta", "--target", "atom", "--big-omega", "0.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--big-omega", "nan"], "big_omega must be positive and finite, got nan"),
+        (["--big-omega", "1e300", "--omega0", "1e-300"],
+         "leaves float64: the ratio big_omega / omega0 = 1e+300 / 1e-300 is too large"),
+    ])
+    def test_non_finite_beta_refused(self, capsys, flags, named):
+        assert main(["solve-beta", "--target", "atom", *flags]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "bessel_j0" not in err
+
 
 class TestSpectrum:
     def test_imaginary_coupling_broken_pair(self, capsys):
@@ -135,6 +149,23 @@ class TestSpectrum:
 
     def test_invalid_frequency(self):
         assert main(["spectrum", "--omega0", "0.0", "--omega", "1.0"]) == 2
+
+    @pytest.mark.parametrize("flags, quantity", [
+        (["--omega0", "1", "--omega", "1", "--g-real", "1e200"], "Delta"),
+        (["--omega0", "1e308", "--omega", "1e-308"], "Delta"),
+        (["--omega0", "1e300", "--omega", "1e300", "--g-real", "0.1", "--n", "10000000000"],
+         "E+-"),
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_overflow_names_the_quantity(self, tmp_path, capsys, flags, quantity, to_file):
+        # once printed as Infinity/NaN with exit 0 (exit 1 with --output)
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", *flags] + (["--output", str(out)] if to_file else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument error: {quantity} = " in captured.err
+        assert "leaves float64" in captured.err
+        assert not out.exists()
 
 
 class TestEvolve:
@@ -206,6 +237,17 @@ class TestEvolve:
         doc["coupling"] = [0.0, 0.05]
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("beta", ["condition", 0.5])
+    def test_infinite_drive_frequency(self, tmp_path, capsys, beta):
+        doc = self.gauged_doc()
+        doc["modulation"].update(beta=beta, big_omega=12345.0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc).replace("12345.0", "1e400"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "big_omega must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_frame(self, tmp_path):
         doc = self.gauged_doc()
@@ -736,3 +778,28 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_matches_fresh_processes(self, tmp_path):
+        # usage errors, then valid runs, through one parser in this
+        # process and through a new interpreter per call
+        pseudo_cfg = write_config(tmp_path, {"boson_levels": 8}, "pseudo.json")
+        compare_cfg = write_config(tmp_path, {"omega_ratio": 20.0, "duration_rabi_units": 0.5},
+                                   "compare.json")
+
+        def calls(side):
+            out = tmp_path / side
+            return [["pseudo", "--bogus"], ["compare", "--config"],
+                    ["pseudo", "--config", pseudo_cfg, "--output-dir", str(out / "p")],
+                    ["compare", "--config", compare_cfg, "--output-dir", str(out / "c")]]
+
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        reused = [main(argv) for argv in calls("reused")]
+        fresh = [subprocess.run([sys.executable, "-m", "ptjc.cli", *argv], env=env,
+                                capture_output=True).returncode for argv in calls("fresh")]
+        assert reused == fresh == [2, 2, 0, 0]
+        for name in ("p/pseudo.json", "c/report.json", "c/comparison.csv"):
+            assert ((tmp_path / "reused" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())

@@ -1,23 +1,28 @@
-"""Stdlib stand-ins for four linter rules.
+"""Stdlib stand-ins for five linter rules.
 
 Every name a module imports is used, every module-level private
 function or constant is referenced outside its own definition, every
 module-level public function or class has a caller in the package or
-the benchmark (or a place on an allowlist), and only the JSON and CSV
-writers open files for writing.
+the benchmark (or a place on an allowlist), only the JSON and CSV
+writers open files for writing, and the README lists exactly the keys
+that ``ptjc pseudo`` writes.
 """
 
 import ast
+import json
+import re
 from pathlib import Path
 
 import pytest
 
 import ptjc
+from ptjc.cli import main
 
 PACKAGE = sorted(Path(ptjc.__file__).parent.glob("*.py"))
 # The package __init__ imports names only to re-export them.
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 BENCHMARK = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+README = Path(__file__).parents[1] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -196,3 +201,53 @@ def test_finds_a_stray_write():
 
 def test_only_the_json_and_csv_writers_write_files():
     assert stray_writes({p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+PSEUDO_KEYS_SENTENCE = "`pseudo.json` holds exactly these keys:"
+
+
+def documented_keys(readme: str) -> dict:
+    """The key tree of the README paragraph that opens with PSEUDO_KEYS_SENTENCE.
+
+    Backticked names outside parentheses are top-level keys; the
+    backticked names inside the parentheses that follow a key are its
+    nested keys.  Leaves map to None.
+    """
+    paragraph = readme.split(PSEUDO_KEYS_SENTENCE, 1)[1].split("\n\n", 1)[0]
+    tree, depth, last = {}, 0, None
+    for token in re.findall(r"`([^`]*)`|([()])", paragraph):
+        name, paren = token
+        if paren:
+            depth += 1 if paren == "(" else -1
+        elif depth == 0:
+            tree[name] = None
+            last = name
+        else:
+            tree[last] = {**(tree[last] or {}), name: None}
+    return tree
+
+
+def key_tree(payload: dict) -> dict:
+    return {k: key_tree(v) if isinstance(v, dict) else None for k, v in payload.items()}
+
+
+def test_finds_drift_in_the_documented_keys():
+    readme = ("Intro `pseudo.json` and `alpha`.\n\n"
+              + PSEUDO_KEYS_SENTENCE + " `alpha`, `cond2` (the exact condition\n"
+              "number of S), `metric_residuals` (`identity_abs_max`,\n`probe_count`) and "
+              "`generated_by`.\n\nLater `energies`.\n")
+    written = {"alpha": 0.5, "cond2": 2.0, "metric_residuals": {"identity_abs_max": 0.0},
+               "generated_by": "ptjc"}
+    assert documented_keys(readme) == {
+        "alpha": None, "cond2": None, "generated_by": None,
+        "metric_residuals": {"identity_abs_max": None, "probe_count": None}}
+    assert documented_keys(readme) != key_tree(written)
+    assert documented_keys(readme.replace(",\n`probe_count`", "")) == key_tree(written)
+
+
+def test_readme_lists_the_pseudo_json_keys(tmp_path):
+    (tmp_path / "small.json").write_text(json.dumps({"boson_levels": 8}), encoding="utf-8")
+    assert main(["pseudo", "--config", str(tmp_path / "small.json"),
+                 "--output-dir", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "pseudo.json").read_text(encoding="utf-8"))
+    assert documented_keys(README.read_text(encoding="utf-8")) == key_tree(written)
