@@ -27,13 +27,14 @@ divides that period, else ``rk4_linear``) lands exactly on t1 via a
 shortened last step; at most MAX_STEPS steps per call.  ``period_factors``
 stops at that path's one-period factors, under the same checks.
 
-``write_csv`` is the package's one CSV formatter; trajectories are read
-back with ``np.loadtxt``.
+``write_csv`` is the package's one CSV formatter, in chunks of
+_CSV_CHUNK_ROWS rows; a trajectory is read back in one ``np.loadtxt``.
 """
 from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -58,9 +59,11 @@ _CHUNK_TIMES = 4096
 DEFAULT_STEPS_PER_PERIOD = 400
 
 TRAJECTORY_CSV_HEADER = "t,re_c,im_c,re_d,im_d,frame,n"
+# One read_trajectory_csv row; the Trajectory keeps these records, so the tag fields are narrow.
+_TRAJECTORY_ROW = np.dtype([("t", float), ("cd", float, (4,)), ("frame", "S12"), ("n", "S4")])
 
-# Rows write_csv formats per batch: bounds the Python floats alive at once.
-_CSV_CHUNK_ROWS = 4096
+# Rows write_csv formats per batch: bounds the Python floats and strings alive at once.
+_CSV_CHUNK_ROWS = 1024
 
 
 class FrameMismatchError(TypeError):
@@ -433,15 +436,15 @@ def period_factors(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
 def write_csv(path, header: str, columns, suffix: str = "") -> None:
     """``header``, then per sample each column's float ``repr`` joined by commas, then ``suffix``.
 
-    Rows stream through one format string from ``tolist()`` slices of
-    _CSV_CHUNK_ROWS rows: no list of rows or of whole columns is built.
+    Each column's ``tolist()`` slice of _CSV_CHUNK_ROWS rows becomes fields in C, as
+    its list ``repr`` split at ", ": no list of rows or of whole columns is built.
     """
     cols = [np.asarray(col, dtype=float) for col in columns]
-    row = ",".join(["{!r}"] * len(cols)) + suffix.replace("{", "{{").replace("}", "}}") + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for i in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
-            fh.writelines(map(row.format, *(col[i:i + _CSV_CHUNK_ROWS].tolist() for col in cols)))
+            fields = [repr(col[i:i + _CSV_CHUNK_ROWS].tolist())[1:-1].split(", ") for col in cols]
+            fh.write((suffix + "\n").join(map(",".join, zip(*fields))) + suffix + "\n")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -452,15 +455,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Inverse of write_trajectory_csv, in one streamed pass over the file.
+    """Inverse of write_trajectory_csv: one ``np.loadtxt`` of the rows, read from the path.
 
-    Each non-blank row is checked (7 fields, the first row's frame/n
-    tags) on its way into ``np.loadtxt``, which parses the five numbers
-    (``comments=None``: a row starting with '#' is malformed, not skipped).
+    One array comparison checks the tags (frame under 12 bytes, n under 4: not cut).  A
+    file that fails (or has a line of blanks) streams again through a per-row check into
+    ``np.loadtxt``, naming the bad row.  A row starting with '#' is malformed, not skipped.
     """
-    tags = []
-
-    def checked(lines):
+    def checked(lines):  # 7 fields and the first row's tags, or ValueError naming the row
         for lineno, line in enumerate(lines, start=2):
             line = line.strip()
             if not line:
@@ -468,23 +469,32 @@ def read_trajectory_csv(path) -> Trajectory:
             parts = line.split(",")
             if len(parts) != 7:
                 raise ValueError(f"malformed trajectory row {line!r}")
-            if not tags:
-                tags.extend(parts[5:])
-            elif parts[5:] != tags:
+            if parts[5:] != tags:
                 raise ValueError(f"trajectory row {line!r} (line {lineno}) has other "
                                  f"frame/n tags than the first row's {','.join(tags)}")
             yield line
-        if not tags:
-            raise ValueError("empty trajectory file")
 
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != TRAJECTORY_CSV_HEADER:
             raise ValueError(f"unexpected trajectory header {header!r}")
-        data = np.loadtxt(checked(fh), delimiter=",", usecols=range(5), ndmin=2, comments=None)
-    c, d = data[:, 1:].view(complex).T  # (re, im) pairs, bit for bit
-    step = float(data[1, 0] - data[0, 0]) if len(data) > 1 else 1.0
-    return Trajectory(times=data[:, 0], c=c, d=d, frame=Frame(tags[0]), n=int(tags[1]), step=step)
+        if not (first := next(filter(None, map(str.strip, fh)), "")):
+            raise ValueError("empty trajectory file")
+        tags = first.split(",")[5:]
+        try:  # numpy reads the path in blocks; it skips empty lines, not blank ones
+            data = np.loadtxt(os.fsdecode(path), delimiter=",", skiprows=1, encoding="utf-8",
+                              dtype=_TRAJECTORY_ROW, comments=None, ndmin=1)
+            frame, n = (got := data[["frame", "n"]])[0].item()
+        except (ValueError, OSError):  # the checked pass below names the fault
+            got = None
+        if got is None or len(frame) >= 12 or len(n) >= 4 or (got != got[0]).any():
+            fh.seek(0)
+            fh.readline()
+            data = np.loadtxt(checked(fh), delimiter=",", usecols=range(5),
+                              dtype=_TRAJECTORY_ROW[["t", "cd"]], comments=None, ndmin=1)
+    c, d = data["cd"].view(complex).T  # (re, im) pairs, bit for bit
+    step = float(data["t"][1] - data["t"][0]) if len(data) > 1 else 1.0
+    return Trajectory(times=data["t"], c=c, d=d, frame=Frame(tags[0]), n=int(tags[1]), step=step)
 
 
 def map_trajectory(traj: Trajectory, params: JcParams,

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -198,6 +199,12 @@ def solve_modulation_beta(params: JcParams, target: ModulationTarget, n: int,
         freq = "omega0" if target is ModulationTarget.ATOM_FREQUENCY else "omega"
         raise ValueError(f"beta = {beta!r} leaves float64: the ratio big_omega / {freq} = "
                          f"{big_omega!r} / {getattr(params, freq)!r} is too large")
+    if abs(beta) < sys.float_info.min:  # subnormal: beta has lost digits
+        # beta / big_omega = r / condition_argument at beta = big_omega = 1
+        unit_arg = abs(condition_argument(params, target, n, 1.0, 1.0, convention))
+        raise ValueError(f"beta = {beta!r} is below the smallest normal float64, "
+                         f"{sys.float_info.min!r}, in magnitude: big_omega = {big_omega!r} "
+                         f"must be at least about {sys.float_info.min * unit_arg / abs(r):.4g}")
     arg = condition_argument(params, target, n, big_omega, beta, convention)
     residual = abs(bessel_j0(arg) - 1j)
     if residual > BETA_RESIDUAL_TOL:

@@ -19,9 +19,15 @@ from ptjc import (
     build_biorthogonal_system,
     build_h0,
     build_similarity,
+    dynamics,
 )
 
 DEFAULT_SEED = 20260814
+
+# Row counts at write_csv's chunk boundaries: one row, a chunk less one, one
+# chunk, one past it, and one past two chunks.
+CHUNK_BOUNDARY_ROWS = [1, dynamics._CSV_CHUNK_ROWS - 1, dynamics._CSV_CHUNK_ROWS,
+                       dynamics._CSV_CHUNK_ROWS + 1, 2 * dynamics._CSV_CHUNK_ROWS + 1]
 
 
 @pytest.fixture

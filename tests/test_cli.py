@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import CHUNK_BOUNDARY_ROWS
 
 from ptjc import cli, kernels
 from ptjc.cli import MAX_INT, main, parse_compare_config
@@ -110,6 +111,24 @@ class TestSolveBeta:
         assert main(["solve-beta", "--target", "atom", *flags]) == 2
         err = capsys.readouterr().err
         assert named in err and "bessel_j0" not in err
+
+    @pytest.mark.parametrize("target, big_omega, limit", [
+        ("atom", "1e-320", "4.332e-309"),
+        ("cavity", "1e-310", "8.664e-309"),
+    ])
+    def test_subnormal_beta_refused(self, capsys, target, big_omega, limit):
+        assert main(["solve-beta", "--target", target, "--big-omega", big_omega]) == 2
+        err = capsys.readouterr().err
+        assert (f"below the smallest normal float64, 2.2250738585072014e-308, in magnitude: "
+                f"big_omega = {big_omega} must be at least about {limit}") in err
+        assert "residual" not in err
+
+    @pytest.mark.parametrize("target, big_omega", [("atom", 4.34e-309), ("cavity", 8.67e-309)])
+    def test_just_above_the_subnormal_limit(self, tmp_path, target, big_omega):
+        out = tmp_path / "beta.json"
+        assert main(["solve-beta", "--target", target, "--big-omega", repr(big_omega),
+                     "--output", str(out)]) == 0
+        assert abs(complex(*json.loads(out.read_text())["beta"])) >= sys.float_info.min
 
 
 class TestSpectrum:
@@ -247,6 +266,15 @@ class TestEvolve:
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(path), "--output-dir", str(out)]) == 2
         assert "big_omega must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_subnormal_condition_beta_refused(self, tmp_path, capsys):
+        doc = self.gauged_doc()
+        doc["modulation"]["big_omega"] = 1e-320
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert "big_omega = 1e-320 must be at least about 4.332e-309" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_frame(self, tmp_path):
@@ -439,6 +467,20 @@ class TestCompare:
         lines = (outdir / "comparison.csv").read_text().splitlines()
         assert lines[0] == "omega_ratio,max_rel_err"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("rows", CHUNK_BOUNDARY_ROWS)
+    def test_sweep_csv_bytes_at_chunk_boundaries(self, tmp_path, monkeypatch, rows):
+        # the sweep itself is stubbed: only the two-column comparison.csv is under test
+        errs = np.random.default_rng(rows).standard_normal(rows).tolist()
+        errs[:3] = [-0.0, 5e-324, 0.1 + 0.2]
+        curve = [(25.0 * (i + 1), e) for i, e in enumerate(errs)]
+        monkeypatch.setattr(cli, "convergence_sweep", lambda *args, **kwargs: curve)
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, {"ratios": [25.0, 50.0]})
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 0
+        want = "omega_ratio,max_rel_err\n" + "".join(f"{r!r},{e!r}\n" for r, e in curve)
+        assert "25.0,-0.0\n" in want
+        assert (outdir / "comparison.csv").read_bytes() == want.encode("utf-8")
 
     @pytest.mark.parametrize("doc", [None, {"ratios": [25.0, 50.0, 100.0]}])
     def test_no_per_sample_trajectory(self, tmp_path, monkeypatch, doc):

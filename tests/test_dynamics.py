@@ -1,10 +1,12 @@
 """Frame maps, amplitude equations of motion, and the RK4 front end."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from conftest import apply_rhs, rk4_generic
+from conftest import CHUNK_BOUNDARY_ROWS, apply_rhs, rk4_generic
 
 from ptjc import dynamics, kernels
 from ptjc.dynamics import (
@@ -778,3 +780,103 @@ class TestCsvCodec:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("rows", CHUNK_BOUNDARY_ROWS)
+    def test_bytes_match_at_chunk_boundaries(self, tmp_path, rows):
+        parts = np.resize(np.array(self.AWKWARD), 4 * rows)
+        parts[5::3] = np.random.default_rng(rows).standard_normal(len(parts[5::3]))
+        c, d = parts.view(complex).reshape(2, rows)
+        traj = Trajectory(times=np.arange(rows) * 0.1, c=c, d=d, frame=Frame.INTERACTION,
+                          n=12, step=0.1)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        text = per_row_trajectory_text(traj)
+        assert text.count("\n") == rows + 1
+        assert all(v in text for v in ("-0.0,", "5e-324", "0.30000000000000004"))
+        assert path.read_bytes() == text.encode("utf-8")
+        back = read_trajectory_csv(path)
+        for got, want in ((back.times, traj.times), (back.c, c), (back.d, d)):
+            assert got.tobytes() == want.tobytes()
+
+    def write_rows(self, tmp_path, *rows):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,re_c,im_c,re_d,im_d,frame,n\n" + "".join(r + "\n" for r in rows),
+                        encoding="utf-8")
+        return path
+
+    def test_mixed_tags_after_blank_lines_name_the_file_line(self, tmp_path):
+        path = self.write_rows(tmp_path, "", "0.0,1.0,0.0,0.0,0.0,lab,1", "  ", "",
+                               "0.1,1.0,0.0,0.0,0.0,lab,1", "\t", "0.2,1.0,0.0,0.0,0.0,lab,2")
+        with pytest.raises(ValueError, match=r"'0.2,1.0,0.0,0.0,0.0,lab,2' \(line 8\) has "
+                                             r"other frame/n tags than the first row's lab,1"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("first, second", [
+        ("1" * 29 + "0", "1" * 29 + "1"),  # past both fields, differing at the end
+        ("interaction  x", "interaction  y"),  # padded: the first 12 bytes agree
+        ("interactionX", "interactionXY"),  # fills the frame field
+        ("1234", "12345"),  # fills the n field
+        ("1   ", "1   x"),  # trailing blanks, stripped from the text, fill the n field
+        ("gauged", "interaction  x"),
+    ])
+    @pytest.mark.parametrize("column", ["frame", "n"])
+    def test_long_tags_are_not_compared_cut(self, tmp_path, first, second, column):
+        def row(t, tag):
+            return f"{t},1.0,0.0,0.0,0.0," + (f"{tag},1" if column == "frame" else f"lab,{tag}")
+        for a, b in ((first, second), (second, first)):
+            path = self.write_rows(tmp_path, row(0.0, a), row(0.1, a), row(0.2, b))
+            with pytest.raises(ValueError, match=r"\(line 4\) has other frame/n tags"):
+                read_trajectory_csv(path)
+
+    def test_long_n_is_read_in_full(self, tmp_path):
+        n = int("9" * 30)
+        traj = self.awkward_trajectory()
+        traj = Trajectory(times=traj.times, c=traj.c, d=traj.d, frame=Frame.LAB, n=n, step=0.5)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+        assert back.n == n and back.frame is Frame.LAB
+        for got, want in ((back.times, traj.times), (back.c, traj.c), (back.d, traj.d)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_reads_any_file_name_as_plain_text(self, tmp_path):
+        traj = self.awkward_trajectory()
+        path = tmp_path / "traj.csv.gz"  # not gzip: no name-based decompression
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+        for got, want in ((back.times, traj.times), (back.c, traj.c), (back.d, traj.d)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("frame", ["interaction  x", "gaugedgaugedgauged"])
+    def test_long_frame_is_refused_by_name(self, tmp_path, frame):
+        path = self.write_rows(tmp_path, f"0.0,1.0,0.0,0.0,0.0,{frame},1",
+                               f"0.1,1.0,0.0,0.0,0.0,{frame},1")
+        with pytest.raises(ValueError, match=f"'{frame}' is not a valid Frame"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("body", ["", "\n\n   \n"], ids=["header-only", "blank-lines"])
+    def test_no_rows_raise_without_a_numpy_warning(self, tmp_path, body):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,re_c,im_c,re_d,im_d,frame,n\n" + body, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^empty trajectory file$"):
+                read_trajectory_csv(path)
+
+    def test_round_trip_memory_stays_bounded(self, tmp_path):
+        # 16,001 rows, as one evolve-detuned frame; the bounds keep the codec chunked
+        rows = 16001
+        parts = np.random.default_rng(7).standard_normal(4 * rows)
+        c, d = parts.view(complex).reshape(2, rows)
+        traj = Trajectory(times=np.arange(rows) / 256.0, c=c, d=d, frame=Frame.INTERACTION,
+                          n=2, step=1.0 / 256.0)
+        path = tmp_path / "traj.csv"
+        peaks = []
+        for call in (lambda: write_trajectory_csv(traj, path), lambda: read_trajectory_csv(path)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.0 and peaks[1] <= 1.5, peaks

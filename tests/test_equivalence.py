@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import jv
+from conftest import CHUNK_BOUNDARY_ROWS
 
 from ptjc.bessel import bessel_j0, solve_j0_equals
 from ptjc.dynamics import (
@@ -26,6 +27,7 @@ from ptjc.dynamics import (
 from ptjc.equivalence import (
     COMPARISON_CSV_HEADER,
     ENVELOPE_FLOOR,
+    ComparisonReport,
     ExperimentConfig,
     GAUGE_CONVENTION,
     PRINTED_MEASURE,
@@ -393,13 +395,33 @@ class TestReportSerialization:
 
     def test_csv_bytes_match_the_per_row_writer(self, tmp_path):
         report = run_equivalence_experiment(default_cfg(omega_ratio=50.0, step_per_period=100))
-        rows = [COMPARISON_CSV_HEADER + "\n"]
-        for i in range(len(report.times)):
-            t = float(report.times[i])
-            ca, da = (complex(z) for z in report.driven_envelope[i])
-            cr, dr = (complex(z) for z in report.static_reference[i])
-            rows.append(f"{t!r},{ca.real!r},{ca.imag!r},{da.real!r},{da.imag!r},"
-                        f"{cr.real!r},{cr.imag!r},{dr.real!r},{dr.imag!r}\n")
         path = tmp_path / "cmp.csv"
         write_comparison_csv(report, path)
-        assert path.read_bytes() == "".join(rows).encode("utf-8")
+        assert path.read_bytes() == per_row_comparison_text(report).encode("utf-8")
+
+    @pytest.mark.parametrize("rows", CHUNK_BOUNDARY_ROWS)
+    def test_csv_bytes_match_at_chunk_boundaries(self, tmp_path, rows):
+        # all nine columns, with -0.0, 5e-324 and 0.1 + 0.2 among normal values
+        parts = np.random.default_rng(rows).standard_normal(8 * rows)
+        parts[:8] = [-0.0, 5e-324, 0.1 + 0.2, 1e300, -5e-324, 0.0, 2.0, -1e-300]
+        env, ref = parts.view(complex).reshape(2, rows, 2)
+        report = ComparisonReport(beta_used=0j, max_rel_err=0.0, rms_err=0.0,
+                                  times=np.arange(rows) * 0.25, driven_envelope=env,
+                                  static_reference=ref, max_rel_err_c=0.0, max_rel_err_d=0.0)
+        path = tmp_path / "cmp.csv"
+        write_comparison_csv(report, path)
+        text = per_row_comparison_text(report)
+        assert text.count("\n") == rows + 1 and "-0.0,5e-324,0.30000000000000004" in text
+        assert path.read_bytes() == text.encode("utf-8")
+
+
+def per_row_comparison_text(report):
+    """The per-row f-string writer ``write_comparison_csv`` replaced: the byte oracle."""
+    rows = [COMPARISON_CSV_HEADER + "\n"]
+    for i in range(len(report.times)):
+        t = float(report.times[i])
+        ca, da = (complex(z) for z in report.driven_envelope[i])
+        cr, dr = (complex(z) for z in report.static_reference[i])
+        rows.append(f"{t!r},{ca.real!r},{ca.imag!r},{da.real!r},{da.imag!r},"
+                    f"{cr.real!r},{cr.imag!r},{dr.real!r},{dr.imag!r}\n")
+    return "".join(rows)
