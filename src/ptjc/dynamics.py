@@ -24,8 +24,11 @@ Each bind_* helper returns a ``BoundRhs`` owning its linear
 (c, d)' = A(t) (c, d), frame and drive period (lab: always; gauged: at
 resonance).  Fixed-step RK4 (``ptjc.kernels.rk4_periodic`` when the step
 divides that period, else ``rk4_linear``) lands exactly on t1 via a
-shortened last step; at most MAX_STEPS steps per call.  ``period_factors``
-stops at that path's one-period factors, under the same checks.
+shortened last step; at most MAX_STEPS steps per call.
+
+``_relative_phase_amplitude`` is the package's one z, the amplitude of
+the relative phase z sin(Omega t) between c and d: the averaged rhs
+couples with g J0(z); ``ptjc.equivalence`` drives its slow-frame block.
 
 ``write_csv`` is the package's one CSV formatter, in chunks of
 _CSV_CHUNK_ROWS rows; a trajectory is read back in one ``np.loadtxt``.
@@ -188,6 +191,17 @@ def _require_real_coupling(params: JcParams, op: str) -> float:
 # Frame maps
 
 
+def _relative_phase_amplitude(params: JcParams, mod: ModulationSpec) -> complex:
+    """z of the relative phase z sin(Omega t) between c and d; independent of n.
+
+    omega0 beta / Omega for the atom, whose levels carry +-omega0(t)/2;
+    -omega beta / Omega for the cavity, levels (n-1) omega(t) and n omega(t).
+    """
+    if mod.target is ModulationTarget.ATOM_FREQUENCY:
+        return params.omega0 * mod.beta / mod.big_omega
+    return -params.omega * mod.beta / mod.big_omega
+
+
 def _gauge_amplitude(params: JcParams, mod: ModulationSpec, n: int) -> complex:
     """gamma of the gauged frame's phase gamma sin(Omega t); complex for complex beta."""
     if mod.target is ModulationTarget.ATOM_FREQUENCY:
@@ -274,19 +288,14 @@ def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
 
 def averaged_effective_coupling(params: JcParams, mod: ModulationSpec,
                                 n: int) -> complex:
-    """g J0(-omega0 beta / 2 Omega) or g J0(-n omega beta / Omega).
+    """g J0(z), z the relative-phase amplitude: the period-averaged coupling.
 
-    The J0 argument is the amplitude of the phase the gauged frame
-    absorbed (the ``gauge`` convention); by evenness of J0 its sign is
-    immaterial.  For the atom that is half the amplitude omega0 beta /
-    Omega of the relative phase between c and d, which is what sets
-    the period-averaged coupling, so with the gauge-solved beta this
-    returns g i while the driven block averages to g J0(2 r), r the
-    root of J0(r) = i.  For the cavity the argument is n times the
-    relative-phase amplitude omega beta / Omega.
+    With the ``splitting``-solved beta this is g i for both targets and
+    every n; the ``gauge``-solved beta gives g J0(2 r) (atom) or
+    g J0(r / n) (cavity), r the root of J0(r) = i.
     """
     g = _require_real_coupling(params, "averaged_effective_coupling")
-    return g * bessel_j0(-_gauge_amplitude(params, mod, n))
+    return g * bessel_j0(_relative_phase_amplitude(params, mod))
 
 
 def bind_averaged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
@@ -341,6 +350,14 @@ def step_ratio(total: float, step: float) -> float:
     return ratio
 
 
+def _check_rk4_rate(rate: float) -> None:
+    """ValueError if the RK4 step times the largest diagonal rate exceeds 2 sqrt(2)."""
+    limit = 2.0 * math.sqrt(2.0)
+    if rate > limit:
+        raise ValueError(f"RK4 step times the largest diagonal rate, {rate:.6g}, exceeds RK4's "
+                         f"imaginary-axis stability limit 2 sqrt(2) = {limit:.6g}")
+
+
 def check_rk4_stability(rhs: BoundRhs, step: float, mod: ModulationSpec, t1: float) -> None:
     """ValueError if h max|Im a_jj| exceeds 2 sqrt(2), RK4's imaginary-axis limit.
 
@@ -355,10 +372,7 @@ def check_rk4_stability(rhs: BoundRhs, step: float, mod: ModulationSpec, t1: flo
     for j0 in range(0, count, _CHUNK_TIMES):
         a = rhs.matrix((step / 2.0) * np.arange(j0, min(j0 + _CHUNK_TIMES, count)))
         diag = max(diag, float(np.abs(a[[0, 3]].imag).max()))
-    rate, limit = step * diag, 2.0 * math.sqrt(2.0)
-    if rate > limit:
-        raise ValueError(f"RK4 step times the largest diagonal rate, {rate:.6g}, exceeds RK4's "
-                         f"imaginary-axis stability limit 2 sqrt(2) = {limit:.6g}")
+    _check_rk4_rate(step * diag)
 
 
 def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:
@@ -368,23 +382,6 @@ def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:
     if tail <= _TAIL_REL_TOL * max(1.0, abs(total)):
         tail = 0.0
     return n_full, tail
-
-
-def _plan(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
-          step: float) -> tuple[int, float, int]:
-    """integrate's checks; (n_full, tail, k) with k = 0 off the period path."""
-    if not isinstance(rhs, BoundRhs):
-        raise TypeError(f"integrate needs a BoundRhs, got {type(rhs).__name__}")
-    if rhs.frame is not None and state0.frame is not rhs.frame:
-        raise FrameMismatchError(
-            f"rhs integrates {rhs.frame.value}-frame states, got {state0.frame.value}")
-    if not (math.isfinite(step) and step > 0):
-        raise IntegrationError(f"step must be positive and finite, got {step}")
-    if not t1 > t0:
-        raise IntegrationError(f"t1 must exceed t0, got [{t0}, {t1}]")
-    n_full, tail = _split_steps(t0, t1, step)
-    k = round(min(rhs.period / step, n_full)) if rhs.period else 0
-    return n_full, tail, k if k > 0 and abs(k * step - rhs.period) <= 1e-12 * rhs.period else 0
 
 
 def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
@@ -397,7 +394,19 @@ def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
     exactly, via a shortened last step when (t1 - t0) / step is not
     integral.  More than MAX_STEPS steps raise ValueError before any allocation.
     """
-    n_full, tail, k = _plan(rhs, state0, t0, t1, step)
+    if not isinstance(rhs, BoundRhs):
+        raise TypeError(f"integrate needs a BoundRhs, got {type(rhs).__name__}")
+    if rhs.frame is not None and state0.frame is not rhs.frame:
+        raise FrameMismatchError(
+            f"rhs integrates {rhs.frame.value}-frame states, got {state0.frame.value}")
+    if not (math.isfinite(step) and step > 0):
+        raise IntegrationError(f"step must be positive and finite, got {step}")
+    if not t1 > t0:
+        raise IntegrationError(f"t1 must exceed t0, got [{t0}, {t1}]")
+    n_full, tail = _split_steps(t0, t1, step)
+    k = round(min(rhs.period / step, n_full)) if rhs.period else 0
+    if not (k > 0 and abs(k * step - rhs.period) <= 1e-12 * rhs.period):
+        k = 0
     args = (rhs.matrix, state0.c, state0.d, t0, step, n_full, tail)
     try:
         cs, ds = kernels.rk4_periodic(*args, k) if k else kernels.rk4_linear(*args)
@@ -412,21 +421,6 @@ def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
     if tail > 0.0:
         times = np.concatenate([times, [t1]])
     return Trajectory(times=times, c=cs, d=ds, frame=state0.frame, n=state0.n, step=step)
-
-
-def period_factors(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
-                   step: float) -> tuple[np.ndarray, np.ndarray]:
-    """``kernels.rk4_period_factors`` of ``integrate``'s period path, same checks.
-
-    ValueError when ``integrate`` would not take that path; no tail step.
-    """
-    n_full, _, k = _plan(rhs, state0, t0, t1, step)
-    if not k:
-        raise ValueError(f"step {step:g} does not divide a period of the rhs within [{t0}, {t1}]")
-    try:
-        return kernels.rk4_period_factors(rhs.matrix, state0.c, state0.d, t0, step, n_full, k)
-    except FloatingPointError as exc:
-        raise IntegrationError(f"non-finite amplitudes at t = {t0 + exc.args[0] * step}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@
 
 The headline experiment: pick the modulation depth beta so that the
 drive-averaged coupling becomes purely imaginary (J0 condition equal to
-i), integrate the driven gauged equations over one drive period,
+i), integrate the driven block over one drive period in the slow frame
+(micromotion stripped from both amplitudes), where it reads
+
+    i c' = kappa exp(+i z sin(Omega t)) d,
+    i d' = kappa exp(-i z sin(Omega t)) c,
+
 window-average over drive periods, and compare the envelopes against
 the closed-form static evolution with coupling i g.  Averages and
 reference both come from per-phase rows times period-boundary states
@@ -10,17 +15,13 @@ reference both come from per-phase rows times period-boundary states
 convergence sweep in Omega / Omega_R quantifies how the deviation
 shrinks as the drive gets faster.
 
-In the slow frame (micromotion stripped from both amplitudes) the
-driven block reads
-
-    i c' = kappa exp(+i z sin(Omega t)) d,
-    i d' = kappa exp(-i z sin(Omega t)) c,
-
-with kappa = g sqrt(n) and z the amplitude of the relative phase
-between c and d: z = omega0 beta / Omega (atom, whose levels carry
-+-omega0(t)/2) and z = -omega beta / Omega (cavity, levels (n-1) omega(t)
-and n omega(t); independent of n).  Averaged over a period the coupling
-is kappa J0(z), so J0(z) = i gives the static i g block.
+Here kappa = g sqrt(n) and z is ``dynamics._relative_phase_amplitude``,
+the amplitude of the relative phase between c and d: omega0 beta / Omega
+(atom) or -omega beta / Omega (cavity, independent of n).  The block
+has no diagonal, so it depends on the target and on n only through
+kappa and z, and its RK4 error is the same for every n.  Averaged over
+a period the coupling is kappa J0(z), so J0(z) = i gives the static
+i g block.
 
 Two Bessel-argument conventions are provided for the resonance
 condition.  ``splitting`` (the default here) solves J0 at the relative-
@@ -31,9 +32,10 @@ r the root of J0(r) = i, and the envelopes approach that static
 evolution rather than the i g one.
 
 ``measure`` selects which amplitudes get window-averaged: ``slow`` (the
-default) averages the slow-frame pair above, ``printed`` averages the
-gauged pair (c_gauged, d) as produced, whose window average scales
-each envelope by |J0| of its leftover micromotion amplitude.
+default) averages the slow-frame pair above, ``printed`` the gauged
+pair (c_gauged, d), the slow pair times the gauged frame's micromotion
+exp(i u sin(Omega t)) with u = (0, z / 2) (atom) or (-z, n z) (cavity);
+its window average scales each envelope by |J0(u)|.
 
 The reference starts from the first-order kicked state (high-frequency
 expansion): the window averages follow the static evolution from
@@ -53,22 +55,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kernels
 from .bessel import bessel_j0, kick_sum, solve_j0_equals
 from .dynamics import (
-    AmplitudeState,
-    Frame,
-    IntegrationError,
     ModulationSpec,
     ModulationTarget,
-    bind_gauged_rhs,
-    check_rk4_stability,
+    _check_rk4_rate,
+    _relative_phase_amplitude,
     closed_form_amplitudes,
-    period_factors,
     step_ratio,
     write_csv,
 )
 from .jc import JcParams
-from .kernels import expand_periods
 
 # Residual demanded of the solved Bessel condition.
 BETA_RESIDUAL_TOL = 1e-12
@@ -212,12 +210,16 @@ def solve_modulation_beta(params: JcParams, target: ModulationTarget, n: int,
     return beta
 
 
-def _relative_phase_amplitude(cfg: ExperimentConfig, beta: complex,
-                              big_omega: float) -> complex:
-    """z in the slow-frame equations i c' = kappa exp(i z sin(Omega t)) d."""
-    if cfg.target is ModulationTarget.ATOM_FREQUENCY:
-        return cfg.params.omega0 * beta / big_omega
-    return -cfg.params.omega * beta / big_omega
+def _slow_block(kappa: float, z: complex, big_omega: float):
+    """A(t) of i c' = kappa exp(+i z sin(Omega t)) d, i d' = kappa exp(-i z sin(Omega t)) c."""
+    def matrix(t):
+        phase = 1j * (z * np.sin(big_omega * t))
+        a = np.zeros((4,) + t.shape, dtype=complex)
+        a[1] = -1j * kappa * np.exp(phase)
+        a[2] = -1j * kappa * np.exp(-phase)
+        return a
+
+    return matrix
 
 
 def run_equivalence_experiment(cfg: ExperimentConfig, *,
@@ -227,15 +229,16 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     """Drive, average, and compare against the static i g evolution.
 
     Steps: solve for beta (unless an explicit beta is supplied, e.g.
-    beta = 0 for the sanity path), integrate the gauged equations from
-    (c, d) = (0, 1) to their one-period factors (no per-sample
+    beta = 0 for the sanity path), integrate the slow-frame block from
+    (c, d) = (0, 1) to its one-period factors (no per-sample
     trajectory), window-average over ``window_periods`` drive periods,
     evaluate the closed-form static solution with coupling i g at the
     surviving interior times, started from the kicked state
     (c, d) = ((kappa / Omega) S(z), 1), and report the maximum and RMS
     relative deviation of the envelopes, each normalized by
-    max(|static|, ENVELOPE_FLOOR).  A real part of z too large for
-    RK4 at ``step_per_period`` is refused before integrating.
+    max(|static|, ENVELOPE_FLOOR).  A non-finite beta, or a real part
+    of z too large for RK4 at ``step_per_period``, is refused before
+    integrating.
     """
     if measure not in _MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -250,22 +253,20 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     omega_r = cfg.rabi_frequency()
     big_omega = cfg.drive_frequency()
     if beta is None:
-        beta_used = solve_modulation_beta(params, cfg.target, cfg.n, big_omega,
-                                          convention)
-    else:
-        beta_used = complex(beta)
+        beta = solve_modulation_beta(params, cfg.target, cfg.n, big_omega, convention)
+    mod = ModulationSpec(target=cfg.target, beta=beta, big_omega=big_omega)  # refuses inf, nan
+    beta_used = mod.beta
     # first-order kick of the reference start (0, 1); S = 0 without drive
-    z = _relative_phase_amplitude(cfg, beta_used, big_omega)
-    kick = g.real * math.sqrt(cfg.n) / big_omega * kick_sum(z)
+    z = _relative_phase_amplitude(params, mod)
+    kappa = g.real * math.sqrt(cfg.n)
+    kick = kappa / big_omega * kick_sum(z)
 
     k = cfg.step_per_period
     dt = 2.0 * math.pi / big_omega / k
-    atom = cfg.target is ModulationTarget.ATOM_FREQUENCY
-    mod = ModulationSpec(target=cfg.target, beta=beta_used, big_omega=big_omega)
-    rhs = bind_gauged_rhs(params, mod, cfg.n)
     t1 = cfg.duration_rabi_units / omega_r
     n_steps = int(math.ceil(step_ratio(t1, dt) - 1e-9))
-    check_rk4_stability(rhs, dt, mod, n_steps * dt)
+    # RK4's limit for the block with the phase z sin(Omega t) split evenly over c and d
+    _check_rk4_rate(math.pi * abs(z.real) / k)
     width = cfg.window_periods * k
     width += width % 2
     if n_steps <= width:
@@ -273,22 +274,24 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     # beta = 0 sanity path: nothing to average away, static Hermitian reference
     width, ref_coupling = (0, complex(g.real)) if beta_used == 0 else (width, 1j * g.real)
 
-    state0 = AmplitudeState(n=cfg.n, c=0.0, d=1.0, frame=Frame.GAUGED)
     try:  # sample m k + j of the drive is P_j Y_m
-        p, y = period_factors(rhs, state0, 0.0, n_steps * dt, dt)
-    except IntegrationError as exc:  # only Im z grows the amplitudes below the limit
-        raise ValueError(f"{exc}, past the float64 limit {np.finfo(float).max:.4g}: |Im z| = "
-                         f"{abs(z.imag):.6g} grows them up to exp(2 |Im z|)-fold a period"
-                         ) from None
+        p, y = kernels.rk4_period_factors(_slow_block(kappa, z, big_omega), 0.0, 1.0, 0.0, dt,
+                                          n_steps, k)
+    except FloatingPointError as exc:  # only Im z grows the amplitudes below the limit
+        raise ValueError(f"non-finite amplitudes at t = {exc.args[0] * dt}, past the float64 "
+                         f"limit {np.finfo(float).max:.4g}: |Im z| = {abs(z.imag):.6g} grows "
+                         "them up to exp(2 |Im z|)-fold a period") from None
 
     # Averaged sample s = m k + r is W_r Y_m: W_r sums the per-phase rows
-    # a_j = f_j (row of P_j) times U_T^q over the window, from one cumsum
-    # over k + width terms; f_j strips the slow measure's micromotion.
-    phases = (0.0, -z / 2.0) if atom else (z, -cfg.n * z)
+    # a_j (row of P_j) times U_T^q over the window, from one cumsum over
+    # k + width terms.  ``printed`` puts the gauged frame's micromotion
+    # back as the factors f_j.
+    blocks = [p[:, :k].reshape(2, 2, k)]
     if measure == PRINTED_MEASURE:
-        phases = (0.0, 0.0)
-    f = np.exp(1j * np.multiply.outer(phases, np.sin(big_omega * (dt * np.arange(k)))))
-    blocks = [f[:, None, :] * p[:, :k].reshape(2, 2, k)]
+        atom = cfg.target is ModulationTarget.ATOM_FREQUENCY
+        phases = (0.0, z / 2.0) if atom else (-z, cfg.n * z)
+        f = np.exp(1j * np.multiply.outer(phases, np.sin(big_omega * (dt * np.arange(k)))))
+        blocks[0] = f[:, None, :] * blocks[0]
     u_t = p[:, k].reshape(2, 2)
     for _ in range(-(-width // k)):
         blocks.append((blocks[-1][:, :, None, :] * u_t[:, :, None]).sum(axis=1))
@@ -296,14 +299,14 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     window = (csum[..., width:] - csum[..., :k] + blocks[0]) / (width + 1)
 
     count = n_steps + 1 - width
-    avg = expand_periods(window.reshape(4, k), y, count)
+    avg = kernels.expand_periods(window.reshape(4, k), y, count)
     # The static reference at t_mid = (m k + r + width / 2) dt is E(tau_r) V_m,
     # V_m the kicked start's closed form at the period boundaries m k dt.
     static_params = JcParams(omega0=params.omega0, omega=params.omega, coupling=ref_coupling)
     cos, msin = closed_form_amplitudes(static_params, cfg.n, 1.0, 0.0,
                                        (np.arange(k) + width / 2) * dt)
     v = closed_form_amplitudes(static_params, cfg.n, kick, 1.0, dt * (k * np.arange(y.shape[1])))
-    ref = expand_periods(np.array([cos, msin, msin, cos]), np.array(v), count)
+    ref = kernels.expand_periods(np.array([cos, msin, msin, cos]), np.array(v), count)
 
     err = np.abs(np.abs(avg) - np.abs(ref)) / np.maximum(np.abs(ref), ENVELOPE_FLOOR)
     max_c, max_d = (float(e) for e in err.max(axis=1))

@@ -9,6 +9,7 @@ import pytest
 from conftest import CHUNK_BOUNDARY_ROWS, apply_rhs, rk4_generic
 
 from ptjc import dynamics, kernels
+from ptjc.bessel import bessel_j0, solve_j0_equals
 from ptjc.dynamics import (
     TRAJECTORY_CSV_HEADER,
     AmplitudeState,
@@ -305,14 +306,25 @@ class TestRhsAveraged:
         assert np.array_equal(avg.matrix(np.array(0.0)), static.matrix(np.array(0.0)))
 
     @pytest.mark.parametrize("target", [ATOM, CAVITY])
-    def test_solved_beta_gives_imaginary_coupling(self, target):
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_solved_beta_gives_imaginary_coupling(self, target, n):
+        # the splitting convention puts the root of J0 = i on z itself
         p = JcParams(1.0, 1.0, 0.05)
-        n = 2
         big_omega = 100.0 * abs(p.coupling) * math.sqrt(n)
-        beta = solve_modulation_beta(p, target, n, big_omega)
+        beta = solve_modulation_beta(p, target, n, big_omega, "splitting")
         mod = ModulationSpec(target=target, beta=beta, big_omega=big_omega)
         g_eff = averaged_effective_coupling(p, mod, n)
         assert abs(g_eff - 1j * p.coupling.real) <= 1e-12
+
+    def test_gauge_solved_atom_beta_gives_j0_of_twice_the_root(self):
+        # the gauge argument is z / 2 for the atom, so its root doubles z
+        p = JcParams(1.0, 1.0, 0.05)
+        big_omega = 5.0
+        beta = solve_modulation_beta(p, ATOM, 1, big_omega, "gauge")
+        mod = ModulationSpec(target=ATOM, beta=beta, big_omega=big_omega)
+        root = solve_j0_equals(1j).root
+        want = p.coupling.real * bessel_j0(2.0 * root)
+        assert abs(averaged_effective_coupling(p, mod, 1) - want) <= 1e-12 * abs(want)
 
     def test_runs_in_gauged_frame(self):
         p = JcParams(1.0, 1.0, 0.06)
@@ -575,8 +587,6 @@ class TestPeriodicPath:
         c_ref, d_ref = rk4_generic(rhs, 0.0, 1.0, 0.0, step,
                                    *dynamics._split_steps(0.0, t1, step))
         assert _max_rel_dev(integrate(rhs, s0, 0.0, t1, step), c_ref, d_ref) <= 1e-12
-        with pytest.raises(ValueError, match="does not divide a period"):
-            dynamics.period_factors(rhs, s0, 0.0, t1, step)
 
     def test_overflow_found_at_a_period_boundary(self):
         # A = 60 I grows e^{60 h} a step: the states leave float64 within
@@ -595,8 +605,6 @@ class TestPeriodicPath:
         rhs = BoundRhs(grow, Frame.LAB, 1, 1.0)
         with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
             integrate(rhs, s0, 0.0, 40.0, 0.1)
-        with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
-            dynamics.period_factors(rhs, s0, 0.0, 40.0, 0.1)
 
 
 class TestRk4Stability:

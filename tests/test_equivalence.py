@@ -14,15 +14,12 @@ import pytest
 from scipy.special import jv
 from conftest import CHUNK_BOUNDARY_ROWS
 
+from ptjc import kernels
 from ptjc.bessel import bessel_j0, solve_j0_equals
 from ptjc.dynamics import (
-    AmplitudeState,
-    Frame,
     ModulationSpec,
     ModulationTarget,
-    bind_gauged_rhs,
     closed_form_amplitudes,
-    integrate,
 )
 from ptjc.equivalence import (
     COMPARISON_CSV_HEADER,
@@ -147,9 +144,9 @@ class TestExperimentConfig:
 class TestPeriodResolvedAverages:
     """The window averages and the static reference come from one period
     of per-phase rows and the period-boundary states.  Here they are held
-    against a trajectory integrated sample by sample, with the
-    micromotion phases written out, averaged window by window, and
-    against the closed form evaluated at every sample."""
+    against the slow-frame block integrated sample by sample, with the
+    printed measure's micromotion phases written out, averaged window by
+    window, and against the closed form evaluated at every sample."""
 
     @staticmethod
     def direct(cfg, beta, measure):
@@ -158,20 +155,27 @@ class TestPeriodResolvedAverages:
         big_omega = cfg.drive_frequency()
         dt = 2.0 * math.pi / big_omega / k
         n_steps = math.ceil(cfg.duration_rabi_units / cfg.rabi_frequency() / dt - 1e-9)
-        mod = ModulationSpec(target=cfg.target, beta=beta, big_omega=big_omega)
-        traj = integrate(bind_gauged_rhs(p, mod, n), AmplitudeState(n, 0.0, 1.0, Frame.GAUGED),
-                         0.0, n_steps * dt, dt)
-        c, d, s = traj.c, traj.d, np.sin(big_omega * traj.times)
-        if measure == SLOW_MEASURE and cfg.target is ATOM:
-            d = d * np.exp(-1j * (p.omega0 * beta / (2.0 * big_omega)) * s)
-        elif measure == SLOW_MEASURE:
-            c = c * np.exp(-1j * (p.omega * beta / big_omega) * s)
-            d = d * np.exp(1j * (n * p.omega * beta / big_omega) * s)
+        z = (p.omega0 if cfg.target is ATOM else -p.omega) * beta / big_omega
+        kappa = p.coupling * math.sqrt(n)
+
+        def slow_block(t):
+            a = np.zeros((4,) + t.shape, dtype=complex)
+            a[1] = -1j * kappa * np.exp(1j * z * np.sin(big_omega * t))
+            a[2] = -1j * kappa * np.exp(-1j * z * np.sin(big_omega * t))
+            return a
+
+        c, d = kernels.rk4_linear(slow_block, 0.0, 1.0, 0.0, dt, n_steps, 0.0)
+        times = dt * np.arange(n_steps + 1, dtype=float)
+        s = np.sin(big_omega * times)
+        if measure == PRINTED_MEASURE and cfg.target is ATOM:
+            d = d * np.exp(1j * (p.omega0 * beta / (2.0 * big_omega)) * s)
+        elif measure == PRINTED_MEASURE:
+            c = c * np.exp(1j * (p.omega * beta / big_omega) * s)
+            d = d * np.exp(-1j * (n * p.omega * beta / big_omega) * s)
         width = 0 if beta == 0 else cfg.window_periods * k + (cfg.window_periods * k) % 2
         avg = [np.lib.stride_tricks.sliding_window_view(x, width + 1).mean(axis=-1)
                for x in (c, d)]
-        times = traj.times[width // 2:len(traj) - width // 2]
-        z = (p.omega0 if cfg.target is ATOM else -p.omega) * beta / big_omega
+        times = times[width // 2:len(times) - width // 2]
         kick = p.coupling * math.sqrt(n) / big_omega * kick_sum(z)
         static = JcParams(p.omega0, p.omega, p.coupling if beta == 0 else 1j * p.coupling)
         ref = closed_form_amplitudes(static, n, kick, 1.0, times)
@@ -304,6 +308,17 @@ class TestSplittingSlowPath:
             measure=SLOW_MEASURE)
         assert report.max_rel_err <= 0.06  # measured 0.00017
 
+    @pytest.mark.parametrize("ratio", [25.0, 100.0])
+    def test_cavity_error_is_the_same_for_every_n(self, ratio):
+        # the slow-frame block sees n only through kappa = g sqrt(n), which
+        # the ratio scales out: measured spread 1.2e-13 relative over n, and
+        # 0.6 / 6.5 percent off the atom at ratio 25 / 100
+        atom = run_equivalence_experiment(default_cfg(omega_ratio=ratio)).max_rel_err
+        errs = [run_equivalence_experiment(default_cfg(target=CAVITY, n=n, omega_ratio=ratio)
+                                           ).max_rel_err for n in (1, 4, 9, 16, 25)]
+        assert max(errs) - min(errs) <= 1e-9 * min(errs)
+        assert all(abs(err - atom) <= 0.2 * atom for err in errs)
+
     def test_slow_measure_beats_printed_at_same_beta(self):
         # for the atom target the micromotion factor multiplies only
         # the d amplitude, so stripping it improves the d comparison
@@ -369,7 +384,8 @@ class TestOneExcitationReduction:
         assert bind_static_rhs(p, 1).matrix(t)[1] == -1j * p.coupling
         mod = ModulationSpec(target=ATOM, beta=0.4, big_omega=2.0)
         avg = bind_averaged_rhs(p, mod, 1)
-        assert avg.matrix(t)[1] == -1j * (p.coupling.real * bessel_j0(-1.0 * 0.4 / 4.0))
+        # g J0(z), z = omega0 beta / Omega
+        assert avg.matrix(t)[1] == -1j * (p.coupling.real * bessel_j0(1.0 * 0.4 / 2.0))
 
 
 class TestReportSerialization:
