@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import mmap
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -453,7 +454,9 @@ def read_trajectory_csv(path) -> Trajectory:
 
     One array comparison checks the tags (frame under 12 bytes, n under 4: not cut).  A
     file that fails (or has a line of blanks) streams again through a per-row check into
-    ``np.loadtxt``, naming the bad row.  A row starting with '#' is malformed, not skipped.
+    ``np.loadtxt``, naming the bad row.  So does a file holding a NUL byte, which numpy's
+    byte fields would drop from the end of a tag ('lab\\0' would pass as 'lab').  A row
+    starting with '#' is malformed, not skipped.
     """
     def checked(lines):  # 7 fields and the first row's tags, or ValueError naming the row
         for lineno, line in enumerate(lines, start=2):
@@ -475,13 +478,15 @@ def read_trajectory_csv(path) -> Trajectory:
         if not (first := next(filter(None, map(str.strip, fh)), "")):
             raise ValueError("empty trajectory file")
         tags = first.split(",")[5:]
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
+            nul = raw.find(b"\0") >= 0
         try:  # numpy reads the path in blocks; it skips empty lines, not blank ones
             data = np.loadtxt(os.fsdecode(path), delimiter=",", skiprows=1, encoding="utf-8",
                               dtype=_TRAJECTORY_ROW, comments=None, ndmin=1)
             frame, n = (got := data[["frame", "n"]])[0].item()
         except (ValueError, OSError):  # the checked pass below names the fault
             got = None
-        if got is None or len(frame) >= 12 or len(n) >= 4 or (got != got[0]).any():
+        if nul or got is None or len(frame) >= 12 or len(n) >= 4 or (got != got[0]).any():
             fh.seek(0)
             fh.readline()
             data = np.loadtxt(checked(fh), delimiter=",", usecols=range(5),

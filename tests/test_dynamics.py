@@ -819,6 +819,15 @@ class TestCsvCodec:
                                              r"other frame/n tags than the first row's lab,1"):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize("tags", ["lab\x00,1", "lab,1\x00"])
+    def test_tags_differing_by_trailing_nul_are_mixed(self, tmp_path, tags):
+        # numpy's byte fields drop trailing NULs; the per-row check does not
+        path = self.write_rows(tmp_path, "0.0,1.0,0.0,0.0,0.0,lab,1",
+                               f"0.1,1.0,0.0,0.0,0.0,{tags}")
+        with pytest.raises(ValueError, match=r"\(line 3\) has other frame/n tags than the "
+                                             r"first row's lab,1"):
+            read_trajectory_csv(path)
+
     @pytest.mark.parametrize("first, second", [
         ("1" * 29 + "0", "1" * 29 + "1"),  # past both fields, differing at the end
         ("interaction  x", "interaction  y"),  # padded: the first 12 bytes agree

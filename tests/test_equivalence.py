@@ -14,7 +14,7 @@ import pytest
 from scipy.special import jv
 from conftest import CHUNK_BOUNDARY_ROWS
 
-from ptjc import kernels
+from ptjc import equivalence, kernels
 from ptjc.bessel import bessel_j0, solve_j0_equals
 from ptjc.dynamics import (
     ModulationSpec,
@@ -197,6 +197,86 @@ class TestPeriodResolvedAverages:
         assert report.times.tobytes() == times.tobytes()
         assert np.abs(report.driven_envelope - avg).max() <= 1e-12 * np.abs(avg).max()
         assert np.abs(report.static_reference - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestModuliScoring:
+    """max_rel_err_c, max_rel_err_d and rms_err come from the moduli of one
+    rank-4 real product per series.  Here they are held against the
+    per-sample formula on the expanded (cached) envelopes."""
+
+    @staticmethod
+    def per_sample(report):
+        env, ref = report.driven_envelope, report.static_reference
+        err = np.abs(np.abs(env) - np.abs(ref)) / np.maximum(np.abs(ref), ENVELOPE_FLOOR)
+        with np.errstate(over="ignore"):
+            return [*err.max(axis=0), math.sqrt(np.mean(err ** 2))]
+
+    @staticmethod
+    def scored(report):
+        return [report.max_rel_err_c, report.max_rel_err_d, report.rms_err]
+
+    @pytest.mark.parametrize("target", [ATOM, CAVITY])
+    @pytest.mark.parametrize("measure", [PRINTED_MEASURE, SLOW_MEASURE])
+    @pytest.mark.parametrize("window, k", [(1, 400), (3, 401)])
+    def test_solved_beta(self, target, measure, window, k):
+        # K = 401 with a 3-period window leaves a partial last period (count
+        # 1989 = 4 * 401 + 385): its slots past count must not be scored
+        cfg = default_cfg(target=target, n=1 if target is ATOM else 2, omega_ratio=25.0,
+                          window_periods=window, step_per_period=k)
+        report = run_equivalence_experiment(cfg, measure=measure)
+        assert k == 400 or report.count % k
+        np.testing.assert_allclose(self.scored(report), self.per_sample(report), rtol=1e-10)
+
+    @pytest.mark.parametrize("measure", [PRINTED_MEASURE, SLOW_MEASURE])
+    def test_undriven_through_exact_zeros(self, measure):
+        # beta = 0 at ratio 25: c starts at exactly 0 and d = cos(g t) crosses 0
+        # on sample 2500, where a square from the product cancels to rounding
+        report = run_equivalence_experiment(default_cfg(omega_ratio=25.0), beta=0.0,
+                                            measure=measure)
+        assert report.driven_envelope[0, 0] == 0.0
+        assert np.abs(report.static_reference[:, 1]).min() < 1e-15
+        np.testing.assert_allclose(self.scored(report), self.per_sample(report), rtol=0,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("target, ratio, beta", [(ATOM, 100.0, 55j), (CAVITY, 100.0, 80j),
+                                                     (ATOM, 5.0, 40j)])
+    def test_envelopes_past_the_squares_range(self, target, ratio, beta):
+        # the envelopes pass 1e160, whose squares leave float64, and stay finite;
+        # the squared errors overflow, so rms_err is inf on both sides.  At ratio
+        # 5 the run spans under two periods and the window rows carry U_T^2,
+        # about 5e271, against states of 1e133
+        cfg = default_cfg(target=target, n=1 if target is ATOM else 2, omega_ratio=ratio)
+        report = run_equivalence_experiment(cfg, beta=beta)
+        peak = np.abs(report.driven_envelope).max()
+        assert 1e160 < peak < np.inf and math.isinf(report.rms_err)
+        np.testing.assert_allclose(self.scored(report), self.per_sample(report), rtol=1e-10)
+
+    def test_sweep_expands_no_envelope(self, monkeypatch, tmp_path):
+        # the sweep reads max_rel_err only: no per-sample array is expanded, and
+        # each ratio runs the experiment through the module global, which a
+        # tracer may wrap
+        expanded, ratios = [], []
+        expand, experiment = kernels.expand_periods, equivalence.run_equivalence_experiment
+
+        def expand_spy(*args):
+            expanded.append(args[2])
+            return expand(*args)
+
+        def experiment_spy(cfg, **kwargs):
+            ratios.append(cfg.omega_ratio)
+            return experiment(cfg, **kwargs)
+
+        monkeypatch.setattr(kernels, "expand_periods", expand_spy)
+        monkeypatch.setattr(equivalence, "run_equivalence_experiment", experiment_spy)
+        convergence_sweep(default_cfg(), [25, 50])
+        assert expanded == [] and ratios == [25.0, 50.0]
+        # the headline path expands both series when comparison.csv is written
+        report = experiment(default_cfg(omega_ratio=25.0))
+        assert expanded == []
+        path = tmp_path / "comparison.csv"
+        write_comparison_csv(report, path)
+        assert expanded == [report.count, report.count]
+        assert path.read_bytes() == per_row_comparison_text(report).encode("utf-8")
 
 
 class TestExperimentGuards:
@@ -421,9 +501,14 @@ class TestReportSerialization:
         parts = np.random.default_rng(rows).standard_normal(8 * rows)
         parts[:8] = [-0.0, 5e-324, 0.1 + 0.2, 1e300, -5e-324, 0.0, 2.0, -1e-300]
         env, ref = parts.view(complex).reshape(2, rows, 2)
-        report = ComparisonReport(beta_used=0j, max_rel_err=0.0, rms_err=0.0,
-                                  times=np.arange(rows) * 0.25, driven_envelope=env,
-                                  static_reference=ref, max_rel_err_c=0.0, max_rel_err_d=0.0)
+        factors = np.zeros((4, 1), dtype=complex), np.zeros((2, rows), dtype=complex)
+        report = ComparisonReport(beta_used=0j, max_rel_err=0.0, rms_err=0.0, max_rel_err_c=0.0,
+                                  max_rel_err_d=0.0, dt=0.25, width=0, count=rows,
+                                  window_rows=factors[0], window_states=factors[1],
+                                  reference_rows=factors[0], reference_states=factors[1])
+        # the envelopes are cached properties: set them, as a first read would
+        vars(report).update(driven_envelope=env, static_reference=ref)
+        assert report.times.tobytes() == (np.arange(rows) * 0.25).tobytes()
         path = tmp_path / "cmp.csv"
         write_comparison_csv(report, path)
         text = per_row_comparison_text(report)
