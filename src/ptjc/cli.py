@@ -247,8 +247,8 @@ def cmd_evolve(args) -> int:
 # compare
 
 _COMPARE_KEYS = {"omega0", "omega", "coupling", "target", "n", "omega_ratio",
-                 "duration_rabi_units", "window_periods", "step_per_period",
-                 "ratios", "convention", "measure", "beta"}
+                 "duration_rabi_units", "step_per_period", "ratios", "convention",
+                 "measure", "beta"}
 
 _COMPARE_DEFAULTS = {
     "omega0": 1.0,
@@ -258,7 +258,6 @@ _COMPARE_DEFAULTS = {
     "n": 1,
     "omega_ratio": 100.0,
     "duration_rabi_units": 2.0,
-    "window_periods": 1,
     "step_per_period": 400,
     "ratios": None,
     "convention": "splitting",
@@ -281,7 +280,7 @@ def parse_compare_config(doc: dict) -> dict:
         merged["ratios"] = [_parse_real(r, "compare.ratios") for r in merged["ratios"]]
     if merged["beta"] is not None:
         merged["beta"] = _parse_complex(merged["beta"], "compare.beta")
-    for key in ("n", "window_periods", "step_per_period"):
+    for key in ("n", "step_per_period"):
         merged[key] = _parse_int(merged[key], f"compare.{key}")
     for key in ("omega0", "omega", "omega_ratio", "duration_rabi_units"):
         merged[key] = _parse_real(merged[key], f"compare.{key}")
@@ -299,7 +298,6 @@ def cmd_compare(args) -> int:
         n=merged["n"],
         omega_ratio=merged["omega_ratio"],
         duration_rabi_units=merged["duration_rabi_units"],
-        window_periods=merged["window_periods"],
         step_per_period=merged["step_per_period"],
     )
     report_path = os.path.join(args.output_dir, "report.json")

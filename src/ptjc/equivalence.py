@@ -8,9 +8,9 @@ i), integrate the driven block over one drive period in the slow frame
     i c' = kappa exp(+i z sin(Omega t)) d,
     i d' = kappa exp(-i z sin(Omega t)) c,
 
-window-average over drive periods, and compare the envelopes against
-the closed-form static evolution with coupling i g.  Averages and
-reference both come from per-phase rows times period-boundary states
+average over one drive period with trapezoid weights, and compare the
+envelopes against the closed-form static evolution with coupling i g.
+Averages and reference are per-phase rows times period-boundary states
 (W_r Y_m and E(tau_r) V_m); no per-sample trajectory is built.  The
 errors read the moduli |R_r s_m| from one rank-4 real product per
 series; the complex envelopes are expanded only when a report's
@@ -34,14 +34,14 @@ beta then gives the coupling g J0(2 r) (atom) or g J0(r / n) (cavity),
 r the root of J0(r) = i, and the envelopes approach that static
 evolution rather than the i g one.
 
-``measure`` selects which amplitudes get window-averaged: ``slow`` (the
+``measure`` selects which amplitudes get period-averaged: ``slow`` (the
 default) averages the slow-frame pair above, ``printed`` the gauged
 pair (c_gauged, d), the slow pair times the gauged frame's micromotion
 exp(i u sin(Omega t)) with u = (0, z / 2) (atom) or (-z, n z) (cavity);
-its window average scales each envelope by |J0(u)|.
+its period average scales each envelope by |J0(u)|.
 
 The reference starts from the first-order kicked state (high-frequency
-expansion): the window averages follow the static evolution from
+expansion): the period averages follow the static evolution from
 c_eff(0) = c0 + (kappa / Omega) S d0, d_eff(0) = d0 - (kappa / Omega) S c0
 with S(z) = sum over m != 0 of J_m(z) / m, so the remaining deviation
 is O(1 / Omega^2).  S(z) and every J0 value here come from the one
@@ -54,7 +54,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,7 +96,8 @@ class ExperimentConfig:
     """Parameters of one driven-vs-static comparison.
 
     omega_ratio is Omega / Omega_R with Omega_R = g sqrt(n); the drive
-    frequency itself is derived, never stored.
+    frequency itself is derived, never stored.  One drive period of
+    step_per_period RK4 steps is the averaging window, so it must be even.
     """
 
     params: JcParams
@@ -104,7 +105,6 @@ class ExperimentConfig:
     n: int = 1
     omega_ratio: float = 100.0
     duration_rabi_units: float = 2.0
-    window_periods: int = 1
     step_per_period: int = 400
 
     def __post_init__(self):
@@ -115,10 +115,9 @@ class ExperimentConfig:
         if not (math.isfinite(self.duration_rabi_units) and self.duration_rabi_units > 0):
             raise ValueError("duration_rabi_units must be finite and positive, "
                              f"got {self.duration_rabi_units!r}")
-        if self.window_periods < 1:
-            raise ValueError("window_periods must be >= 1")
-        if self.step_per_period < 100:
-            raise ValueError("step_per_period must be >= 100")
+        if self.step_per_period < 100 or self.step_per_period % 2:
+            raise ValueError("step_per_period must be even and >= 100 (the one-period window "
+                             f"needs a centre sample), got {self.step_per_period!r}")
 
     def rabi_frequency(self) -> float:
         g = complex(self.params.coupling)
@@ -172,6 +171,7 @@ class ComparisonReport:
         return kernels.expand_periods(self.reference_rows, self.reference_states, self.count).T
 
 
+@cache
 def _bessel_root() -> complex:
     res = solve_j0_equals(1j)
     if not res.converged:
@@ -285,16 +285,16 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     """Drive, average, and compare against the static i g evolution.
 
     Steps: solve for beta (unless an explicit beta is supplied, e.g.
-    beta = 0 for the sanity path), integrate the slow-frame block from
-    (c, d) = (0, 1) to its one-period factors (no per-sample
-    trajectory), window-average over ``window_periods`` drive periods,
+    beta = 0 for the unaveraged sanity path), integrate the slow-frame
+    block from (c, d) = (0, 1) to its one-period factors (no per-sample
+    trajectory), average over one drive period with trapezoid weights,
     evaluate the closed-form static solution with coupling i g at the
-    surviving interior times, started from the kicked state
+    period centres, started from the kicked state
     (c, d) = ((kappa / Omega) S(z), 1), and report the maximum and RMS
     relative deviation of the envelopes, each normalized by
     max(|static|, ENVELOPE_FLOOR).  A non-finite beta, or a real part
     of z too large for RK4 at ``step_per_period``, is refused before
-    integrating.
+    integrating; a state or window row past float64 raises ValueError.
     """
     if measure not in _MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -323,36 +323,37 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     n_steps = int(math.ceil(step_ratio(t1, dt) - 1e-9))
     # RK4's limit for the block with the phase z sin(Omega t) split evenly over c and d
     _check_rk4_rate(math.pi * abs(z.real) / k)
-    width = cfg.window_periods * k
-    width += width % 2
-    if n_steps <= width:
+    if n_steps <= k:
         raise ValueError("duration too short for the averaging window")
     # beta = 0 sanity path: nothing to average away, static Hermitian reference
-    width, ref_coupling = (0, complex(g.real)) if beta_used == 0 else (width, 1j * g.real)
+    width, ref_coupling = (0, complex(g.real)) if beta_used == 0 else (k, 1j * g.real)
 
+    past = (f"past the float64 limit {np.finfo(float).max:.4g}: |Im z| = {abs(z.imag):.6g} "
+            "grows them up to exp(2 |Im z|)-fold a period")
     try:  # sample m k + j of the drive is P_j Y_m
         p, y = kernels.rk4_period_factors(_slow_block(kappa, z, big_omega), 0.0, 1.0, 0.0, dt,
                                           n_steps, k)
     except FloatingPointError as exc:  # only Im z grows the amplitudes below the limit
-        raise ValueError(f"non-finite amplitudes at t = {exc.args[0] * dt}, past the float64 "
-                         f"limit {np.finfo(float).max:.4g}: |Im z| = {abs(z.imag):.6g} grows "
-                         "them up to exp(2 |Im z|)-fold a period") from None
+        raise ValueError(f"non-finite amplitudes at t = {exc.args[0] * dt}, {past}") from None
 
-    # Averaged sample s = m k + r is W_r Y_m: W_r sums the per-phase rows
-    # a_j (row of P_j) times U_T^q over the window, from one cumsum over
-    # k + width terms.  ``printed`` puts the gauged frame's micromotion
-    # back as the factors f_j.
-    blocks = [p[:, :k].reshape(2, 2, k)]
+    # Averaged sample s = m k + r is W_r Y_m: W_r is the trapezoid mean over
+    # one period, (a_r / 2 + a_{r+1} + ... + a_{r+k-1} + a_{r+k} / 2) / k, of
+    # the per-phase rows a_j (row of P_j; a_{j+k} = a_j U_T), from one cumsum.
+    # ``printed`` puts the gauged frame's micromotion back as the factors f_j.
+    a = p[:, :k].reshape(2, 2, k)
     if measure == PRINTED_MEASURE:
         atom = cfg.target is ModulationTarget.ATOM_FREQUENCY
         phases = (0.0, z / 2.0) if atom else (-z, cfg.n * z)
         f = np.exp(1j * np.multiply.outer(phases, np.sin(big_omega * (dt * np.arange(k)))))
-        blocks[0] = f[:, None, :] * blocks[0]
-    u_t = p[:, k].reshape(2, 2)
-    for _ in range(-(-width // k)):
-        blocks.append((blocks[-1][:, :, None, :] * u_t[:, :, None]).sum(axis=1))
-    csum = np.cumsum(np.concatenate(blocks, axis=2)[..., :k + width], axis=2)
-    window = ((csum[..., width:] - csum[..., :k] + blocks[0]) / (width + 1)).reshape(4, k)
+        a = f[:, None, :] * a
+    if width:
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = np.concatenate([a, (a[:, :, None] * p[:, k].reshape(2, 2, 1)).sum(axis=1)], 2)
+            csum = np.cumsum(b, axis=2)
+            a = (csum[..., k:] - csum[..., :k] + 0.5 * (b[..., :k] - b[..., k:])) / k
+        if not np.isfinite(a).all():
+            raise ValueError(f"non-finite window rows, {past}")
+    window = a.reshape(4, k)
 
     count = n_steps + 1 - width
     periods = -(-count // k)

@@ -453,7 +453,7 @@ class TestCompare:
         outdir = tmp_path / "out"
         assert main(["compare", "--output-dir", str(outdir)]) == 0
         payload = json.loads((outdir / "report.json").read_text())
-        # the bound of acceptance criterion 5 (measured 0.0010)
+        # the bound of acceptance criterion 5 (measured 0.0009)
         assert payload["max_rel_err"] <= 0.05
 
     def test_sweep_mode(self, tmp_path):
@@ -503,10 +503,12 @@ class TestCompare:
         for name in ("report.json", "comparison.csv"):
             assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
 
-    def test_unknown_key(self, tmp_path):
-        cfg = write_config(tmp_path, {"bogus": 1})
-        assert main(["compare", "--config", cfg,
-                     "--output-dir", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("key", ["bogus", "periods"])
+    def test_unknown_key(self, tmp_path, capsys, no_integration, key):
+        # the window is one drive period with no key of its own
+        cfg = write_config(tmp_path, {key: 1})
+        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
+        assert f"unknown keys [{key!r}]" in capsys.readouterr().err
 
     def test_bad_ratios_value(self, tmp_path):
         cfg = write_config(tmp_path, {"ratios": "fast"})
@@ -519,10 +521,13 @@ class TestCompare:
         assert main(["compare", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 2
 
-    def test_non_integer_window_periods(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"window_periods": 2.5})
-        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
-        assert "compare.window_periods" in capsys.readouterr().err
+    def test_odd_step_per_period_refused(self, tmp_path, capsys, no_integration):
+        cfg = write_config(tmp_path, {"step_per_period": 401})
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "step_per_period must be even" in err and "got 401" in err
+        assert not outdir.exists()
 
     def test_sample_budget(self, tmp_path, capsys, no_integration):
         cfg = write_config(tmp_path, {"omega_ratio": 1e15})
@@ -569,6 +574,25 @@ class TestCompare:
         assert f"|Im z| = {imag / 5.0:g}" in err and "float64 limit 1.798e+308" in err
         assert boundary and boundary[0] % 400 == 0
         assert not outdir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("imag, code", [(50.0, 2), (40.0, 1), (35.0, 0)])
+    def test_window_rows_past_float64(self, tmp_path, capsys, imag, code):
+        # at ratio 5, |Im z| = 4 Im beta; the window rows carry one more
+        # period's growth than the states.  At 50 they leave float64 and the
+        # limit is named; at 40 they stay finite but rms_err is inf (the
+        # payload is refused); at 35 the run completes (max_rel_err 1.38e144)
+        cfg = write_config(tmp_path, {"omega_ratio": 5.0, "beta": [0.0, imag]})
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "non-finite window rows" in err and "|Im z| = 200" in err
+            assert "float64 limit 1.798e+308" in err
+        if code == 0:
+            assert 1e144 < json.loads((outdir / "report.json").read_text())["max_rel_err"]
+        else:
+            assert not (outdir / "report.json").exists()
 
     def test_moderate_complex_beta_runs(self, tmp_path):
         cfg = write_config(tmp_path, {"beta": [0.0, 30.0]})

@@ -5,7 +5,7 @@ function or constant is referenced outside its own definition, every
 module-level public function or class has a caller in the package or
 the benchmark (or a place on an allowlist), only the JSON and CSV
 writers open files for writing, and the README lists exactly the keys
-that ``ptjc pseudo`` writes.
+that ``ptjc pseudo`` writes and that a ``ptjc compare`` config takes.
 """
 
 import ast
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import ptjc
-from ptjc.cli import main
+from ptjc.cli import _COMPARE_KEYS, main
 
 PACKAGE = sorted(Path(ptjc.__file__).parent.glob("*.py"))
 # The package __init__ imports names only to re-export them.
@@ -204,20 +204,25 @@ def test_only_the_json_and_csv_writers_write_files():
 
 
 PSEUDO_KEYS_SENTENCE = "`pseudo.json` holds exactly these keys:"
+COMPARE_KEYS_SENTENCE = "Config keys, all optional:"
 
 
-def documented_keys(readme: str) -> dict:
-    """The key tree of the README paragraph that opens with PSEUDO_KEYS_SENTENCE.
+def documented_keys(readme: str, opener: str = PSEUDO_KEYS_SENTENCE) -> dict:
+    """The key tree of the README sentence that opens with ``opener``.
 
     Backticked names outside parentheses are top-level keys; the
     backticked names inside the parentheses that follow a key are its
-    nested keys.  Leaves map to None.
+    nested keys.  Leaves map to None.  The sentence ends at the first
+    full stop outside parentheses and backticks.
     """
-    paragraph = readme.split(PSEUDO_KEYS_SENTENCE, 1)[1].split("\n\n", 1)[0]
+    paragraph = readme.split(opener, 1)[1].split("\n\n", 1)[0]
     tree, depth, last = {}, 0, None
-    for token in re.findall(r"`([^`]*)`|([()])", paragraph):
-        name, paren = token
-        if paren:
+    for token in re.findall(r"`([^`]*)`|([()])|(\.(?:\s|$))", paragraph):
+        name, paren, stop = token
+        if stop:
+            if depth == 0:
+                break
+        elif paren:
             depth += 1 if paren == "(" else -1
         elif depth == 0:
             tree[name] = None
@@ -245,9 +250,24 @@ def test_finds_drift_in_the_documented_keys():
     assert documented_keys(readme.replace(",\n`probe_count`", "")) == key_tree(written)
 
 
+def test_finds_drift_in_the_compare_config_keys():
+    # a key the parser no longer takes fails the lint; a name in parentheses
+    # or after the sentence's full stop is not a key
+    readme = (COMPARE_KEYS_SENTENCE + " `n`, `periods`,\n`measure` "
+              "(`slow`. or `printed`), `beta`.  Later `ratios`.\n")
+    keys = {"n", "measure", "beta"}
+    assert set(documented_keys(readme, COMPARE_KEYS_SENTENCE)) == keys | {"periods"}
+    assert set(documented_keys(readme.replace(" `periods`,", ""), COMPARE_KEYS_SENTENCE)) == keys
+
+
 def test_readme_lists_the_pseudo_json_keys(tmp_path):
     (tmp_path / "small.json").write_text(json.dumps({"boson_levels": 8}), encoding="utf-8")
     assert main(["pseudo", "--config", str(tmp_path / "small.json"),
                  "--output-dir", str(tmp_path)]) == 0
     written = json.loads((tmp_path / "pseudo.json").read_text(encoding="utf-8"))
     assert documented_keys(README.read_text(encoding="utf-8")) == key_tree(written)
+
+
+def test_readme_lists_the_compare_config_keys():
+    section = README.read_text(encoding="utf-8").split("\n### compare\n", 1)[1]
+    assert set(documented_keys(section, COMPARE_KEYS_SENTENCE)) == _COMPARE_KEYS
