@@ -30,9 +30,7 @@ from .jc import (
     t_block,
 )
 from .dynamics import (
-    AmplitudeState,
     Frame,
-    FrameMismatchError,
     IntegrationError,
     ModulationSpec,
     ModulationTarget,

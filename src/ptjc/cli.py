@@ -18,7 +18,6 @@ import sys
 from . import __version__
 from .bessel import bessel_j0
 from .dynamics import (
-    AmplitudeState,
     Frame,
     IntegrationError,
     ModulationSpec,
@@ -211,16 +210,13 @@ def cmd_evolve(args) -> int:
     if rhs_name != "static" and mod is None:
         raise ConfigError(f"evolve config: rhs {rhs_name!r} needs a modulation block")
     rhs = _BINDERS[rhs_name](params, mod, n)
-    frame = rhs.frame or Frame.INTERACTION  # the static rhs runs in any frame
-    state0 = AmplitudeState(n=n,
-                            c=_parse_complex(doc["initial_c"], "initial_c"),
-                            d=_parse_complex(doc["initial_d"], "initial_d"),
-                            frame=frame)
+    c0 = _parse_complex(doc["initial_c"], "initial_c")
+    d0 = _parse_complex(doc["initial_d"], "initial_d")
     t1 = _parse_real(doc["t1"], "evolve.t1")
     step_raw = doc.get("step")
     step = (_parse_real(step_raw, "evolve.step") if step_raw is not None
             else suggested_step(params, mod, n))
-    frames = doc.get("frames", [frame.value])
+    frames = doc.get("frames", [rhs.frame.value])
     if not isinstance(frames, list) or not frames:
         raise ConfigError("evolve config: frames must be a non-empty list")
     try:
@@ -232,7 +228,7 @@ def cmd_evolve(args) -> int:
 
     if mod is not None:
         check_rk4_stability(rhs, step, mod, t1)
-    traj = integrate(rhs, state0, 0.0, t1, step)
+    traj = integrate(rhs, c0, d0, 0.0, t1, step)
     # map every frame before writing any, so a failed map writes nothing
     mapped_frames = [map_trajectory(traj, params, mod, f) for f in out_frames]
     os.makedirs(args.output_dir, exist_ok=True)
@@ -245,10 +241,6 @@ def cmd_evolve(args) -> int:
 
 # ---------------------------------------------------------------------------
 # compare
-
-_COMPARE_KEYS = {"omega0", "omega", "coupling", "target", "n", "omega_ratio",
-                 "duration_rabi_units", "step_per_period", "ratios", "convention",
-                 "measure", "beta"}
 
 _COMPARE_DEFAULTS = {
     "omega0": 1.0,
@@ -264,6 +256,7 @@ _COMPARE_DEFAULTS = {
     "measure": "slow",
     "beta": None,
 }
+_COMPARE_KEYS = set(_COMPARE_DEFAULTS)
 
 
 def parse_compare_config(doc: dict) -> dict:
@@ -359,8 +352,6 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 # pseudo
 
-_PSEUDO_KEYS = {"alpha", "boson_levels", "epsilon", "omega0", "omega", "count"}
-
 _PSEUDO_DEFAULTS = {
     "alpha": 0.5,
     "boson_levels": 32,
@@ -373,7 +364,7 @@ _PSEUDO_DEFAULTS = {
 
 def cmd_pseudo(args) -> int:
     doc = _load_config(args.config) if args.config else {}
-    _require_keys(doc, _PSEUDO_KEYS, "pseudo config")
+    _require_keys(doc, set(_PSEUDO_DEFAULTS), "pseudo config")
     merged = dict(_PSEUDO_DEFAULTS)
     merged.update(doc)
     params = JcParams(omega0=_parse_real(merged["omega0"], "pseudo.omega0"),

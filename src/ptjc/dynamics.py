@@ -20,9 +20,11 @@ Within one excitation block the state is a pair of complex amplitudes
 ``frame_factors`` holds these factors, one hop up the ladder at a time;
 ``map_trajectory`` applies them to whole frame-tagged trajectories.
 
-Each bind_* helper returns a ``BoundRhs`` owning its linear
-(c, d)' = A(t) (c, d), frame and drive period (lab: always; gauged: at
-resonance).  Fixed-step RK4 (``ptjc.kernels.rk4_periodic`` when the step
+Each bind_* helper returns a ``BoundRhs``, the one owner of a run's
+linear (c, d)' = A(t) (c, d), block index n, frame (the static rhs runs
+in the interaction frame) and drive period (lab: always; gauged: at
+resonance).  ``integrate`` tags its trajectory with the rhs's n and
+frame.  Fixed-step RK4 (``ptjc.kernels.rk4_periodic`` when the step
 divides that period, else ``rk4_linear``) lands exactly on t1 via a
 shortened last step; at most MAX_STEPS steps per call.
 
@@ -70,10 +72,6 @@ _TRAJECTORY_ROW = np.dtype([("t", float), ("cd", float, (4,)), ("frame", "S12"),
 _CSV_CHUNK_ROWS = 1024
 
 
-class FrameMismatchError(TypeError):
-    """Raised when a state is used in a frame it is not tagged for."""
-
-
 class IntegrationError(RuntimeError):
     """Raised when amplitudes stop being finite during integration."""
 
@@ -113,25 +111,6 @@ class ModulationSpec:
 
 
 @dataclass(frozen=True)
-class AmplitudeState:
-    """Two complex amplitudes in a tagged frame."""
-
-    n: int
-    c: complex
-    d: complex
-    frame: Frame
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        for name in ("c", "d"):
-            z = complex(getattr(self, name))
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"{name} must be finite, got {z!r}")
-            object.__setattr__(self, name, z)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled amplitude time series in one frame.
 
@@ -167,18 +146,29 @@ class Trajectory:
         return len(self.times)
 
 
+def _require_block(n: int) -> int:
+    """n, or ValueError unless it is a block index n >= 1."""
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class BoundRhs:
-    """(c, d)' = A(t) (c, d) in ``frame`` (None: any frame).
+    """(c, d)' = A(t) (c, d) of block n >= 1 in ``frame``.
 
     ``matrix(t)`` gives A's entries (a11, a12, a21, a22) at an array of
-    times, shape (4,) + t.shape.
+    times, shape (4,) + t.shape.  A run's n and frame live here only:
+    ``integrate`` tags its trajectory with them.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]
-    frame: Optional[Frame]
+    frame: Frame
     n: int
     period: Optional[float] = None  # a T with A(t + T) = A(t), if known
+
+    def __post_init__(self):
+        _require_block(self.n)
 
 
 def _require_real_coupling(params: JcParams, op: str) -> float:
@@ -235,7 +225,7 @@ def frame_factors(params: JcParams, mod: Optional[ModulationSpec], n: int, t,
 def bind_lab_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
     """Lab frame: the driven frequency scaled by 1 + beta cos(Omega t)."""
     g = _require_real_coupling(params, "bind_lab_rhs")
-    kappa = g * math.sqrt(n)
+    kappa = g * math.sqrt(_require_block(n))
     atom = mod.target is ModulationTarget.ATOM_FREQUENCY
 
     def matrix(t):
@@ -254,7 +244,7 @@ def bind_lab_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
 def bind_gauged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
     """Gauged frame: the coupling carries exp(+-i [delta t + gamma sin(Omega t)])."""
     g = _require_real_coupling(params, "bind_gauged_rhs")
-    kappa = g * math.sqrt(n)
+    kappa = g * math.sqrt(_require_block(n))
     delta = params.detuning()
     gamma = _gauge_amplitude(params, mod, n)
     atom = mod.target is ModulationTarget.ATOM_FREQUENCY
@@ -276,15 +266,15 @@ def bind_gauged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
 
 
 def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
-    """The static block i c' = kappa d, i d' = kappa c, kappa = g sqrt(n)."""
-    kappa = params.coupling * math.sqrt(n)
+    """The static block i c' = kappa d, i d' = kappa c, kappa = g sqrt(n): interaction frame."""
+    kappa = params.coupling * math.sqrt(_require_block(n))
 
     def matrix(t):
         a = np.zeros((4,) + t.shape, dtype=complex)
         a[1] = a[2] = -1j * kappa
         return a
 
-    return BoundRhs(matrix, None, n)
+    return BoundRhs(matrix, Frame.INTERACTION, n)
 
 
 def averaged_effective_coupling(params: JcParams, mod: ModulationSpec,
@@ -385,30 +375,33 @@ def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:
     return n_full, tail
 
 
-def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
+def integrate(rhs: BoundRhs, c0: complex, d0: complex, t0: float, t1: float,
               step: float) -> Trajectory:
-    """Classical fixed-step RK4 from t0 to t1, recording every step.
+    """Classical fixed-step RK4 of (c, d) from (c0, d0) at t0 to t1, recording every step.
 
-    ``rhs`` comes from a bind_* helper (a plain callable raises TypeError).
-    ``kernels.rk4_periodic`` runs if ``rhs.period`` is k steps to 1e-12
-    relative, 1 <= k <= n_full, else ``kernels.rk4_linear``.  t1 is reached
-    exactly, via a shortened last step when (t1 - t0) / step is not
-    integral.  More than MAX_STEPS steps raise ValueError before any allocation.
+    ``rhs`` comes from a bind_* helper (a plain callable raises TypeError);
+    the trajectory is tagged with its frame and n.  ``kernels.rk4_periodic``
+    runs if ``rhs.period`` is k steps to 1e-12 relative, 1 <= k <= n_full,
+    else ``kernels.rk4_linear``.  t1 is reached exactly, via a shortened
+    last step when (t1 - t0) / step is not integral.  Non-finite c0 or d0, a
+    step that is not positive and finite, t1 <= t0 and more than MAX_STEPS
+    steps raise ValueError before any allocation; IntegrationError means
+    the amplitudes left float64 during the run.
     """
     if not isinstance(rhs, BoundRhs):
         raise TypeError(f"integrate needs a BoundRhs, got {type(rhs).__name__}")
-    if rhs.frame is not None and state0.frame is not rhs.frame:
-        raise FrameMismatchError(
-            f"rhs integrates {rhs.frame.value}-frame states, got {state0.frame.value}")
+    c0, d0 = complex(c0), complex(d0)
+    if not all(map(math.isfinite, (c0.real, c0.imag, d0.real, d0.imag))):
+        raise ValueError(f"initial amplitudes must be finite, got c0 = {c0!r}, d0 = {d0!r}")
     if not (math.isfinite(step) and step > 0):
-        raise IntegrationError(f"step must be positive and finite, got {step}")
+        raise ValueError(f"step must be positive and finite, got {step}")
     if not t1 > t0:
-        raise IntegrationError(f"t1 must exceed t0, got [{t0}, {t1}]")
+        raise ValueError(f"t1 must exceed t0, got [{t0}, {t1}]")
     n_full, tail = _split_steps(t0, t1, step)
     k = round(min(rhs.period / step, n_full)) if rhs.period else 0
     if not (k > 0 and abs(k * step - rhs.period) <= 1e-12 * rhs.period):
         k = 0
-    args = (rhs.matrix, state0.c, state0.d, t0, step, n_full, tail)
+    args = (rhs.matrix, c0, d0, t0, step, n_full, tail)
     try:
         cs, ds = kernels.rk4_periodic(*args, k) if k else kernels.rk4_linear(*args)
         # the initial state is finite, so index 0 means every sample is
@@ -421,7 +414,7 @@ def integrate(rhs: BoundRhs, state0: AmplitudeState, t0: float, t1: float,
     times = t0 + step * np.arange(n_full + 1, dtype=float)
     if tail > 0.0:
         times = np.concatenate([times, [t1]])
-    return Trajectory(times=times, c=cs, d=ds, frame=state0.frame, n=state0.n, step=step)
+    return Trajectory(times=times, c=cs, d=ds, frame=rhs.frame, n=rhs.n, step=step)
 
 
 # ---------------------------------------------------------------------------

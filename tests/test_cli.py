@@ -268,6 +268,41 @@ class TestEvolve:
         assert "big_omega must be positive and finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("t1", -1.0, "t1 must exceed t0"), ("t1", math.nan, "t1 must exceed t0"),
+        ("step", 0.0, "step must be positive and finite")])
+    def test_bad_time_grid_exits_two(self, tmp_path, capsys, no_integration, key, value,
+                                     message):
+        doc = self.gauged_doc()
+        doc[key] = value
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rhs", ["lab", "static", "averaged"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_block_index_below_one_exits_two(self, tmp_path, capsys, no_integration, rhs, n):
+        doc = self.gauged_doc()
+        doc.update(rhs=rhs, n=n, frames=["lab"])
+        doc["modulation"]["beta"] = 0.3
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert "n must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_initial_amplitude_exits_two(self, tmp_path, capsys, no_integration):
+        doc = self.gauged_doc()
+        doc["initial_c"] = 12345.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc).replace("12345.0", "1e400"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "initial amplitudes must be finite, got c0 = (inf+0j)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_subnormal_condition_beta_refused(self, tmp_path, capsys):
         doc = self.gauged_doc()
         doc["modulation"]["big_omega"] = 1e-320

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -12,10 +13,8 @@ from ptjc import dynamics, kernels
 from ptjc.bessel import bessel_j0, solve_j0_equals
 from ptjc.dynamics import (
     TRAJECTORY_CSV_HEADER,
-    AmplitudeState,
     BoundRhs,
     Frame,
-    FrameMismatchError,
     IntegrationError,
     ModulationSpec,
     ModulationTarget,
@@ -46,7 +45,7 @@ CONSERVATION_TOL = 1e-10
 ATOM = ModulationTarget.ATOM_FREQUENCY
 CAVITY = ModulationTarget.CAVITY_FREQUENCY
 
-# A(t) = 0 in any frame: the static block without coupling.
+# A(t) = 0, zero in every frame: the static block without coupling (tagged interaction).
 ZERO_RHS = bind_static_rhs(JcParams(1.0, 1.0, 0.0), 1)
 
 
@@ -61,10 +60,14 @@ def lab_hamiltonian(params, mod, n, t):
          [off, n * omega_t - omega0_t / 2.0]], dtype=complex)
 
 
+# One frame-tagged state of block n: a map test's single sample.
+Sample = namedtuple("Sample", "n c d frame")
+
+
 def random_state(rng, n, frame):
     c = complex(*rng.standard_normal(2))
     d = complex(*rng.standard_normal(2))
-    return AmplitudeState(n=n, c=c, d=d, frame=frame)
+    return Sample(n, c, d, frame)
 
 
 class TestTypes:
@@ -74,11 +77,29 @@ class TestTypes:
         with pytest.raises(ValueError):
             ModulationSpec(target=ATOM, beta=complex(math.nan, 0), big_omega=1.0)
 
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            AmplitudeState(n=0, c=0.0, d=1.0, frame=Frame.LAB)
-        with pytest.raises(ValueError):
-            AmplitudeState(n=1, c=complex(math.inf, 0), d=0.0, frame=Frame.LAB)
+    def test_rhs_and_initial_amplitude_validation(self):
+        # every binder refuses n < 1 before it takes sqrt(n), as does BoundRhs itself
+        p = JcParams(1.0, 1.0, 0.05)
+        mod = ModulationSpec(target=ATOM, beta=0.3, big_omega=2.0)
+        for bind in (lambda n: bind_lab_rhs(p, mod, n), lambda n: bind_gauged_rhs(p, mod, n),
+                     lambda n: bind_static_rhs(p, n), lambda n: bind_averaged_rhs(p, mod, n),
+                     lambda n: BoundRhs(ZERO_RHS.matrix, Frame.LAB, n)):
+            for n in (0, -1):
+                with pytest.raises(ValueError, match="n must be >= 1"):
+                    bind(n)
+        for c0, d0 in [(complex(math.inf, 0), 0.0), (0.0, complex(0.0, math.nan))]:
+            with pytest.raises(ValueError, match="c0 = .*, d0 = "):
+                integrate(ZERO_RHS, c0, d0, 0.0, 1.0, 0.1)
+
+    def test_trajectory_tags_come_from_the_rhs(self):
+        p = JcParams(1.0, 1.0, 0.05)
+        mod = ModulationSpec(target=CAVITY, beta=0.3, big_omega=2.0)
+        for rhs, frame, n in [(bind_lab_rhs(p, mod, 3), Frame.LAB, 3),
+                              (bind_static_rhs(p, 2), Frame.INTERACTION, 2),
+                              (bind_averaged_rhs(p, mod, 1), Frame.GAUGED, 1),
+                              (bind_gauged_rhs(p, mod, 4), Frame.GAUGED, 4)]:
+            traj = integrate(rhs, 0.0, 1.0, 0.0, 0.5, 0.1)
+            assert (traj.frame, traj.n) == (rhs.frame, rhs.n) == (frame, n)
 
     def test_trajectory_requires_uniform_grid(self):
         with pytest.raises(ValueError):
@@ -146,7 +167,7 @@ class TestFrameMaps:
         # phase is (omega0 beta / 2 Omega) = i, so c picks up e^{i*i} = e^-1
         p = JcParams(2.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=1j, big_omega=1.0)
-        s = AmplitudeState(n=1, c=1.0, d=0.5, frame=Frame.INTERACTION)
+        s = Sample(1, 1.0 + 0j, 0.5 + 0j, Frame.INTERACTION)
         c, d = mapped_sample(s, p, mod, math.pi / 2.0, Frame.GAUGED)
         assert abs(c) == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert d == s.d
@@ -178,8 +199,7 @@ class TestFrameMaps:
         # written out here, with each frame's total phase in one exponent
         p = JcParams(1.3, 0.8, 0.07)
         mod = ModulationSpec(target=target, beta=0.35 - 0.2j, big_omega=2.9)
-        s0 = AmplitudeState(n=n, c=0.6 + 0.2j, d=0.5 - 0.1j, frame=Frame.LAB)
-        lab = integrate(bind_lab_rhs(p, mod, n), s0, 0.0, 12.3, 0.01)
+        lab = integrate(bind_lab_rhs(p, mod, n), 0.6 + 0.2j, 0.5 - 0.1j, 0.0, 12.3, 0.01)
         t = lab.times
         theta_c = (p.omega0 / 2.0 + p.omega * (n - 1)) * t
         theta_d = (n * p.omega - p.omega0 / 2.0) * t
@@ -219,24 +239,22 @@ class TestRhsLab:
     def test_free_evolution(self):
         p = JcParams(1.4, 0.9, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
-        s = AmplitudeState(n=3, c=0.8 + 0.1j, d=0.2 - 0.4j, frame=Frame.LAB)
-        dc, dd = apply_rhs(bind_lab_rhs(p, mod, s.n), 0.55, s.c, s.d)
-        assert abs(dc - (-1j * (1.4 / 2.0 + 0.9 * 2.0) * s.c)) <= 1e-15
-        assert abs(dd - (-1j * (3 * 0.9 - 1.4 / 2.0) * s.d)) <= 1e-15
+        c, d = 0.8 + 0.1j, 0.2 - 0.4j
+        dc, dd = apply_rhs(bind_lab_rhs(p, mod, 3), 0.55, c, d)
+        assert abs(dc - (-1j * (1.4 / 2.0 + 0.9 * 2.0) * c)) <= 1e-15
+        assert abs(dd - (-1j * (3 * 0.9 - 1.4 / 2.0) * d)) <= 1e-15
 
     def test_resonant_coupled_example(self):
         p = JcParams(1.0, 1.0, 0.1)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
-        s = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.LAB)
-        dc, dd = apply_rhs(bind_lab_rhs(p, mod, s.n), 0.0, s.c, s.d)
+        dc, dd = apply_rhs(bind_lab_rhs(p, mod, 1), 0.0, 0.0, 1.0)
         assert abs(dc - (-0.1j)) <= 1e-15
         assert abs(dd - (-0.5j)) <= 1e-15
 
     def test_crest_uses_modulated_frequency(self):
         p = JcParams(1.2, 1.0, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.25, big_omega=2.0)
-        s = AmplitudeState(n=1, c=1.0, d=0.0, frame=Frame.LAB)
-        dc, _ = apply_rhs(bind_lab_rhs(p, mod, s.n), 0.0, s.c, s.d)  # cos(0) = 1
+        dc, _ = apply_rhs(bind_lab_rhs(p, mod, 1), 0.0, 1.0, 0.0)  # cos(0) = 1
         assert abs(dc - (-1j * 1.2 * 1.25 / 2.0)) <= 1e-15
 
     @pytest.mark.parametrize("target", [ATOM, CAVITY])
@@ -263,8 +281,7 @@ class TestRhsGauged:
     def test_vanishes_when_fully_gauged_away(self):
         p = JcParams(1.0, 1.0, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
-        s = AmplitudeState(n=1, c=0.3, d=0.7, frame=Frame.GAUGED)
-        assert apply_rhs(bind_gauged_rhs(p, mod, s.n), 0.9, s.c, s.d) == (0.0, 0.0)
+        assert apply_rhs(bind_gauged_rhs(p, mod, 1), 0.9, 0.3, 0.7) == (0.0, 0.0)
 
     def test_reduces_to_static_at_beta_zero(self, rng):
         p = JcParams(1.0, 1.0, 0.08)
@@ -287,11 +304,10 @@ class TestRhsGauged:
         period = 2.0 * math.pi / mod.big_omega
         step = period / 400.0
         t1 = 3.0 * period
-        s_lab = AmplitudeState(n=n, c=0.6 + 0.2j, d=0.5 - 0.1j, frame=Frame.LAB)
-        lab_traj = integrate(bind_lab_rhs(p, mod, n), s_lab, 0.0, t1, step)
+        lab_traj = integrate(bind_lab_rhs(p, mod, n), 0.6 + 0.2j, 0.5 - 0.1j, 0.0, t1, step)
         mapped = map_trajectory(lab_traj, p, mod, Frame.GAUGED)
-        s_gauged = AmplitudeState(n=n, c=mapped.c[0], d=mapped.d[0], frame=Frame.GAUGED)
-        gauged_traj = integrate(bind_gauged_rhs(p, mod, n), s_gauged, 0.0, t1, step)
+        gauged_traj = integrate(bind_gauged_rhs(p, mod, n), mapped.c[0], mapped.d[0],
+                                0.0, t1, step)
         err = max(np.abs(mapped.c - gauged_traj.c).max(),
                   np.abs(mapped.d - gauged_traj.d).max())
         assert err <= FRAME_CONSISTENCY_TOL
@@ -329,11 +345,8 @@ class TestRhsAveraged:
     def test_runs_in_gauged_frame(self):
         p = JcParams(1.0, 1.0, 0.06)
         mod = ModulationSpec(target=ATOM, beta=0.8, big_omega=2.0)
-        avg = bind_averaged_rhs(p, mod, 2)
-        assert avg.frame is Frame.GAUGED and bind_static_rhs(p, 2).frame is None
-        s0 = AmplitudeState(n=2, c=0.0, d=1.0, frame=Frame.INTERACTION)
-        with pytest.raises(FrameMismatchError):
-            integrate(avg, s0, 0.0, 1.0, 0.1)
+        assert bind_averaged_rhs(p, mod, 2).frame is Frame.GAUGED
+        assert bind_static_rhs(p, 2).frame is Frame.INTERACTION
 
     def test_off_resonance_warns(self):
         p = JcParams(1.1, 1.0, 0.05)
@@ -415,78 +428,64 @@ class TestIntegrate:
         p = JcParams(1.0, 1.0, 0.1)
         rabi = 2.0 * math.pi / 0.1
         step = rabi / 1000.0
-        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.INTERACTION)
-        traj = integrate(bind_static_rhs(p, 1), s0, 0.0, 10.0 * rabi, step)
+        traj = integrate(bind_static_rhs(p, 1), 0.0, 1.0, 0.0, 10.0 * rabi, step)
         worst = 0.0
         for i in range(0, len(traj), 97):
-            ref_c, ref_d = closed_form_amplitudes(p, 1, s0.c, s0.d, float(traj.times[i]))
+            ref_c, ref_d = closed_form_amplitudes(p, 1, 0.0, 1.0, float(traj.times[i]))
             worst = max(worst, abs(traj.c[i] - ref_c), abs(traj.d[i] - ref_d))
         assert worst <= CLOSED_FORM_TOL
 
     def test_fourth_order_convergence(self):
         p = JcParams(1.0, 1.0, 0.1)
         rabi = 2.0 * math.pi / 0.1
-        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.INTERACTION)
         errs = []
         for divisor in (100.0, 200.0):
-            traj = integrate(bind_static_rhs(p, 1), s0, 0.0, rabi, rabi / divisor)
-            ref_c, ref_d = closed_form_amplitudes(p, 1, s0.c, s0.d, float(traj.times[-1]))
+            traj = integrate(bind_static_rhs(p, 1), 0.0, 1.0, 0.0, rabi, rabi / divisor)
+            ref_c, ref_d = closed_form_amplitudes(p, 1, 0.0, 1.0, float(traj.times[-1]))
             errs.append(max(abs(traj.c[-1] - ref_c), abs(traj.d[-1] - ref_d)))
         order = math.log2(errs[0] / errs[1])
         assert 3.7 <= order <= 4.3
 
     def test_zero_rhs_constant_trajectory(self):
-        s0 = AmplitudeState(n=1, c=0.3 + 0.1j, d=-0.2j, frame=Frame.LAB)
-        traj = integrate(ZERO_RHS, s0, 0.0, 1.0, 0.01)
-        assert np.all(traj.c == s0.c)
-        assert np.all(traj.d == s0.d)
+        traj = integrate(ZERO_RHS, 0.3 + 0.1j, -0.2j, 0.0, 1.0, 0.01)
+        assert np.all(traj.c == 0.3 + 0.1j)
+        assert np.all(traj.d == -0.2j)
 
     def test_norm_conservation_driven_hermitian(self):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.5, big_omega=2.0)
-        s0 = AmplitudeState(n=1, c=0.6, d=0.8, frame=Frame.LAB)
         step = (2.0 * math.pi / 2.0) / 400.0
-        traj = integrate(bind_lab_rhs(p, mod, 1), s0, 0.0, 1000.0 * step, step)
+        traj = integrate(bind_lab_rhs(p, mod, 1), 0.6, 0.8, 0.0, 1000.0 * step, step)
         norms = np.abs(traj.c) ** 2 + np.abs(traj.d) ** 2
         assert np.abs(norms - norms[0]).max() <= CONSERVATION_TOL
 
     def test_pseudo_norm_conservation_imaginary_coupling(self):
         p = JcParams(1.0, 1.0, 0.1j)
-        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.INTERACTION)
-        traj = integrate(bind_static_rhs(p, 1), s0, 0.0, 10.0, 0.01)
+        traj = integrate(bind_static_rhs(p, 1), 0.0, 1.0, 0.0, 10.0, 0.01)
         pseudo = np.abs(traj.c) ** 2 - np.abs(traj.d) ** 2
         assert np.abs(pseudo - pseudo[0]).max() <= CONSERVATION_TOL
 
     def test_lands_exactly_on_t1(self):
-        s0 = AmplitudeState(n=1, c=1.0, d=0.0, frame=Frame.LAB)
-        traj = integrate(ZERO_RHS, s0, 0.0, 0.25, 0.1)
+        traj = integrate(ZERO_RHS, 1.0, 0.0, 0.0, 0.25, 0.1)
         assert traj.times[-1] == 0.25
         assert len(traj) == 4  # 0, 0.1, 0.2, 0.25
 
-    def test_frame_guard(self):
-        p = JcParams(1.0, 1.0, 0.05)
-        mod = ModulationSpec(target=ATOM, beta=0.1, big_omega=1.0)
-        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.GAUGED)
-        with pytest.raises(FrameMismatchError):
-            integrate(bind_lab_rhs(p, mod, 1), s0, 0.0, 1.0, 0.01)
-
-    def test_invalid_step_rejected(self):
-        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.LAB)
-        with pytest.raises(IntegrationError):
-            integrate(ZERO_RHS, s0, 0.0, 1.0, 0.0)
-        with pytest.raises(IntegrationError):
-            integrate(ZERO_RHS, s0, 1.0, 0.5, 0.01)
+    @pytest.mark.parametrize("t0, t1, step, message", [
+        (0.0, 1.0, 0.0, "step must be"), (0.0, 1.0, math.nan, "step must be"),
+        (1.0, 0.5, 0.01, "t1 must exceed t0"), (0.0, math.nan, 0.01, "t1 must exceed t0")])
+    def test_invalid_step_rejected(self, t0, t1, step, message):
+        # argument errors, not IntegrationError: that one means the run left float64
+        with pytest.raises(ValueError, match=message):
+            integrate(ZERO_RHS, 0.0, 1.0, t0, t1, step)
 
     def test_blowup_reports_time(self):
-        s0 = AmplitudeState(n=1, c=1.0, d=1.0, frame=Frame.LAB)
         grow = bind_static_rhs(JcParams(1.0, 1.0, 1e180), 1)
         with pytest.raises(IntegrationError, match="t ="):
-            integrate(grow, s0, 0.0, 1.0, 0.1)
+            integrate(grow, 1.0, 1.0, 0.0, 1.0, 0.1)
 
     def test_refuses_plain_callable(self):
-        s0 = AmplitudeState(n=1, c=1.0, d=0.0, frame=Frame.LAB)
         with pytest.raises(TypeError, match="BoundRhs"):
-            integrate(lambda t, c, d: (0.0, 0.0), s0, 0.0, 1.0, 0.1)
+            integrate(lambda t, c, d: (0.0, 0.0), 1.0, 0.0, 0.0, 1.0, 0.1)
 
     @pytest.mark.parametrize("rhs_name", ["static", "lab_atom", "lab_cavity",
                                           "gauged_atom", "gauged_cavity"])
@@ -542,8 +541,7 @@ class TestPeriodicPath:
         h = rhs.period / 400
         n_steps = math.ceil(2.0 / (0.05 * math.sqrt(n)) / h - 1e-9)
         monkeypatch.setattr(kernels, "rk4_linear", _refuse)
-        s0 = AmplitudeState(n=n, c=0.0, d=1.0, frame=Frame.GAUGED)
-        traj = integrate(rhs, s0, 0.0, n_steps * h, h)
+        traj = integrate(rhs, 0.0, 1.0, 0.0, n_steps * h, h)
         c_ref, d_ref = rk4_generic(rhs, 0.0, 1.0, 0.0, h, n_steps, 0.0)
         assert len(traj) == n_steps + 1
         assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
@@ -558,9 +556,8 @@ class TestPeriodicPath:
         h = rhs.period / 50
         t1 = 0.25 + (7 * 50 + 13.4) * h
         monkeypatch.setattr(kernels, "rk4_linear", _refuse)
-        s0 = AmplitudeState(n=2, c=0.6 + 0.2j, d=0.5 - 0.1j, frame=Frame.LAB)
-        traj = integrate(rhs, s0, 0.25, t1, h)
-        c_ref, d_ref = rk4_generic(rhs, s0.c, s0.d, 0.25, h, 7 * 50 + 13, 0.4 * h)
+        traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.25, t1, h)
+        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.25, h, 7 * 50 + 13, 0.4 * h)
         assert len(traj) == 7 * 50 + 13 + 2 and traj.times[-1] == t1
         assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
 
@@ -569,7 +566,7 @@ class TestPeriodicPath:
     def test_other_cases_step_in_order(self, monkeypatch, case):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(ATOM, 0.3, 2.0)
-        rhs, frame, step, t1 = bind_gauged_rhs(p, mod, 1), Frame.GAUGED, math.pi / 40, 10.0
+        rhs, step, t1 = bind_gauged_rhs(p, mod, 1), math.pi / 40, 10.0
         if case == "detuned_gauged":
             rhs = bind_gauged_rhs(JcParams(1.02, 1.0, 0.05), mod, 1)
             assert rhs.period is None
@@ -578,15 +575,14 @@ class TestPeriodicPath:
         elif case == "under_one_period":
             t1 = 0.9 * math.pi
         elif case == "static":
-            rhs, frame = bind_static_rhs(p, 1), Frame.INTERACTION
+            rhs = bind_static_rhs(p, 1)
         else:
             rhs = bind_averaged_rhs(p, mod, 1)
         assert case in ("step_not_dividing", "under_one_period") or rhs.period is None
         monkeypatch.setattr(kernels, "rk4_periodic", _refuse)
-        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=frame)
         c_ref, d_ref = rk4_generic(rhs, 0.0, 1.0, 0.0, step,
                                    *dynamics._split_steps(0.0, t1, step))
-        assert _max_rel_dev(integrate(rhs, s0, 0.0, t1, step), c_ref, d_ref) <= 1e-12
+        assert _max_rel_dev(integrate(rhs, 0.0, 1.0, 0.0, t1, step), c_ref, d_ref) <= 1e-12
 
     def test_overflow_found_at_a_period_boundary(self):
         # A = 60 I grows e^{60 h} a step: the states leave float64 within
@@ -601,10 +597,9 @@ class TestPeriodicPath:
         with pytest.raises(FloatingPointError) as info:
             kernels.rk4_periodic(grow, 1.0, 1.0, 0.0, 0.1, 400, 0.0, 10)
         assert first > 0 and info.value.args[0] - 10 < first <= info.value.args[0]
-        s0 = AmplitudeState(n=1, c=1.0, d=1.0, frame=Frame.LAB)
         rhs = BoundRhs(grow, Frame.LAB, 1, 1.0)
         with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
-            integrate(rhs, s0, 0.0, 40.0, 0.1)
+            integrate(rhs, 1.0, 1.0, 0.0, 40.0, 0.1)
 
 
 class TestRk4Stability:
@@ -653,8 +648,7 @@ class TestStepAndSerialization:
 
     def test_csv_round_trip(self, rng, tmp_path):
         p = JcParams(1.0, 1.0, 0.1j)
-        s0 = AmplitudeState(n=2, c=0.1 + 0.2j, d=1.0 - 0.05j, frame=Frame.INTERACTION)
-        traj = integrate(bind_static_rhs(p, 2), s0, 0.0, 2.0, 0.01)
+        traj = integrate(bind_static_rhs(p, 2), 0.1 + 0.2j, 1.0 - 0.05j, 0.0, 2.0, 0.01)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         back = read_trajectory_csv(path)
@@ -665,8 +659,7 @@ class TestStepAndSerialization:
         assert back.n == traj.n
 
     def test_csv_header_exact(self, tmp_path):
-        s0 = AmplitudeState(n=1, c=0.0, d=1.0, frame=Frame.LAB)
-        traj = integrate(ZERO_RHS, s0, 0.0, 0.2, 0.1)
+        traj = integrate(ZERO_RHS, 0.0, 1.0, 0.0, 0.2, 0.1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         first = path.read_text().splitlines()[0]
@@ -684,16 +677,14 @@ class TestStepAndSerialization:
     def test_map_trajectory_round_trip(self, rng):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.3 + 0.1j, big_omega=2.0)
-        s0 = AmplitudeState(n=1, c=0.5, d=0.5, frame=Frame.LAB)
-        traj = integrate(bind_lab_rhs(p, mod, 1), s0, 0.0, 2.0, 0.01)
+        traj = integrate(bind_lab_rhs(p, mod, 1), 0.5, 0.5, 0.0, 2.0, 0.01)
         there = map_trajectory(traj, p, mod, Frame.GAUGED)
         back = map_trajectory(there, p, mod, Frame.LAB)
         assert np.abs(back.c - traj.c).max() <= 1e-13
         assert np.abs(back.d - traj.d).max() <= 1e-13
 
     def test_map_to_gauged_needs_modulation(self):
-        s0 = AmplitudeState(n=1, c=0.5, d=0.5, frame=Frame.LAB)
-        traj = integrate(ZERO_RHS, s0, 0.0, 0.3, 0.1)
+        traj = integrate(ZERO_RHS, 0.5, 0.5, 0.0, 0.3, 0.1)
         with pytest.raises(ValueError):
             map_trajectory(traj, JcParams(1.0, 1.0, 0.05), None, Frame.GAUGED)
 
@@ -726,8 +717,8 @@ class TestCsvCodec:
         assert path.read_bytes() == text.encode("utf-8")
 
     def test_integrated_bytes_match_the_per_row_writer(self, tmp_path):
-        s0 = AmplitudeState(n=2, c=0.1 + 0.2j, d=1.0 - 0.05j, frame=Frame.INTERACTION)
-        traj = integrate(bind_static_rhs(JcParams(1.0, 1.0, 0.1j), 2), s0, 0.0, 2.05, 0.1)
+        traj = integrate(bind_static_rhs(JcParams(1.0, 1.0, 0.1j), 2), 0.1 + 0.2j, 1.0 - 0.05j,
+                         0.0, 2.05, 0.1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         assert path.read_bytes() == per_row_trajectory_text(traj).encode("utf-8")

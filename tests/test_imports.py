@@ -1,14 +1,17 @@
-"""Stdlib stand-ins for five linter rules.
+"""Stdlib stand-ins for six linter rules.
 
 Every name a module imports is used, every module-level private
 function or constant is referenced outside its own definition, every
 module-level public function or class has a caller in the package or
 the benchmark (or a place on an allowlist), only the JSON and CSV
-writers open files for writing, and the README lists exactly the keys
-that ``ptjc pseudo`` writes and that a ``ptjc compare`` config takes.
+writers open files for writing, the README lists exactly the keys
+that ``ptjc pseudo`` writes and that a ``ptjc compare`` config takes,
+and every ``ptjc`` module and name the README backticks exists.
 """
 
 import ast
+import fnmatch
+import importlib
 import json
 import re
 from pathlib import Path
@@ -271,3 +274,44 @@ def test_readme_lists_the_pseudo_json_keys(tmp_path):
 def test_readme_lists_the_compare_config_keys():
     section = README.read_text(encoding="utf-8").split("\n### compare\n", 1)[1]
     assert set(documented_keys(section, COMPARE_KEYS_SENTENCE)) == _COMPARE_KEYS
+
+
+def readme_package_names(readme: str) -> list[str]:
+    """Every backticked ``ptjc.<module>`` or ``ptjc.<module>.<name>``, in order.
+
+    A backticked call such as ``ptjc.kernels.rk4_linear(...)`` names ``rk4_linear``.
+    """
+    return re.findall(r"`(ptjc\.\w+(?:\.[\w*]+)?)", readme)
+
+
+def unresolved(names: list[str]) -> list[str]:
+    """The ``names`` whose module does not import or has no attribute matching the name.
+
+    A ``*`` in the name matches as a glob, as in ``ptjc.dynamics.bind_*_rhs``.
+    """
+    missing = []
+    for dotted in names:
+        _, module, *name = dotted.split(".")
+        try:
+            attrs = dir(importlib.import_module(f"ptjc.{module}"))
+        except ImportError:
+            attrs = []
+        if not attrs or (name and not fnmatch.filter(attrs, name[0])):
+            missing.append(dotted)
+    return missing
+
+
+def test_finds_a_readme_name_that_does_not_exist():
+    readme = ("`ptjc.dynamics.bind_*_rhs` and `ptjc.kernels.rk4_linear(rhs.matrix, ...)` exist;\n"
+              "`ptjc.dynamics.InitialState`, `ptjc.nowhere` and `ptjc.jc.t_*_block` do not,\n"
+              "and ptjc.dynamics.Gone outside backticks is prose.\n")
+    names = readme_package_names(readme)
+    assert names == ["ptjc.dynamics.bind_*_rhs", "ptjc.kernels.rk4_linear",
+                     "ptjc.dynamics.InitialState", "ptjc.nowhere", "ptjc.jc.t_*_block"]
+    assert unresolved(names) == ["ptjc.dynamics.InitialState", "ptjc.nowhere",
+                                 "ptjc.jc.t_*_block"]
+
+
+def test_readme_names_only_names_that_exist():
+    names = readme_package_names(README.read_text(encoding="utf-8"))
+    assert names and unresolved(names) == []
