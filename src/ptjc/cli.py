@@ -223,6 +223,8 @@ def cmd_evolve(args) -> int:
         out_frames = [Frame(name) for name in frames]
     except ValueError as exc:
         raise ConfigError(f"evolve config: unknown frame ({exc})") from None
+    if twice := next((f for i, f in enumerate(out_frames) if f in out_frames[:i]), None):
+        raise ConfigError(f"evolve config: frame {twice.value!r} is listed twice")
     if Frame.GAUGED in out_frames and mod is None:
         raise ConfigError("evolve config: the gauged frame needs a modulation block")
 
@@ -232,10 +234,9 @@ def cmd_evolve(args) -> int:
     # map every frame before writing any, so a failed map writes nothing
     mapped_frames = [map_trajectory(traj, params, mod, f) for f in out_frames]
     os.makedirs(args.output_dir, exist_ok=True)
-    for out_frame, mapped in zip(out_frames, mapped_frames):
-        path = os.path.join(args.output_dir, f"trajectory_{out_frame.value}.csv")
-        write_trajectory_csv(mapped, path)
-        print(f"wrote {path} ({len(mapped)} samples)")
+    paths = [os.path.join(args.output_dir, f"trajectory_{f.value}.csv") for f in out_frames]
+    write_trajectory_csv(mapped_frames, paths)
+    print("\n".join(f"wrote {path} ({len(traj)} samples)" for path in paths))
     return 0
 
 
@@ -307,7 +308,7 @@ def cmd_compare(args) -> int:
             "generated_by": GENERATED_BY,
         }
         _dump_json(payload, report_path, make_parent=True)
-        write_csv(csv_path, "omega_ratio,max_rel_err", zip(*curve))
+        write_csv("omega_ratio,max_rel_err", [(csv_path, zip(*curve), "")])
         print(f"sweep of {len(curve)} ratios written; first error {curve[0][1]!r}")
         return 0
 

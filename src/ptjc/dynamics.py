@@ -32,11 +32,12 @@ shortened last step; at most MAX_STEPS steps per call.
 the relative phase z sin(Omega t) between c and d: the averaged rhs
 couples with g J0(z); ``ptjc.equivalence`` drives its slow-frame block.
 
-``write_csv`` is the package's one CSV formatter, in chunks of
-_CSV_CHUNK_ROWS rows; a trajectory is read back in one ``np.loadtxt``.
+``write_csv`` is the package's one CSV formatter, of one or more files in
+lockstep chunks of _CSV_CHUNK_ROWS rows; ``np.loadtxt`` reads a trajectory back.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import mmap
@@ -309,7 +310,7 @@ def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t
     analytic in kappa: real coupling gives Rabi cosine/sine, imaginary
     coupling gives cosh/sinh growth; both from real cos, sin, cosh, sinh.
     """
-    kappa = complex(params.coupling) * math.sqrt(n)
+    kappa = complex(params.coupling) * math.sqrt(_require_block(n))
     t = np.asarray(t, dtype=float)
     cos_a, sin_a = np.cos(kappa.real * t), np.sin(kappa.real * t)
     cosh_b, sinh_b = np.cosh(kappa.imag * t), np.sinh(kappa.imag * t)
@@ -321,7 +322,7 @@ def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t
 def suggested_step(params: JcParams, mod: Optional[ModulationSpec], n: int,
                    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> float:
     """min(drive period, Rabi period) / steps_per_period."""
-    kappa = abs(params.coupling) * math.sqrt(n)
+    kappa = abs(params.coupling) * math.sqrt(_require_block(n))
     periods = []
     if kappa > 0:
         periods.append(2.0 * math.pi / kappa)
@@ -421,25 +422,33 @@ def integrate(rhs: BoundRhs, c0: complex, d0: complex, t0: float, t1: float,
 # Trajectory serialization
 
 
-def write_csv(path, header: str, columns, suffix: str = "") -> None:
-    """``header``, then per sample each column's float ``repr`` joined by commas, then ``suffix``.
-
-    Each column's ``tolist()`` slice of _CSV_CHUNK_ROWS rows becomes fields in C, as
-    its list ``repr`` split at ", ": no list of rows or of whole columns is built.
+def write_csv(header: str, outputs) -> None:
+    """Per (path, columns, suffix) in ``outputs``: ``header``, then per sample each column's
+    float ``repr`` joined by commas, then ``suffix``.  Every path opens first; then per
+    _CSV_CHUNK_ROWS rows each distinct column, keyed by the memory it views, becomes fields
+    once in C (its ``tolist()`` slice's list ``repr`` split at ", ") for every file holding it.
     """
-    cols = [np.asarray(col, dtype=float) for col in columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(0, len(cols[0]), _CSV_CHUNK_ROWS):
-            fields = [repr(col[i:i + _CSV_CHUNK_ROWS].tolist())[1:-1].split(", ") for col in cols]
-            fh.write((suffix + "\n").join(map(",".join, zip(*fields))) + suffix + "\n")
+    cols, outs, text = {}, [], {}  # every array stays referenced, so no key is reused
+    with contextlib.ExitStack() as stack:
+        for path, columns, suffix in outputs:
+            arrays = [np.asarray(col, dtype=float) for col in columns]
+            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+            fh.write(header + "\n")
+            outs.append((fh, [(a.ctypes.data, a.strides, len(a)) for a in arrays], suffix + "\n"))
+            cols.update(zip(outs[-1][1], arrays))
+        (rows,) = {len(col) for col in cols.values()}  # ValueError unless of one length
+        for i in range(0, rows, _CSV_CHUNK_ROWS):
+            text.update((key, repr(col[i:i + _CSV_CHUNK_ROWS].tolist())[1:-1].split(", "))
+                        for key, col in cols.items())  # frees each column's last chunk first
+            for fh, keys, end in outs:
+                fh.write(end.join(map(",".join, zip(*[text[key] for key in keys]))) + end)
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Plain CSV with the fixed header t,re_c,im_c,re_d,im_d,frame,n."""
-    c, d = traj.c, traj.d
-    write_csv(path, TRAJECTORY_CSV_HEADER, [traj.times, c.real, c.imag, d.real, d.imag],
-              suffix=f",{traj.frame.value},{traj.n}")
+def write_trajectory_csv(trajs, paths) -> None:
+    """``trajs[i]`` as CSV t,re_c,im_c,re_d,im_d,frame,n at ``paths[i]``, in one ``write_csv``."""
+    write_csv(TRAJECTORY_CSV_HEADER,
+              [(path, [tr.times, tr.c.real, tr.c.imag, tr.d.real, tr.d.imag],
+                f",{tr.frame.value},{tr.n}") for tr, path in zip(trajs, paths, strict=True)])
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -435,5 +435,5 @@ COMPARISON_CSV_HEADER = ("t,re_c_avg,im_c_avg,re_d_avg,im_d_avg,"
 def write_comparison_csv(report: ComparisonReport, path) -> None:
     """Averaged driven amplitudes next to the static reference."""
     (ca, da), (cr, dr) = report.driven_envelope.T, report.static_reference.T
-    write_csv(path, COMPARISON_CSV_HEADER, [report.times, ca.real, ca.imag, da.real, da.imag,
-                                            cr.real, cr.imag, dr.real, dr.imag])
+    write_csv(COMPARISON_CSV_HEADER, [(path, [report.times, ca.real, ca.imag, da.real, da.imag,
+                                              cr.real, cr.imag, dr.real, dr.imag], "")])

@@ -332,6 +332,17 @@ class TestEvolve:
         assert "frame" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_repeated_frame_exits_two_before_integration(self, tmp_path, capsys,
+                                                         no_integration):
+        # two handles on one path would interleave their rows in the lockstep writer
+        doc = self.gauged_doc()
+        doc["frames"] = ["interaction", "lab", "interaction"]
+        cfg = write_config(tmp_path, doc)
+        outdir = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        assert "frame 'interaction' is listed twice" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_failed_frame_map_writes_nothing(self, tmp_path, capsys):
         # |exp(i gamma sin t)| = exp(1000 |sin t|) leaves float64 past t = pi,
         # in the second frame; the first frame's CSV must not be written
@@ -454,6 +465,19 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--output-dir", str(outdir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("i/o failure: ") and "trajectory_interaction.csv" in err
+
+    def test_unwritable_last_frame_csv_is_an_io_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(self.gauged_doc(),
+                                          frames=["gauged", "interaction", "lab"]))
+        outdir = tmp_path / "out"
+        (outdir / "trajectory_lab.csv").mkdir(parents=True)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure: ") and "trajectory_lab.csv" in err
+        # every file opens before any row is written
+        for frame in ("gauged", "interaction"):
+            text = (outdir / f"trajectory_{frame}.csv").read_text(encoding="utf-8")
+            assert text == "t,re_c,im_c,re_d,im_d,frame,n\n"
 
     def test_unwritable_output_dir_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, self.gauged_doc())

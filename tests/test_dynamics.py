@@ -78,12 +78,15 @@ class TestTypes:
             ModulationSpec(target=ATOM, beta=complex(math.nan, 0), big_omega=1.0)
 
     def test_rhs_and_initial_amplitude_validation(self):
-        # every binder refuses n < 1 before it takes sqrt(n), as does BoundRhs itself
+        # every binder, suggested_step and closed_form_amplitudes refuse n < 1 before
+        # they take sqrt(n), as does BoundRhs itself
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.3, big_omega=2.0)
         for bind in (lambda n: bind_lab_rhs(p, mod, n), lambda n: bind_gauged_rhs(p, mod, n),
                      lambda n: bind_static_rhs(p, n), lambda n: bind_averaged_rhs(p, mod, n),
-                     lambda n: BoundRhs(ZERO_RHS.matrix, Frame.LAB, n)):
+                     lambda n: BoundRhs(ZERO_RHS.matrix, Frame.LAB, n),
+                     lambda n: suggested_step(p, mod, n),
+                     lambda n: closed_form_amplitudes(p, n, 1.0, 0.0, 1.0)):
             for n in (0, -1):
                 with pytest.raises(ValueError, match="n must be >= 1"):
                     bind(n)
@@ -650,7 +653,7 @@ class TestStepAndSerialization:
         p = JcParams(1.0, 1.0, 0.1j)
         traj = integrate(bind_static_rhs(p, 2), 0.1 + 0.2j, 1.0 - 0.05j, 0.0, 2.0, 0.01)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([traj], [path])
         back = read_trajectory_csv(path)
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.c, traj.c)
@@ -661,7 +664,7 @@ class TestStepAndSerialization:
     def test_csv_header_exact(self, tmp_path):
         traj = integrate(ZERO_RHS, 0.0, 1.0, 0.0, 0.2, 0.1)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([traj], [path])
         first = path.read_text().splitlines()[0]
         assert first == "t,re_c,im_c,re_d,im_d,frame,n"
 
@@ -711,7 +714,7 @@ class TestCsvCodec:
     def test_trajectory_bytes_match_the_per_row_writer(self, tmp_path):
         traj = self.awkward_trajectory()
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([traj], [path])
         text = per_row_trajectory_text(traj)
         assert "-0.0,5e-324" in text and "0.30000000000000004" in text
         assert path.read_bytes() == text.encode("utf-8")
@@ -720,13 +723,13 @@ class TestCsvCodec:
         traj = integrate(bind_static_rhs(JcParams(1.0, 1.0, 0.1j), 2), 0.1 + 0.2j, 1.0 - 0.05j,
                          0.0, 2.05, 0.1)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([traj], [path])
         assert path.read_bytes() == per_row_trajectory_text(traj).encode("utf-8")
 
     def test_read_back_bitwise(self, tmp_path):
         traj = self.awkward_trajectory()
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([traj], [path])
         back = read_trajectory_csv(path)
         for got, want in ((back.times, traj.times), (back.c, traj.c), (back.d, traj.d)):
             assert got.tobytes() == want.tobytes()
@@ -739,7 +742,7 @@ class TestCsvCodec:
         traj = Trajectory(times=np.arange(len(c)) * 0.25, c=c, d=d, frame=Frame.LAB,
                           n=1, step=0.25)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([traj], [path])
         back = read_trajectory_csv(path)
         assert back.c.tobytes() == c.tobytes() and back.d.tobytes() == d.tobytes()
 
@@ -788,7 +791,7 @@ class TestCsvCodec:
         traj = Trajectory(times=np.arange(rows) * 0.1, c=c, d=d, frame=Frame.INTERACTION,
                           n=12, step=0.1)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([traj], [path])
         text = per_row_trajectory_text(traj)
         assert text.count("\n") == rows + 1
         assert all(v in text for v in ("-0.0,", "5e-324", "0.30000000000000004"))
@@ -796,6 +799,38 @@ class TestCsvCodec:
         back = read_trajectory_csv(path)
         for got, want in ((back.times, traj.times), (back.c, c), (back.d, d)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lab_case", ["equal-values", "one-buffer", "one-start-two-strides"])
+    @pytest.mark.parametrize("rows", CHUNK_BOUNDARY_ROWS)
+    def test_shared_columns_match_the_per_row_writer(self, tmp_path, rows, lab_case):
+        # gauged and interaction share times and d, as evolve's frames do; the lab
+        # columns must not take the text of another column
+        parts = np.resize(np.array(self.AWKWARD), 8 * rows)
+        parts[5::3] = np.random.default_rng(rows).standard_normal(len(parts[5::3]))
+        buffer = parts.view(complex)
+        c_g, c_i, d, c_lab = buffer.reshape(4, rows)
+        times = np.arange(rows) * 0.1
+        if lab_case == "equal-values":  # other memory, the gauged values
+            c_lab, d_lab = c_g.copy(), d.copy()
+        elif lab_case == "one-buffer":  # re and im of one buffer, each twice
+            d_lab = c_lab
+        else:  # starts where c_g starts, with twice its stride
+            c_lab, d_lab = buffer[:2 * rows:2], c_lab
+        trajs = [Trajectory(times=times, c=c, d=dd, frame=frame, n=2, step=0.1)
+                 for c, dd, frame in ((c_g, d, Frame.GAUGED), (c_i, d, Frame.INTERACTION),
+                                      (c_lab, d_lab, Frame.LAB))]
+        paths = [tmp_path / f"{tr.frame.value}.csv" for tr in trajs]
+        write_trajectory_csv(trajs, paths)
+        for tr, path in zip(trajs, paths):
+            alone = tmp_path / "alone.csv"
+            write_trajectory_csv([tr], [alone])
+            text = per_row_trajectory_text(tr).encode("utf-8")
+            assert path.read_bytes() == text == alone.read_bytes()
+
+    def test_columns_of_other_lengths_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            dynamics.write_csv("x", [(tmp_path / "a.csv", [[1.0]], ""),
+                                     (tmp_path / "b.csv", [[1.0, 2.0]], "")])
 
     def write_rows(self, tmp_path, *rows):
         path = tmp_path / "traj.csv"
@@ -841,7 +876,7 @@ class TestCsvCodec:
         traj = self.awkward_trajectory()
         traj = Trajectory(times=traj.times, c=traj.c, d=traj.d, frame=Frame.LAB, n=n, step=0.5)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([traj], [path])
         back = read_trajectory_csv(path)
         assert back.n == n and back.frame is Frame.LAB
         for got, want in ((back.times, traj.times), (back.c, traj.c), (back.d, traj.d)):
@@ -850,7 +885,7 @@ class TestCsvCodec:
     def test_reads_any_file_name_as_plain_text(self, tmp_path):
         traj = self.awkward_trajectory()
         path = tmp_path / "traj.csv.gz"  # not gzip: no name-based decompression
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([traj], [path])
         back = read_trajectory_csv(path)
         for got, want in ((back.times, traj.times), (back.c, traj.c), (back.d, traj.d)):
             assert got.tobytes() == want.tobytes()
@@ -880,7 +915,8 @@ class TestCsvCodec:
                           n=2, step=1.0 / 256.0)
         path = tmp_path / "traj.csv"
         peaks = []
-        for call in (lambda: write_trajectory_csv(traj, path), lambda: read_trajectory_csv(path)):
+        for call in (lambda: write_trajectory_csv([traj], [path]),
+                     lambda: read_trajectory_csv(path)):
             tracemalloc.start()
             try:
                 call()
@@ -888,3 +924,23 @@ class TestCsvCodec:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 1.0 and peaks[1] <= 1.5, peaks
+
+    def test_lockstep_write_memory_stays_bounded(self, tmp_path):
+        # evolve-detuned's three frames: 11 distinct columns of 16,001 rows.  The peak
+        # measured 1.08 MiB, one chunk of each column's text; text kept for a whole
+        # file would take over 10 MiB
+        rows = 16001
+        parts = np.random.default_rng(7).standard_normal(10 * rows)
+        c_g, c_i, d, c_lab, d_lab = parts.view(complex).reshape(5, rows)
+        times = np.arange(rows) / 256.0
+        trajs = [Trajectory(times=times, c=c, d=dd, frame=frame, n=2, step=1.0 / 256.0)
+                 for c, dd, frame in ((c_g, d, Frame.GAUGED), (c_i, d, Frame.INTERACTION),
+                                      (c_lab, d_lab, Frame.LAB))]
+        paths = [tmp_path / f"{tr.frame.value}.csv" for tr in trajs]
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(trajs, paths)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6, peak
