@@ -33,7 +33,10 @@ the relative phase z sin(Omega t) between c and d: the averaged rhs
 couples with g J0(z); ``ptjc.equivalence`` drives its slow-frame block.
 
 ``write_csv`` is the package's one CSV formatter, of one or more files in
-lockstep chunks of _CSV_CHUNK_ROWS rows; ``np.loadtxt`` reads a trajectory back.
+lockstep passes of _CSV_PASS_FLOATS floats.  Its float text is
+``ptjc.floattext``'s: the bytes of ``repr``, from one NumPy kernel over
+each pass's distinct columns, none formatted on its own.
+``np.loadtxt`` reads a trajectory back.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ import numpy as np
 
 from . import kernels
 from .bessel import bessel_j0
+from .floattext import WORD, WORDS, float_text
 from .jc import JcParams
 
 # Relative slack when deciding whether the final partial step exists.
@@ -69,8 +73,8 @@ TRAJECTORY_CSV_HEADER = "t,re_c,im_c,re_d,im_d,frame,n"
 # One read_trajectory_csv row; the Trajectory keeps these records, so the tag fields are narrow.
 _TRAJECTORY_ROW = np.dtype([("t", float), ("cd", float, (4,)), ("frame", "S12"), ("n", "S4")])
 
-# Rows write_csv formats per batch: bounds the Python floats and strings alive at once.
-_CSV_CHUNK_ROWS = 1024
+# Floats write_csv formats per pass, summed over distinct columns: bounds the arrays alive.
+_CSV_PASS_FLOATS = 3072
 
 
 class IntegrationError(RuntimeError):
@@ -424,24 +428,46 @@ def integrate(rhs: BoundRhs, c0: complex, d0: complex, t0: float, t1: float,
 
 def write_csv(header: str, outputs) -> None:
     """Per (path, columns, suffix) in ``outputs``: ``header``, then per sample each column's
-    float ``repr`` joined by commas, then ``suffix``.  Every path opens first; then per
-    _CSV_CHUNK_ROWS rows each distinct column, keyed by the memory it views, becomes fields
-    once in C (its ``tolist()`` slice's list ``repr`` split at ", ") for every file holding it.
+    float ``repr`` joined by commas, then ``suffix`` (which may not hold a NUL).
+
+    Every path opens first.  Then per pass of up to _CSV_PASS_FLOATS floats (rows times
+    distinct columns) ``floattext.float_text`` turns each distinct column, keyed by the
+    memory it views, into text rows once, for every file holding it; each file lays its
+    columns' rows and its suffix side by side in one buffer and writes its nonzero bytes.
     """
-    cols, outs, text = {}, [], {}  # every array stays referenced, so no key is reused
+    cols, outs = {}, []  # every array stays referenced, so no key is reused
     with contextlib.ExitStack() as stack:
         for path, columns, suffix in outputs:
+            if "\0" in suffix:
+                raise ValueError(f"CSV row suffix {suffix!r} holds a NUL")
             arrays = [np.asarray(col, dtype=float) for col in columns]
-            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-            fh.write(header + "\n")
-            outs.append((fh, [(a.ctypes.data, a.strides, len(a)) for a in arrays], suffix + "\n"))
-            cols.update(zip(outs[-1][1], arrays))
+            fh = stack.enter_context(open(path, "wb"))
+            fh.write(f"{header}\n".encode("utf-8"))
+            keys = [(a.ctypes.data, a.strides, len(a)) for a in arrays]
+            cols.update(zip(keys, arrays))
+            tail = f"{suffix}\n".encode("utf-8")
+            outs.append((fh, keys, np.frombuffer(tail + bytes(-len(tail) % 8), dtype=WORD)))
         (rows,) = {len(col) for col in cols.values()}  # ValueError unless of one length
-        for i in range(0, rows, _CSV_CHUNK_ROWS):
-            text.update((key, repr(col[i:i + _CSV_CHUNK_ROWS].tolist())[1:-1].split(", "))
-                        for key, col in cols.items())  # frees each column's last chunk first
-            for fh, keys, end in outs:
-                fh.write(end.join(map(",".join, zip(*[text[key] for key in keys]))) + end)
+        slot = {key: j for j, key in enumerate(cols)}
+        outs = [(fh, [slot[key] for key in keys], tail) for fh, keys, tail in outs]
+        per = max(1, min(rows, _CSV_PASS_FLOATS // len(cols)))
+        values = np.empty((len(cols), per))
+        line = np.empty((per, max(WORDS * len(slots) + len(tail) for _, slots, tail in outs)),
+                        dtype=WORD)
+        for i in range(0, rows, per):
+            n = min(per, rows - i)
+            for col, v in zip(cols.values(), values):
+                v[:n] = col[i:i + n]
+            text = float_text(values[:, :n].ravel()).reshape(len(cols), n, WORDS)
+            for fh, slots, tail in outs:
+                end = WORDS * len(slots)
+                for at, j in zip(range(0, end, WORDS), slots):
+                    line[:n, at:at + WORDS] = text[j]
+                line[:n, end:end + len(tail)] = tail
+                data = line[:n, :end + len(tail)].view(np.uint8)
+                data[:, 0] = 0  # no comma before the first field
+                fh.write(data[data != 0])
+            del text  # before the next pass's rows are made
 
 
 def write_trajectory_csv(trajs, paths) -> None:

@@ -24,10 +24,10 @@ from ptjc import (
 
 DEFAULT_SEED = 20260814
 
-# Row counts at write_csv's chunk boundaries: one row, a chunk less one, one
-# chunk, one past it, and one past two chunks.
-CHUNK_BOUNDARY_ROWS = [1, dynamics._CSV_CHUNK_ROWS - 1, dynamics._CSV_CHUNK_ROWS,
-                       dynamics._CSV_CHUNK_ROWS + 1, 2 * dynamics._CSV_CHUNK_ROWS + 1]
+# Row counts at write_csv's pass boundaries for one trajectory's five columns: one
+# row, a pass less one, one pass, one past it, and one past two passes.
+PASS_ROWS = dynamics._CSV_PASS_FLOATS // 5
+PASS_BOUNDARY_ROWS = [1, PASS_ROWS - 1, PASS_ROWS, PASS_ROWS + 1, 2 * PASS_ROWS + 1]
 
 
 @pytest.fixture

@@ -279,12 +279,23 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
     t0 = time.perf_counter()
     same = True
     sizes = {}
-    for command, files in (("compare", ("report.json", "comparison.csv")),
-                           ("pseudo", ("pseudo.json",))):
+    # evolve as its benchmark workload runs it: detuned gauged atom drive, 16,001
+    # samples, all three frames
+    frames = ("gauged", "interaction", "lab")
+    evolve = tmp_path / "evolve.json"
+    evolve.write_text(json.dumps({
+        "omega0": 1.0125, "omega": 1.0, "coupling": 0.05, "n": 2, "rhs": "gauged",
+        "modulation": {"target": "atom", "beta": "condition", "big_omega": 5.0},
+        "initial_c": [0.6, 0.3], "initial_d": [-0.2, 0.7141428428542851],
+        "t1": 62.5, "step": 1.0 / 256.0, "frames": list(frames)}), encoding="utf-8")
+    for command, argv, files in (
+            ("compare", [], ("report.json", "comparison.csv")),
+            ("pseudo", [], ("pseudo.json",)),
+            ("evolve", ["--config", str(evolve)], [f"trajectory_{f}.csv" for f in frames])):
         dir1 = tmp_path / f"{command}_1"
         dir2 = tmp_path / f"{command}_2"
-        assert cli_main([command, "--output-dir", str(dir1)]) == 0
-        assert cli_main([command, "--output-dir", str(dir2)]) == 0
+        assert cli_main([command, *argv, "--output-dir", str(dir1)]) == 0
+        assert cli_main([command, *argv, "--output-dir", str(dir2)]) == 0
         for name in files:
             blob1 = (dir1 / name).read_bytes()
             blob2 = (dir2 / name).read_bytes()
@@ -293,8 +304,11 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
     # sanity: the compared payloads are real reports, not empty shells
     payload = json.loads((tmp_path / "pseudo_1" / "pseudo.json").read_text())
     same = same and len(payload["energies"]) == 57
+    for f in frames:
+        lines = (tmp_path / "evolve_1" / f"trajectory_{f}.csv").read_text().splitlines()
+        same = same and len(lines) == 16002 and lines[-1].endswith(f",{f},2")
     elapsed = time.perf_counter() - t0
     size_text = ", ".join(f"{k} {v} B" for k, v in sorted(sizes.items()))
-    report(9, same, f"repeated compare and pseudo runs byte-identical "
+    report(9, same, f"repeated compare, pseudo and three-frame evolve runs byte-identical "
                     f"({size_text}), {elapsed:.1f} s")
     assert same

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import CHUNK_BOUNDARY_ROWS
+from conftest import PASS_BOUNDARY_ROWS
 
 from ptjc import cli, kernels
 from ptjc.cli import MAX_INT, main, parse_compare_config
@@ -527,7 +527,7 @@ class TestCompare:
         assert lines[0] == "omega_ratio,max_rel_err"
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("rows", CHUNK_BOUNDARY_ROWS)
+    @pytest.mark.parametrize("rows", PASS_BOUNDARY_ROWS)
     def test_sweep_csv_bytes_at_chunk_boundaries(self, tmp_path, monkeypatch, rows):
         # the sweep itself is stubbed: only the two-column comparison.csv is under test
         errs = np.random.default_rng(rows).standard_normal(rows).tolist()

@@ -7,7 +7,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from conftest import CHUNK_BOUNDARY_ROWS, apply_rhs, rk4_generic
+from conftest import PASS_BOUNDARY_ROWS, PASS_ROWS, apply_rhs, rk4_generic
 
 from ptjc import dynamics, kernels
 from ptjc.bessel import bessel_j0, solve_j0_equals
@@ -746,6 +746,31 @@ class TestCsvCodec:
         back = read_trajectory_csv(path)
         assert back.c.tobytes() == c.tobytes() and back.d.tobytes() == d.tobytes()
 
+    EDGES = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-05,
+             0.0001, 0.0001234, 9999999999999998.0, 1e16, float(2**53 - 1), float(2**53 + 1), 1e22,
+             1e23, math.inf]
+
+    def test_random_bit_patterns_match_the_per_row_writer(self, tmp_path):
+        # 1,000,000 bit patterns in five columns, about 490 of them NaNs of either sign;
+        # the edge values and their negatives (and NaNs of both signs) straddle the
+        # first pass boundary and fill the first and last rows
+        rows = 200000
+        bits = np.random.default_rng(25).integers(0, 2**64, size=5 * rows, dtype=np.uint64)
+        edges = np.array(self.EDGES + [-v for v in self.EDGES] + [math.nan, -math.nan])
+        at = 5 * PASS_ROWS - len(edges) // 2
+        bits[at:at + len(edges)] = edges.view(np.uint64)
+        bits[:len(edges)] = bits[-len(edges):] = edges.view(np.uint64)
+        table = bits.view(float).reshape(rows, 5)
+        assert np.signbit(table[np.isnan(table)]).any() and not np.signbit(edges[-2])
+        path = tmp_path / "bits.csv"
+        dynamics.write_csv("a,b,c,d,e", [(path, table.T, ",x")])
+        want = "".join([",".join(map(repr, row)) + ",x\n" for row in table.tolist()])
+        assert path.read_bytes() == ("a,b,c,d,e\n" + want).encode("utf-8")
+
+    def test_a_nul_in_the_row_suffix_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="holds a NUL"):
+            dynamics.write_csv("x", [(tmp_path / "a.csv", [[1.0]], ",a\0")])
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "traj.csv"
         path.write_text("t,re_c,im_c,re_d,im_d,frame,n\n\n"
@@ -783,7 +808,7 @@ class TestCsvCodec:
         with pytest.raises(ValueError, match=message):
             read_trajectory_csv(path)
 
-    @pytest.mark.parametrize("rows", CHUNK_BOUNDARY_ROWS)
+    @pytest.mark.parametrize("rows", PASS_BOUNDARY_ROWS)
     def test_bytes_match_at_chunk_boundaries(self, tmp_path, rows):
         parts = np.resize(np.array(self.AWKWARD), 4 * rows)
         parts[5::3] = np.random.default_rng(rows).standard_normal(len(parts[5::3]))
@@ -801,7 +826,7 @@ class TestCsvCodec:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lab_case", ["equal-values", "one-buffer", "one-start-two-strides"])
-    @pytest.mark.parametrize("rows", CHUNK_BOUNDARY_ROWS)
+    @pytest.mark.parametrize("rows", PASS_BOUNDARY_ROWS)
     def test_shared_columns_match_the_per_row_writer(self, tmp_path, rows, lab_case):
         # gauged and interaction share times and d, as evolve's frames do; the lab
         # columns must not take the text of another column
@@ -907,7 +932,7 @@ class TestCsvCodec:
                 read_trajectory_csv(path)
 
     def test_round_trip_memory_stays_bounded(self, tmp_path):
-        # 16,001 rows, as one evolve-detuned frame; the bounds keep the codec chunked
+        # 16,001 rows, as one evolve-detuned frame; the bounds keep the codec in passes
         rows = 16001
         parts = np.random.default_rng(7).standard_normal(4 * rows)
         c, d = parts.view(complex).reshape(2, rows)
@@ -927,8 +952,8 @@ class TestCsvCodec:
 
     def test_lockstep_write_memory_stays_bounded(self, tmp_path):
         # evolve-detuned's three frames: 11 distinct columns of 16,001 rows.  The peak
-        # measured 1.08 MiB, one chunk of each column's text; text kept for a whole
-        # file would take over 10 MiB
+        # measured 0.68 MiB, one pass of 3,072 floats; text kept for a whole file
+        # would take over 10 MiB
         rows = 16001
         parts = np.random.default_rng(7).standard_normal(10 * rows)
         c_g, c_i, d, c_lab, d_lab = parts.view(complex).reshape(5, rows)

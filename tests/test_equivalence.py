@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import jv
-from conftest import CHUNK_BOUNDARY_ROWS
+from conftest import PASS_BOUNDARY_ROWS
 
 from ptjc import equivalence, kernels
 from ptjc.bessel import bessel_j0, solve_j0_equals
@@ -520,7 +520,7 @@ class TestReportSerialization:
         write_comparison_csv(report, path)
         assert path.read_bytes() == per_row_comparison_text(report).encode("utf-8")
 
-    @pytest.mark.parametrize("rows", CHUNK_BOUNDARY_ROWS)
+    @pytest.mark.parametrize("rows", PASS_BOUNDARY_ROWS)
     def test_csv_bytes_match_at_chunk_boundaries(self, tmp_path, rows):
         # all nine columns, with -0.0, 5e-324 and 0.1 + 0.2 among normal values
         parts = np.random.default_rng(rows).standard_normal(8 * rows)
