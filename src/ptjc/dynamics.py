@@ -53,7 +53,6 @@ import numpy as np
 
 from . import kernels
 from .bessel import bessel_j0
-from .floattext import WORD, WORDS, float_text
 from .jc import JcParams
 
 # Relative slack when deciding whether the final partial step exists.
@@ -74,7 +73,9 @@ TRAJECTORY_CSV_HEADER = "t,re_c,im_c,re_d,im_d,frame,n"
 _TRAJECTORY_ROW = np.dtype([("t", float), ("cd", float, (4,)), ("frame", "S12"), ("n", "S4")])
 
 # Floats write_csv formats per pass, summed over distinct columns: bounds the arrays alive.
-_CSV_PASS_FLOATS = 3072
+# At 3,072 the kernel's temporaries outgrew what malloc keeps between passes, and every
+# pass faulted in fresh pages.
+_CSV_PASS_FLOATS = 2048
 
 
 class IntegrationError(RuntimeError):
@@ -432,41 +433,33 @@ def write_csv(header: str, outputs) -> None:
 
     Every path opens first.  Then per pass of up to _CSV_PASS_FLOATS floats (rows times
     distinct columns) ``floattext.float_text`` turns each distinct column, keyed by the
-    memory it views, into text rows once, for every file holding it; each file lays its
-    columns' rows and its suffix side by side in one buffer and writes its nonzero bytes.
+    memory it views, into text once, for every file holding it, and each file writes the
+    ``floattext.csv_lines`` of its columns.
     """
+    # imported here: its tables cost a process that writes no CSV time and memory
+    from .floattext import csv_lines, float_text
+
     cols, outs = {}, []  # every array stays referenced, so no key is reused
     with contextlib.ExitStack() as stack:
         for path, columns, suffix in outputs:
-            if "\0" in suffix:
-                raise ValueError(f"CSV row suffix {suffix!r} holds a NUL")
             arrays = [np.asarray(col, dtype=float) for col in columns]
             fh = stack.enter_context(open(path, "wb"))
             fh.write(f"{header}\n".encode("utf-8"))
             keys = [(a.ctypes.data, a.strides, len(a)) for a in arrays]
             cols.update(zip(keys, arrays))
-            tail = f"{suffix}\n".encode("utf-8")
-            outs.append((fh, keys, np.frombuffer(tail + bytes(-len(tail) % 8), dtype=WORD)))
+            outs.append((fh, keys, f"{suffix}\n".encode("utf-8")))
         (rows,) = {len(col) for col in cols.values()}  # ValueError unless of one length
         slot = {key: j for j, key in enumerate(cols)}
-        outs = [(fh, [slot[key] for key in keys], tail) for fh, keys, tail in outs]
+        outs = [(fh, [slot[key] for key in keys], end) for fh, keys, end in outs]
         per = max(1, min(rows, _CSV_PASS_FLOATS // len(cols)))
-        values = np.empty((len(cols), per))
-        line = np.empty((per, max(WORDS * len(slots) + len(tail) for _, slots, tail in outs)),
-                        dtype=WORD)
+        values = np.empty((per, len(cols)))
         for i in range(0, rows, per):
             n = min(per, rows - i)
-            for col, v in zip(cols.values(), values):
-                v[:n] = col[i:i + n]
-            text = float_text(values[:, :n].ravel()).reshape(len(cols), n, WORDS)
-            for fh, slots, tail in outs:
-                end = WORDS * len(slots)
-                for at, j in zip(range(0, end, WORDS), slots):
-                    line[:n, at:at + WORDS] = text[j]
-                line[:n, end:end + len(tail)] = tail
-                data = line[:n, :end + len(tail)].view(np.uint8)
-                data[:, 0] = 0  # no comma before the first field
-                fh.write(data[data != 0])
+            for j, col in enumerate(cols.values()):
+                values[:n, j] = col[i:i + n]
+            text = float_text(values[:n])
+            for fh, slots, end in outs:
+                fh.write(csv_lines(text, slots, end))
             del text  # before the next pass's rows are made
 
 

@@ -24,10 +24,17 @@ from ptjc import (
 
 DEFAULT_SEED = 20260814
 
-# Row counts at write_csv's pass boundaries for one trajectory's five columns: one
-# row, a pass less one, one pass, one past it, and one past two passes.
-PASS_ROWS = dynamics._CSV_PASS_FLOATS // 5
-PASS_BOUNDARY_ROWS = [1, PASS_ROWS - 1, PASS_ROWS, PASS_ROWS + 1, 2 * PASS_ROWS + 1]
+
+def pass_rows(columns):
+    """Rows in one of write_csv's passes over ``columns`` distinct columns."""
+    return dynamics._CSV_PASS_FLOATS // columns
+
+
+def pass_boundary_rows(columns):
+    """Row counts at write_csv's pass boundaries for ``columns`` distinct columns: one
+    row, a pass less one, one pass, one past it, and one past two passes."""
+    rows = pass_rows(columns)
+    return [1, rows - 1, rows, rows + 1, 2 * rows + 1]
 
 
 @pytest.fixture

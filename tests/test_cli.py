@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import PASS_BOUNDARY_ROWS
+from conftest import pass_boundary_rows
 
 from ptjc import cli, kernels
 from ptjc.cli import MAX_INT, main, parse_compare_config
@@ -527,8 +527,8 @@ class TestCompare:
         assert lines[0] == "omega_ratio,max_rel_err"
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("rows", PASS_BOUNDARY_ROWS)
-    def test_sweep_csv_bytes_at_chunk_boundaries(self, tmp_path, monkeypatch, rows):
+    @pytest.mark.parametrize("rows", pass_boundary_rows(2))
+    def test_sweep_csv_bytes_at_pass_boundaries(self, tmp_path, monkeypatch, rows):
         # the sweep itself is stubbed: only the two-column comparison.csv is under test
         errs = np.random.default_rng(rows).standard_normal(rows).tolist()
         errs[:3] = [-0.0, 5e-324, 0.1 + 0.2]

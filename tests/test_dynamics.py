@@ -7,9 +7,9 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from conftest import PASS_BOUNDARY_ROWS, PASS_ROWS, apply_rhs, rk4_generic
+from conftest import apply_rhs, pass_boundary_rows, pass_rows, rk4_generic
 
-from ptjc import dynamics, kernels
+from ptjc import dynamics, floattext, kernels
 from ptjc.bessel import bessel_j0, solve_j0_equals
 from ptjc.dynamics import (
     TRAJECTORY_CSV_HEADER,
@@ -35,6 +35,7 @@ from ptjc.dynamics import (
     write_trajectory_csv,
 )
 from ptjc.equivalence import solve_modulation_beta
+from ptjc.floattext import float_text
 from ptjc.jc import JcParams
 
 ROUND_TRIP_TOL = 1e-14
@@ -757,7 +758,7 @@ class TestCsvCodec:
         rows = 200000
         bits = np.random.default_rng(25).integers(0, 2**64, size=5 * rows, dtype=np.uint64)
         edges = np.array(self.EDGES + [-v for v in self.EDGES] + [math.nan, -math.nan])
-        at = 5 * PASS_ROWS - len(edges) // 2
+        at = 5 * pass_rows(5) - len(edges) // 2
         bits[at:at + len(edges)] = edges.view(np.uint64)
         bits[:len(edges)] = bits[-len(edges):] = edges.view(np.uint64)
         table = bits.view(float).reshape(rows, 5)
@@ -808,8 +809,8 @@ class TestCsvCodec:
         with pytest.raises(ValueError, match=message):
             read_trajectory_csv(path)
 
-    @pytest.mark.parametrize("rows", PASS_BOUNDARY_ROWS)
-    def test_bytes_match_at_chunk_boundaries(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows", pass_boundary_rows(5))
+    def test_bytes_match_at_pass_boundaries(self, tmp_path, rows):
         parts = np.resize(np.array(self.AWKWARD), 4 * rows)
         parts[5::3] = np.random.default_rng(rows).standard_normal(len(parts[5::3]))
         c, d = parts.view(complex).reshape(2, rows)
@@ -825,9 +826,14 @@ class TestCsvCodec:
         for got, want in ((back.times, traj.times), (back.c, c), (back.d, d)):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("lab_case", ["equal-values", "one-buffer", "one-start-two-strides"])
-    @pytest.mark.parametrize("rows", PASS_BOUNDARY_ROWS)
-    def test_shared_columns_match_the_per_row_writer(self, tmp_path, rows, lab_case):
+    # the distinct columns of each case: t and the four of c_g, c_i and d, plus the lab
+    # frame's own; the one-buffer case's lab c and d are one pair
+    LAB_COLUMNS = {"equal-values": 11, "one-buffer": 9, "one-start-two-strides": 11}
+
+    @pytest.mark.parametrize("lab_case,rows", [(case, rows) for case, columns in LAB_COLUMNS.items()
+                                               for rows in pass_boundary_rows(columns)])
+    def test_shared_columns_match_the_per_row_writer(self, tmp_path, monkeypatch, rows,
+                                                     lab_case):
         # gauged and interaction share times and d, as evolve's frames do; the lab
         # columns must not take the text of another column
         parts = np.resize(np.array(self.AWKWARD), 8 * rows)
@@ -845,12 +851,35 @@ class TestCsvCodec:
                  for c, dd, frame in ((c_g, d, Frame.GAUGED), (c_i, d, Frame.INTERACTION),
                                       (c_lab, d_lab, Frame.LAB))]
         paths = [tmp_path / f"{tr.frame.value}.csv" for tr in trajs]
+        passes = []
+        monkeypatch.setattr(floattext, "float_text",
+                            lambda values: passes.append(values.shape) or float_text(values))
         write_trajectory_csv(trajs, paths)
+        monkeypatch.undo()
+        per = pass_rows(self.LAB_COLUMNS[lab_case])
+        assert passes == [(min(per, rows - i), self.LAB_COLUMNS[lab_case])
+                          for i in range(0, rows, per)]
         for tr, path in zip(trajs, paths):
             alone = tmp_path / "alone.csv"
             write_trajectory_csv([tr], [alone])
             text = per_row_trajectory_text(tr).encode("utf-8")
             assert path.read_bytes() == text == alone.read_bytes()
+
+    @pytest.mark.parametrize("columns", [1, 2, 5, 9, 11])
+    def test_passes_hold_the_float_budget(self, tmp_path, monkeypatch, columns):
+        # the pass boundaries the byte tests sit on: a pass holds the most whole rows of
+        # the distinct columns that fit in _CSV_PASS_FLOATS
+        passes = []
+        monkeypatch.setattr(floattext, "float_text",
+                            lambda values: passes.append(values.shape) or float_text(values))
+        per = pass_rows(columns)
+        assert per * columns <= dynamics._CSV_PASS_FLOATS < (per + 1) * columns
+        for rows, count in zip(pass_boundary_rows(columns), [1, 1, 1, 2, 3]):
+            passes.clear()
+            table = np.random.default_rng(rows).standard_normal((columns, rows))
+            dynamics.write_csv("x", [(tmp_path / "a.csv", table, "")])
+            assert passes == [(min(per, rows - i), columns) for i in range(0, rows, per)]
+            assert len(passes) == count
 
     def test_columns_of_other_lengths_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
@@ -952,7 +981,7 @@ class TestCsvCodec:
 
     def test_lockstep_write_memory_stays_bounded(self, tmp_path):
         # evolve-detuned's three frames: 11 distinct columns of 16,001 rows.  The peak
-        # measured 0.68 MiB, one pass of 3,072 floats; text kept for a whole file
+        # measured 0.62 MiB, one pass of 2,048 floats; text kept for a whole file
         # would take over 10 MiB
         rows = 16001
         parts = np.random.default_rng(7).standard_normal(10 * rows)

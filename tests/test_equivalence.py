@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import jv
-from conftest import PASS_BOUNDARY_ROWS
+from conftest import pass_boundary_rows
 
 from ptjc import equivalence, kernels
 from ptjc.bessel import bessel_j0, solve_j0_equals
@@ -520,8 +520,8 @@ class TestReportSerialization:
         write_comparison_csv(report, path)
         assert path.read_bytes() == per_row_comparison_text(report).encode("utf-8")
 
-    @pytest.mark.parametrize("rows", PASS_BOUNDARY_ROWS)
-    def test_csv_bytes_match_at_chunk_boundaries(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows", pass_boundary_rows(9))
+    def test_csv_bytes_match_at_pass_boundaries(self, tmp_path, rows):
         # all nine columns, with -0.0, 5e-324 and 0.1 + 0.2 among normal values
         parts = np.random.default_rng(rows).standard_normal(8 * rows)
         parts[:8] = [-0.0, 5e-324, 0.1 + 0.2, 1e300, -5e-324, 0.0, 2.0, -1e-300]
