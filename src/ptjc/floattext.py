@@ -92,11 +92,12 @@ def _column_table() -> np.ndarray:
     k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of 3/4 2^q
     h = q + ((-k * 913124641741) >> 38) + 2  # q + floor(log2(10^-k)) + 2, in 2..5
     g1, g0 = _G1[k - K_MIN], _G0[k - K_MIN]
-    fixed = np.zeros(4096, dtype=np.int64)
-    fixed[[2047, 4095, 2048]] = 2 * np.array([_NAN, _INF, _ZERO])
-    rows = [(be > 0) << 52, 2 + h, -((2 - irregular) << h), 2 << h,
-            g0 & 0xFFFFFFFF, g1 & 0xFFFFFFFF, g0 >> 32, g1 >> 32, g1, k - _DECPT_MIN, fixed]
-    return np.stack([row.astype(np.uint64) for row in rows])  # negatives wrap mod 2^64
+    table = np.zeros((11, 4096), dtype=np.uint64)  # negatives wrap mod 2^64
+    table[:4] = (be > 0) << 52, 2 + h, -((2 - irregular) << h), 2 << h
+    table[4:9] = g0 & 0xFFFFFFFF, g1 & 0xFFFFFFFF, g0 >> 32, g1 >> 32, g1
+    table[9] = k - _DECPT_MIN
+    table[10, [2047, 4095, 2048]] = 2 * np.array([_NAN, _INF, _ZERO])
+    return table
 
 
 _COLUMNS = _column_table()
@@ -119,14 +120,19 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     its high half, then of 0..9 in its low byte; and per (group, value), the place in
     1..17 of the group's last nonzero digit, 0 for none (the fifth group is the 17th
     digit alone)."""
-    digits = np.indices((10,) * 4, dtype=np.uint64).reshape(4, -1)  # of 0..9999, first first
-    four = (digits + 0x30) << np.arange(0, 32, 8, dtype=np.uint64)[:, None]
-    four = four[0] | four[1] | four[2] | four[3]
-    last = np.where(digits.any(axis=0), 4 - np.argmax(digits[::-1] != 0, axis=0), 0)
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # of 0..9999, first first
+    ascii = np.empty(20010, dtype=np.uint64)
+    four = ascii[:10000]
+    four[:] = 0x30303030
+    for i, digit in enumerate(digits):
+        four |= digit.astype(np.uint64) << 8 * i
+    np.left_shift(four, 32, out=ascii[10000:20000])
+    ascii[20000:] = 0x30 + np.arange(10)
     place = np.zeros((5, 10000), dtype=np.uint8)
-    place[:4] = np.where(last > 0, last + 4 * np.arange(4)[:, None], 0)
+    for i, digit in enumerate(digits):  # a later nonzero digit overwrites an earlier one
+        place[:4, digit != 0] = 4 * np.arange(4, dtype=np.uint8)[:, None] + i + 1
     place[4, 1:10] = 17
-    return np.concatenate([four, four << 32, 0x30 + np.arange(10, dtype=np.uint64)]), place.ravel()
+    return ascii, place.ravel()
 
 
 _ASCII, _PLACE = _digit_tables()
@@ -134,12 +140,12 @@ _ASCII, _PLACE = _digit_tables()
 
 def _code_table() -> np.ndarray:
     """The code of a value without its sign, at (decpt - _DECPT_MIN) 17 + nsig."""
-    decpt = np.arange(_DECPT_MIN, _DECPT_MAX + 1).repeat(17)
-    nsig = np.tile(np.arange(1, 18), _DECPT_MAX - _DECPT_MIN + 1)
+    decpt = np.arange(_DECPT_MIN, _DECPT_MAX + 1, dtype=np.int16).repeat(17)
+    nsig = np.tile(np.arange(1, 18, dtype=np.int16), _DECPT_MAX - _DECPT_MIN + 1)
     wide = (decpt > 100) | (decpt < -98)  # |decpt - 1| >= 100
     code = 2 * np.where((decpt >= -3) & (decpt <= 16), (decpt + 3) * 17 + nsig - 1,
                         _POSITIONAL + 2 * nsig - 2 + wide)
-    return np.concatenate([[0], code]).astype(np.uint64)
+    return np.concatenate([[0], code]).astype(np.uint16)
 
 
 def _word(text: bytes) -> int:
