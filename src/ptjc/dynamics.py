@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
+from . import floattext, kernels
 from .bessel import bessel_j0
 from .jc import JcParams
 
@@ -436,9 +436,6 @@ def write_csv(header: str, outputs) -> None:
     memory it views, into text once, for every file holding it, and each file writes the
     ``floattext.csv_lines`` of its columns.
     """
-    # imported here: its tables cost a process that writes no CSV time and memory
-    from .floattext import csv_lines, float_text
-
     cols, outs = {}, []  # every array stays referenced, so no key is reused
     with contextlib.ExitStack() as stack:
         for path, columns, suffix in outputs:
@@ -457,9 +454,9 @@ def write_csv(header: str, outputs) -> None:
             n = min(per, rows - i)
             for j, col in enumerate(cols.values()):
                 values[:n, j] = col[i:i + n]
-            text = float_text(values[:n])
+            text = floattext.float_text(values[:n])
             for fh, slots, end in outs:
-                fh.write(csv_lines(text, slots, end))
+                fh.write(floattext.csv_lines(text, slots, end))
             del text  # before the next pass's rows are made
 
 
