@@ -101,8 +101,8 @@ def _column_table() -> np.ndarray:
 
 
 _COLUMNS = _column_table()
-_C_HIDDEN, _C_SHIFT, _C_OFFSETS, _C_LO, _C_HI, _C_G1, _C_DECPT, _C_FIXED = (
-    0, 1, slice(2, 4), slice(4, 6), slice(6, 8), 8, 9, 10)
+_C_HIDDEN, _C_SHIFT, _C_OFFSETS, _C_LO, _C_HI, _C_G1, _C_DECPT = (
+    0, 1, slice(2, 4), slice(4, 6), slice(6, 8), 8, 9)  # then the fixed codes
 
 # 10^(17 - nd), which scales a value's nd digits to 17
 _SCALE = _u64([10 ** max(17 - nd, 0) for nd in range(19)])
@@ -258,15 +258,14 @@ def float_text(values: np.ndarray) -> np.ndarray:
     column >>= _53  # the biased exponent
     c = bits & _SIGNIFICAND
     np.add(column, _2048, out=column, where=c == _0)
-    columns = _COLUMNS.take(column, axis=1)
-    del column
+    columns = _COLUMNS[:_C_DECPT].take(column, axis=1)  # the rest after these are freed
     cp = np.empty((3, len(bits)), dtype=np.uint64)  # 4 c 2^h and the interval's ends
     c |= columns[_C_HIDDEN]
     np.left_shift(c, columns[_C_SHIFT], out=cp[1])
     np.add(cp[1], columns[_C_OFFSETS], out=cp[::2])
     del c
     f = _shortest(bits, _scaled(cp, columns))
-    del cp
+    del cp, columns
 
     nd = _POW10.searchsorted(f, side="right")
     f *= _SCALE.take(nd)
@@ -277,8 +276,9 @@ def float_text(values: np.ndarray) -> np.ndarray:
     groups += _PLACE_AT
     nsig = _PLACE.take(groups).max(axis=0)
     del groups
-    decpt = columns[_C_DECPT] + nd.view(np.uint64)  # less _DECPT_MIN
-    code = np.maximum(_CODE.take(decpt * _17 + nsig, mode="clip"), columns[_C_FIXED])
+    decpt, fixed = _COLUMNS[_C_DECPT:].take(column, axis=1)
+    decpt += nd.view(np.uint64)  # less _DECPT_MIN
+    code = np.maximum(_CODE.take(decpt * _17 + nsig, mode="clip"), fixed)
     code |= bits >> _63
 
     rows = np.empty((len(bits), WORDS), dtype=WORD)
