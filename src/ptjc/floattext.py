@@ -128,9 +128,11 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
         four |= digit.astype(np.uint64) << 8 * i
     np.left_shift(four, 32, out=ascii[10000:20000])
     ascii[20000:] = 0x30 + np.arange(10)
+    value = np.arange(10000)
+    last = 4 - (value % 10 == 0) - (value % 100 == 0) - (value % 1000 == 0)  # for value > 0
     place = np.zeros((5, 10000), dtype=np.uint8)
-    for i, digit in enumerate(digits):  # a later nonzero digit overwrites an earlier one
-        place[:4, digit != 0] = 4 * np.arange(4, dtype=np.uint8)[:, None] + i + 1
+    place[:4] = np.where(value > 0, last.astype(np.uint8) + np.uint8(4) * np.arange(
+        4, dtype=np.uint8)[:, None], 0)
     place[4, 1:10] = 17
     return ascii, place.ravel()
 
@@ -146,10 +148,6 @@ def _code_table() -> np.ndarray:
     code = 2 * np.where((decpt >= -3) & (decpt <= 16), (decpt + 3) * 17 + nsig - 1,
                         _POSITIONAL + 2 * nsig - 2 + wide)
     return np.concatenate([[0], code]).astype(np.uint16)
-
-
-def _word(text: bytes) -> int:
-    return int.from_bytes(text, "little")
 
 
 def _shown_table() -> np.ndarray:
@@ -191,8 +189,18 @@ _FARTHER = np.array([0, 0, 0, 1, 0, 0, 1, 1], dtype=bool)  # see _shortest
 _STEPS = _u64([[10], [1]])
 _ENDS = _STEPS << _2
 _ONES = _u64(2 ** 64 - 1)
-# 'e', the sign and three digits of each exponent decpt - 1, from bit 8, at decpt - _DECPT_MIN
-_EXPONENT = _u64([_word(b"e%+04d" % (d - 1)) << 8 for d in range(_DECPT_MIN, _DECPT_MAX + 1)])
+
+
+def _exponent_table() -> np.ndarray:
+    """'e', the sign and three digits of each exponent decpt - 1, from bit 8, at
+    decpt - _DECPT_MIN."""
+    x = np.arange(_DECPT_MIN - 1, _DECPT_MAX)
+    text = [ord("e") + 0 * x, np.where(x < 0, ord("-"), ord("+"))]
+    text += [0x30 + np.abs(x) // 10 ** i % 10 for i in (2, 1, 0)]
+    return sum(byte.astype(np.uint64) << 8 * (i + 1) for i, byte in enumerate(text))
+
+
+_EXPONENT = _exponent_table()
 
 
 def _scaled(cp: np.ndarray, columns: np.ndarray) -> np.ndarray:
