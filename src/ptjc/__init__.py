@@ -38,10 +38,8 @@ from .dynamics import (
     Trajectory,
     averaged_effective_coupling,
     bind_averaged_rhs,
-    bind_gauged_rhs,
-    bind_lab_rhs,
+    bind_driven_rhs,
     bind_static_rhs,
-    frame_factors,
     integrate,
     map_trajectory,
     read_trajectory_csv,

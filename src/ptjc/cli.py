@@ -23,8 +23,7 @@ from .dynamics import (
     ModulationSpec,
     ModulationTarget,
     bind_averaged_rhs,
-    bind_gauged_rhs,
-    bind_lab_rhs,
+    bind_driven_rhs,
     bind_static_rhs,
     check_rk4_stability,
     integrate,
@@ -171,7 +170,9 @@ _EVOLVE_KEYS = {"omega0", "omega", "coupling", "n", "modulation", "rhs",
                 "initial_c", "initial_d", "t1", "step", "frames"}
 _MODULATION_KEYS = {"target", "beta", "big_omega"}
 
-_BINDERS = {"lab": bind_lab_rhs, "gauged": bind_gauged_rhs, "averaged": bind_averaged_rhs,
+_BINDERS = {"lab": functools.partial(bind_driven_rhs, frame=Frame.LAB),
+            "gauged": functools.partial(bind_driven_rhs, frame=Frame.GAUGED),
+            "averaged": bind_averaged_rhs,
             "static": lambda params, mod, n: bind_static_rhs(params, n)}
 
 
@@ -215,7 +216,7 @@ def cmd_evolve(args) -> int:
     t1 = _parse_real(doc["t1"], "evolve.t1")
     step_raw = doc.get("step")
     step = (_parse_real(step_raw, "evolve.step") if step_raw is not None
-            else suggested_step(params, mod, n))
+            else suggested_step(params, mod, rhs))
     frames = doc.get("frames", [rhs.frame.value])
     if not isinstance(frames, list) or not frames:
         raise ConfigError("evolve config: frames must be a non-empty list")
@@ -228,8 +229,7 @@ def cmd_evolve(args) -> int:
     if Frame.GAUGED in out_frames and mod is None:
         raise ConfigError("evolve config: the gauged frame needs a modulation block")
 
-    if mod is not None:
-        check_rk4_stability(rhs, step, mod, t1)
+    check_rk4_stability(rhs, step)
     traj = integrate(rhs, c0, d0, 0.0, t1, step)
     # map every frame before writing any, so a failed map writes nothing
     mapped_frames = [map_trajectory(traj, params, mod, f) for f in out_frames]

@@ -1,29 +1,21 @@
 """Amplitude dynamics of the driven two-state blocks in three frames.
 
 Within one excitation block the state is a pair of complex amplitudes
-(c, d) multiplying (|n-1,1>, |n,0>).  Three reference frames are used:
-
-* Lab: the raw Schrodinger amplitudes with the full time-dependent
-  diagonal.
-* Interaction: the static part of the diagonal is absorbed into phases
-  exp(+i [omega0/2 + omega (n-1)] t) on c and
-  exp(+i [n omega - omega0/2] t) on d.
-* Gauged: the oscillating part of c's diagonal is absorbed as well,
-  c_gauged = c_int * exp(+i gamma sin(Omega t)) with
-  gamma = omega0 beta / 2 Omega for atom-frequency drive and
-  n omega beta / Omega for cavity-frequency drive; d is untouched.
-  The gauged d equation keeps its oscillating diagonal term; the pair
-  of gauged equations and this map are mutually consistent (the
-  frame-consistency test in the suite checks exactly that), which pins
-  the sign of the exponent.
-
-``frame_factors`` holds these factors, one hop up the ladder at a time;
-``map_trajectory`` applies them to whole frame-tagged trajectories.
+(c, d) multiplying (|n-1,1>, |n,0>).  A frame multiplies each level's
+lab amplitude by exp(+i [r_j t + (v_j / Omega) sin(Omega t)]), and
+``_frame_phases`` says with what: nothing in the lab frame, the static
+level energies in the interaction frame, and in the gauged frame those
+plus gamma sin(Omega t) on c, gamma = omega0 beta / 2 Omega for
+atom-frequency drive and n omega beta / Omega for cavity-frequency
+drive.  From these phases ``bind_driven_rhs`` writes the driven block
+in any frame and ``map_trajectory`` multiplies each level once by its
+change of phase; the frame-consistency test in the suite checks the
+two against each other.
 
 Each bind_* helper returns a ``BoundRhs``, the one owner of a run's
 linear (c, d)' = A(t) (c, d), block index n, frame (the static rhs runs
-in the interaction frame) and drive period (lab: always; gauged: at
-resonance).  ``integrate`` tags its trajectory with the rhs's n and
+in the interaction frame), largest diagonal rate and drive period (when
+A repeats).  ``integrate`` tags its trajectory with the rhs's n and
 frame.  Fixed-step RK4 (``ptjc.kernels.rk4_periodic`` when the step
 divides that period, else ``rk4_linear``) lands exactly on t1 via a
 shortened last step; at most MAX_STEPS steps per call.
@@ -62,9 +54,6 @@ _TAIL_REL_TOL = 1e-12
 # (c, d) samples.
 MAX_STEPS = 10**8
 
-# Stage times at which check_rk4_stability evaluates A at once.
-_CHUNK_TIMES = 4096
-
 # Default number of steps per fastest period in suggested_step().
 DEFAULT_STEPS_PER_PERIOD = 400
 
@@ -92,7 +81,7 @@ class ModulationTarget(enum.Enum):
 
 
 class Frame(enum.Enum):
-    """Reference frames, declared in ladder order: each is one hop above the last."""
+    """Reference frames; ``_frame_phases`` defines each."""
 
     LAB = "lab"
     INTERACTION = "interaction"
@@ -165,12 +154,14 @@ class BoundRhs:
 
     ``matrix(t)`` gives A's entries (a11, a12, a21, a22) at an array of
     times, shape (4,) + t.shape.  A run's n and frame live here only:
-    ``integrate`` tags its trajectory with them.
+    ``integrate`` tags its trajectory with them.  ``rate`` is
+    max |Im a_jj| over all t, which ``check_rk4_stability`` bounds.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]
     frame: Frame
     n: int
+    rate: float
     period: Optional[float] = None  # a T with A(t + T) = A(t), if known
 
     def __post_init__(self):
@@ -185,7 +176,7 @@ def _require_real_coupling(params: JcParams, op: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Frame maps
+# Frames and right-hand sides
 
 
 def _relative_phase_amplitude(params: JcParams, mod: ModulationSpec) -> complex:
@@ -199,76 +190,61 @@ def _relative_phase_amplitude(params: JcParams, mod: ModulationSpec) -> complex:
     return -params.omega * mod.beta / mod.big_omega
 
 
-def _gauge_amplitude(params: JcParams, mod: ModulationSpec, n: int) -> complex:
-    """gamma of the gauged frame's phase gamma sin(Omega t); complex for complex beta."""
-    if mod.target is ModulationTarget.ATOM_FREQUENCY:
-        return params.omega0 * mod.beta / (2.0 * mod.big_omega)
-    return n * params.omega * mod.beta / mod.big_omega
+def _frame_phases(params: JcParams, mod: Optional[ModulationSpec], n: int, frame: Frame):
+    """The one definition of each frame: ((r_c, r_d), (v_c, v_d), delta).
 
-
-def frame_factors(params: JcParams, mod: Optional[ModulationSpec], n: int, t,
-                  frame: Frame) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(f_c, f_d) taking (c, d) from the frame below ``frame`` into it at times t.
-
-    Interaction (from lab): exp(+i [omega0/2 + omega (n-1)] t) on c and
-    exp(+i [n omega - omega0/2] t) on d.  Gauged (from interaction, needs
-    ``mod``): exp(+i gamma sin(Omega t)) on c; f_d is None, as the gauge
-    leaves d untouched.
+    Level j's amplitude in ``frame`` is its lab amplitude times
+    exp(+i [r_j t + (v_j / Omega) sin(Omega t)]); the coupling turns at
+    delta = r_c - r_d, the detuning taken as ``params.detuning()`` so
+    that resonance is exact.  Lab: no phase.  Interaction: the static
+    level energies.  Gauged (needs ``mod``): the interaction phases plus
+    gamma sin(Omega t) on c, v_c = gamma Omega = omega0 beta / 2 (atom)
+    or n omega beta (cavity).
     """
-    t = np.asarray(t, dtype=float)
+    if frame is Frame.LAB:
+        return (0.0, 0.0), (0.0, 0.0), 0.0
+    rates = (params.omega0 / 2.0 + params.omega * (n - 1), n * params.omega - params.omega0 / 2.0)
     if frame is Frame.INTERACTION:
-        return (np.exp(1j * (params.omega0 / 2.0 + params.omega * (n - 1)) * t),
-                np.exp(1j * (n * params.omega - params.omega0 / 2.0) * t))
-    if frame is Frame.GAUGED:
-        return np.exp(1j * (_gauge_amplitude(params, mod, n) * np.sin(mod.big_omega * t))), None
-    raise ValueError(f"no frame lies below the {frame.value} frame")
-
-
-# ---------------------------------------------------------------------------
-# Right-hand sides: each bind_* helper writes its own A(t)
-
-
-def bind_lab_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
-    """Lab frame: the driven frequency scaled by 1 + beta cos(Omega t)."""
-    g = _require_real_coupling(params, "bind_lab_rhs")
-    kappa = g * math.sqrt(_require_block(n))
+        return rates, (0.0, 0.0), params.detuning()
+    if mod is None:
+        raise ValueError("gauged-frame conversion requires a modulation spec")
     atom = mod.target is ModulationTarget.ATOM_FREQUENCY
+    v_c = (params.omega0 / 2.0 if atom else n * params.omega) * mod.beta
+    return rates, (v_c, 0.0), params.detuning()
+
+
+def bind_driven_rhs(params: JcParams, mod: ModulationSpec, n: int, frame: Frame) -> BoundRhs:
+    """The driven block in ``frame``, from its ``_frame_phases``.
+
+    Level j's lab energy E_j + w_j beta cos(Omega t) less the frame's rate gives the
+    diagonal -i [(E_j - r_j) + (w_j beta - v_j) cos(Omega t)]: w = (omega0/2, -omega0/2)
+    for the atom, (omega (n-1), n omega) for the cavity.  The coupling is
+    -i kappa exp(+-i [delta t + ((v_c - v_d) / Omega) sin(Omega t)]).
+    """
+    g = _require_real_coupling(params, "bind_driven_rhs")
+    kappa = g * math.sqrt(_require_block(n))
+    levels = _frame_phases(params, mod, n, Frame.INTERACTION)[0]
+    rates, waves, delta = _frame_phases(params, mod, n, frame)
+    weights = ((params.omega0 / 2.0, -params.omega0 / 2.0)
+               if mod.target is ModulationTarget.ATOM_FREQUENCY
+               else (params.omega * (n - 1), n * params.omega))
+    # (-i (E_j - r_j), -i (w_j beta - v_j)) of each level, folded once
+    diag = [(-1j * (e - r), -1j * (w * mod.beta - v))
+            for e, r, w, v in zip(levels, rates, weights, waves)]
+    rel = (waves[0] - waves[1]) / mod.big_omega
 
     def matrix(t):
-        drive = 1.0 + mod.beta * np.cos(mod.big_omega * t)
-        w0t = params.omega0 * drive if atom else params.omega0
-        wt = params.omega if atom else params.omega * drive
-        a = np.zeros((4,) + t.shape, dtype=complex)
-        a[0] = -1j * (w0t / 2.0 + wt * (n - 1.0))
-        a[1] = a[2] = -1j * kappa
-        a[3] = -1j * (n * wt - w0t / 2.0)
-        return a
-
-    return BoundRhs(matrix, Frame.LAB, n, 2.0 * math.pi / mod.big_omega)
-
-
-def bind_gauged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs:
-    """Gauged frame: the coupling carries exp(+-i [delta t + gamma sin(Omega t)])."""
-    g = _require_real_coupling(params, "bind_gauged_rhs")
-    kappa = g * math.sqrt(_require_block(n))
-    delta = params.detuning()
-    gamma = _gauge_amplitude(params, mod, n)
-    atom = mod.target is ModulationTarget.ATOM_FREQUENCY
-
-    def matrix(t):
-        kick = 1j * (delta * t) + 1j * (gamma * np.sin(mod.big_omega * t))
-        cosw = np.cos(mod.big_omega * t)
-        a = np.zeros((4,) + t.shape, dtype=complex)
+        wt = mod.big_omega * t
+        cosw = np.cos(wt)
+        a = np.empty((4,) + t.shape, dtype=complex)
+        a[0], a[3] = (c + b * cosw for c, b in diag)
+        kick = 1j * (delta * t) + 1j * (rel * np.sin(wt))
         a[1] = -1j * kappa * np.exp(kick)
         a[2] = -1j * kappa * np.exp(-kick)
-        if atom:
-            a[3] = 1j * (params.omega0 * mod.beta / 2.0) * cosw
-        else:
-            a[0] = 1j * (params.omega * mod.beta) * cosw
-            a[3] = -1j * (n * params.omega * mod.beta) * cosw
         return a
 
-    return BoundRhs(matrix, Frame.GAUGED, n, None if delta else 2.0 * math.pi / mod.big_omega)
+    rate = max(abs(c.imag) + abs(b.imag) for c, b in diag)
+    return BoundRhs(matrix, frame, n, rate, None if delta else 2.0 * math.pi / mod.big_omega)
 
 
 def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
@@ -280,7 +256,7 @@ def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
         a[1] = a[2] = -1j * kappa
         return a
 
-    return BoundRhs(matrix, Frame.INTERACTION, n)
+    return BoundRhs(matrix, Frame.INTERACTION, n, 0.0)
 
 
 def averaged_effective_coupling(params: JcParams, mod: ModulationSpec,
@@ -324,18 +300,16 @@ def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t
     return c0 * parts[..., 0] + d0 * parts[..., 1], d0 * parts[..., 0] + c0 * parts[..., 1]
 
 
-def suggested_step(params: JcParams, mod: Optional[ModulationSpec], n: int,
+def suggested_step(params: JcParams, mod: Optional[ModulationSpec], rhs: BoundRhs,
                    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> float:
-    """min(drive period, Rabi period) / steps_per_period."""
-    kappa = abs(params.coupling) * math.sqrt(_require_block(n))
-    periods = []
-    if kappa > 0:
-        periods.append(2.0 * math.pi / kappa)
+    """The fastest of the Rabi, drive and diagonal (``rhs.rate``) periods over
+    steps_per_period, so that h rhs.rate stays far inside RK4's stability limit."""
+    rates = [abs(params.coupling) * math.sqrt(rhs.n), rhs.rate]
     if mod is not None:
-        periods.append(2.0 * math.pi / mod.big_omega)
-    if not periods:
+        rates.append(mod.big_omega)
+    if not max(rates) > 0:
         raise ValueError("cannot suggest a step for a system with no timescale")
-    return min(periods) / steps_per_period
+    return 2.0 * math.pi / max(rates) / steps_per_period
 
 
 def step_ratio(total: float, step: float) -> float:
@@ -355,21 +329,11 @@ def _check_rk4_rate(rate: float) -> None:
                          f"imaginary-axis stability limit 2 sqrt(2) = {limit:.6g}")
 
 
-def check_rk4_stability(rhs: BoundRhs, step: float, mod: ModulationSpec, t1: float) -> None:
-    """ValueError if h max|Im a_jj| exceeds 2 sqrt(2), RK4's imaginary-axis limit.
-
-    A is evaluated at the RK4 stage times j h / 2 of one drive period
-    from t = 0 (at most [0, t1]); driven diagonals repeat each period,
-    detuned or not, and peak at t = 0.  A bad step or t1 is left to ``integrate``.
-    """
-    if not (0.0 < step < math.inf and t1 > 0.0):
-        return
-    count = 2 * math.ceil(step_ratio(min(2.0 * math.pi / mod.big_omega, t1), step)) + 1
-    diag = 0.0
-    for j0 in range(0, count, _CHUNK_TIMES):
-        a = rhs.matrix((step / 2.0) * np.arange(j0, min(j0 + _CHUNK_TIMES, count)))
-        diag = max(diag, float(np.abs(a[[0, 3]].imag).max()))
-    _check_rk4_rate(step * diag)
+def check_rk4_stability(rhs: BoundRhs, step: float) -> None:
+    """ValueError if h rhs.rate, h max|Im a_jj| over all t, exceeds 2 sqrt(2), RK4's
+    imaginary-axis limit.  A step that is not finite is left to ``integrate``."""
+    if math.isfinite(step):
+        _check_rk4_rate(step * rhs.rate)
 
 
 def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:
@@ -516,30 +480,29 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def map_trajectory(traj: Trajectory, params: JcParams,
                    mod: Optional[ModulationSpec], to_frame: Frame) -> Trajectory:
-    """Frame conversion of a whole trajectory, one array product per hop.
+    """Frame conversion of a whole trajectory: each level times exp(+i its change of phase).
 
-    Each hop up the ladder multiplies by ``frame_factors``; each hop
-    down divides by the same factors.  Conversions touching the gauged
-    frame need the modulation spec; a missing spec raises ValueError,
-    as do amplitudes that the map takes out of float64.
+    The phases are ``_frame_phases``'; a level whose phase does not change keeps its very
+    array (``d`` between the interaction and gauged frames).  Conversions touching the
+    gauged frame need the modulation spec; a missing spec raises ValueError, as do
+    amplitudes that the map takes out of float64.
     """
     if traj.frame is to_frame:
         return traj
-    if Frame.GAUGED in (traj.frame, to_frame) and mod is None:
-        raise ValueError("gauged-frame conversion requires a modulation spec")
-    ladder = list(Frame)
-    i_from, i_to = ladder.index(traj.frame), ladder.index(to_frame)
-    up = i_to > i_from
-    hops = ladder[i_from + 1:i_to + 1] if up else ladder[i_from:i_to:-1]
-    c = np.asarray(traj.c, dtype=complex)
-    d = np.asarray(traj.d, dtype=complex)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for frame in hops:
-            f_c, f_d = frame_factors(params, mod, traj.n, traj.times, frame)
-            c = c * f_c if up else c / f_c
-            if f_d is not None:
-                d = d * f_d if up else d / f_d
+    (r0, v0, _), (r1, v1, _) = (_frame_phases(params, mod, traj.n, f)
+                                for f in (traj.frame, to_frame))
+    t = traj.times
+    amps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for amp, dr, dv in zip((traj.c, traj.d), np.subtract(r1, r0), np.subtract(v1, v0)):
+            if dr or dv:
+                phase = dr * t
+                if dv:
+                    phase = phase + dv / mod.big_omega * np.sin(mod.big_omega * t)
+                amp = np.asarray(amp, dtype=complex) * np.exp(1j * phase)
+            amps.append(amp)
+    c, d = amps
     if not (np.isfinite(c).all() and np.isfinite(d).all()):
         raise ValueError(f"mapping the {traj.frame.value}-frame trajectory to the "
                          f"{to_frame.value} frame leaves float64 (non-finite amplitudes)")
-    return Trajectory(times=traj.times, c=c, d=d, frame=to_frame, n=traj.n, step=traj.step)
+    return Trajectory(times=t, c=c, d=d, frame=to_frame, n=traj.n, step=traj.step)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import pass_boundary_rows
 
-from ptjc import cli, kernels
+from ptjc import cli, floattext, kernels
 from ptjc.cli import MAX_INT, main, parse_compare_config
 from ptjc.dynamics import MAX_STEPS, Frame, read_trajectory_csv
 from ptjc.fockspace import MAX_BOSON_LEVELS
@@ -360,17 +360,44 @@ class TestEvolve:
         assert not list(outdir.iterdir())
 
     def test_step_past_rk4_stability_refused(self, tmp_path, capsys, no_integration):
-        # gauged atom diagonal a22 = i (omega0 beta / 2) cos(Omega t): the
-        # default step 2 pi / (400 Omega) gives h max|Im a22| = pi > 2 sqrt(2);
+        # gauged atom diagonal a22 = i (omega0 beta / 2) cos(Omega t): the step
+        # 0.0031416, about 2 pi / (400 Omega), gives h max|Im a22| = 3.1416 > 2 sqrt(2);
         # integrated anyway, |c| reached 2.1e210 by t = 39.7 for real beta
         doc = self.gauged_doc()
         doc["modulation"]["beta"] = 2000.0
-        doc["t1"] = 40.0
-        del doc["step"]
+        doc["t1"], doc["step"] = 40.0, 0.0031416
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
-        assert "3.14159" in capsys.readouterr().err
+        assert "rate, 3.1416, exceeds" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_default_step_resolves_the_diagonal(self, tmp_path):
+        # n = 1000: the lab diagonal turns at 999.55, past Omega = 5; a step of the
+        # drive period over 400 gave h rate = 3.14 and exit 2
+        doc = self.gauged_doc()
+        doc.update(rhs="lab", n=1000, t1=0.1, frames=["lab"])
+        doc["modulation"]["beta"] = 0.1
+        del doc["step"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        traj = read_trajectory_csv(tmp_path / "trajectory_lab.csv")
+        assert traj.step == pytest.approx(2.0 * math.pi / 999.55 / 400.0)
+        assert len(traj) == math.ceil(0.1 / traj.step) + 1
+        norms = np.abs(traj.c) ** 2 + np.abs(traj.d) ** 2  # Hermitian: only RK4 drift
+        assert np.abs(norms - 1.0).max() <= 1e-8
+
+    def test_detuned_frames_format_eleven_columns(self, tmp_path, monkeypatch):
+        # evolve-detuned's shape: t, then c of each frame, the lab d and the d that the
+        # gauged and interaction frames share; unshared, d would be formatted twice
+        widths = []
+        float_text = floattext.float_text
+        monkeypatch.setattr(floattext, "float_text",
+                            lambda values: widths.append(values.shape[1]) or float_text(values))
+        doc = self.gauged_doc()
+        doc.update(omega0=1.02, frames=["gauged", "interaction", "lab"])
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        assert widths and set(widths) == {11}
 
     @pytest.mark.parametrize("key, value", [("omega0", "1.0"), ("omega", True),
                                             ("t1", None), ("step", [0.01]),

@@ -22,12 +22,10 @@ from ptjc.dynamics import (
     Trajectory,
     averaged_effective_coupling,
     bind_averaged_rhs,
-    bind_gauged_rhs,
-    bind_lab_rhs,
+    bind_driven_rhs,
     bind_static_rhs,
     check_rk4_stability,
     closed_form_amplitudes,
-    frame_factors,
     integrate,
     map_trajectory,
     read_trajectory_csv,
@@ -79,14 +77,13 @@ class TestTypes:
             ModulationSpec(target=ATOM, beta=complex(math.nan, 0), big_omega=1.0)
 
     def test_rhs_and_initial_amplitude_validation(self):
-        # every binder, suggested_step and closed_form_amplitudes refuse n < 1 before
-        # they take sqrt(n), as does BoundRhs itself
+        # every binder and closed_form_amplitudes refuse n < 1 before they take
+        # sqrt(n), as does BoundRhs itself (so suggested_step never sees one)
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.3, big_omega=2.0)
-        for bind in (lambda n: bind_lab_rhs(p, mod, n), lambda n: bind_gauged_rhs(p, mod, n),
+        for bind in (*(lambda n, f=f: bind_driven_rhs(p, mod, n, f) for f in Frame),
                      lambda n: bind_static_rhs(p, n), lambda n: bind_averaged_rhs(p, mod, n),
-                     lambda n: BoundRhs(ZERO_RHS.matrix, Frame.LAB, n),
-                     lambda n: suggested_step(p, mod, n),
+                     lambda n: BoundRhs(ZERO_RHS.matrix, Frame.LAB, n, 0.0),
                      lambda n: closed_form_amplitudes(p, n, 1.0, 0.0, 1.0)):
             for n in (0, -1):
                 with pytest.raises(ValueError, match="n must be >= 1"):
@@ -98,10 +95,10 @@ class TestTypes:
     def test_trajectory_tags_come_from_the_rhs(self):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=CAVITY, beta=0.3, big_omega=2.0)
-        for rhs, frame, n in [(bind_lab_rhs(p, mod, 3), Frame.LAB, 3),
+        for rhs, frame, n in [(bind_driven_rhs(p, mod, 3, Frame.LAB), Frame.LAB, 3),
                               (bind_static_rhs(p, 2), Frame.INTERACTION, 2),
                               (bind_averaged_rhs(p, mod, 1), Frame.GAUGED, 1),
-                              (bind_gauged_rhs(p, mod, 4), Frame.GAUGED, 4)]:
+                              (bind_driven_rhs(p, mod, 4, Frame.GAUGED), Frame.GAUGED, 4)]:
             traj = integrate(rhs, 0.0, 1.0, 0.0, 0.5, 0.1)
             assert (traj.frame, traj.n) == (rhs.frame, rhs.n) == (frame, n)
 
@@ -189,21 +186,31 @@ class TestFrameMaps:
     def test_cavity_gauge_phase_scales_with_n(self):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=CAVITY, beta=0.3, big_omega=2.0)
-        t = 0.41
-        f4, d4 = frame_factors(p, mod, 4, t, Frame.GAUGED)
-        f1, d1 = frame_factors(p, mod, 1, t, Frame.GAUGED)
-        assert d4 is None and d1 is None  # the gauge leaves d untouched
-        assert np.log(f4) == pytest.approx(4.0 * np.log(f1))
+        c4, d4 = mapped_sample(Sample(4, 1.0, 0.5, Frame.INTERACTION), p, mod, 0.41, Frame.GAUGED)
+        c1, d1 = mapped_sample(Sample(1, 1.0, 0.5, Frame.INTERACTION), p, mod, 0.41, Frame.GAUGED)
+        assert d4 == d1 == 0.5  # the gauge leaves d untouched
+        assert np.log(c4) == pytest.approx(4.0 * np.log(c1))
+
+    def test_gauge_shares_d_with_the_interaction_frame(self):
+        # d's phase is the same in both frames, so the map hands over the very array, and
+        # write_csv formats its columns once for both files
+        p = JcParams(1.02, 1.0, 0.05)
+        mod = ModulationSpec(target=ATOM, beta=0.3 + 0.1j, big_omega=5.0)
+        traj = integrate(bind_driven_rhs(p, mod, 1, Frame.GAUGED), 0.0, 1.0, 0.0, 1.0, 0.01)
+        assert map_trajectory(traj, p, mod, Frame.INTERACTION).d is traj.d
+        assert map_trajectory(traj, p, mod, Frame.LAB).d is not traj.d
 
     @pytest.mark.parametrize("target", [ATOM, CAVITY])
     @pytest.mark.parametrize("n", [1, 3])
     def test_maps_match_hand_written_phases(self, target, n):
         # independent oracle: every lab/interaction/gauged conversion of
         # a detuned (aperiodic) complex-beta run against the phases
-        # written out here, with each frame's total phase in one exponent
+        # written out here, with each frame's total phase in one exponent,
+        # and back again
         p = JcParams(1.3, 0.8, 0.07)
         mod = ModulationSpec(target=target, beta=0.35 - 0.2j, big_omega=2.9)
-        lab = integrate(bind_lab_rhs(p, mod, n), 0.6 + 0.2j, 0.5 - 0.1j, 0.0, 12.3, 0.01)
+        lab = integrate(bind_driven_rhs(p, mod, n, Frame.LAB), 0.6 + 0.2j, 0.5 - 0.1j,
+                        0.0, 12.3, 0.01)
         t = lab.times
         theta_c = (p.omega0 / 2.0 + p.omega * (n - 1)) * t
         theta_d = (n * p.omega - p.omega0 / 2.0) * t
@@ -222,14 +229,18 @@ class TestFrameMaps:
                 out = map_trajectory(traj, p, mod, dst)
                 c_ref, d_ref = expected[dst]
                 scale = np.hypot(np.abs(c_ref), np.abs(d_ref))
-                assert out.frame is dst
+                back = map_trajectory(out, p, mod, src)
+                assert out.frame is dst and back.frame is src
                 assert (np.abs(out.c - c_ref) / scale).max() <= 1e-13, (src, dst)
                 assert (np.abs(out.d - d_ref) / scale).max() <= 1e-13, (src, dst)
+                scale = np.hypot(np.abs(traj.c), np.abs(traj.d))
+                assert (np.abs(back.c - traj.c) / scale).max() <= 1e-13, (src, dst)
+                assert (np.abs(back.d - traj.d) / scale).max() <= 1e-13, (src, dst)
 
     @pytest.mark.parametrize("beta, c", [(1400j, 1e10), (2000j, 0.6 + 0.2j)])
     def test_map_leaving_float64_rejected(self, beta, c):
-        # at t = pi/2 the gauge factor is e^{-700} (the quotient
-        # overflows) or e^{-1000}, which underflows to zero
+        # at t = pi/2 the inverse gauge factor is e^{700} (the product
+        # overflows) or e^{1000}, which overflows alone
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=beta, big_omega=1.0)
         traj = Trajectory(times=np.array([0.0, math.pi / 2.0]), c=np.array([c, c]),
@@ -244,21 +255,21 @@ class TestRhsLab:
         p = JcParams(1.4, 0.9, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         c, d = 0.8 + 0.1j, 0.2 - 0.4j
-        dc, dd = apply_rhs(bind_lab_rhs(p, mod, 3), 0.55, c, d)
+        dc, dd = apply_rhs(bind_driven_rhs(p, mod, 3, Frame.LAB), 0.55, c, d)
         assert abs(dc - (-1j * (1.4 / 2.0 + 0.9 * 2.0) * c)) <= 1e-15
         assert abs(dd - (-1j * (3 * 0.9 - 1.4 / 2.0) * d)) <= 1e-15
 
     def test_resonant_coupled_example(self):
         p = JcParams(1.0, 1.0, 0.1)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
-        dc, dd = apply_rhs(bind_lab_rhs(p, mod, 1), 0.0, 0.0, 1.0)
+        dc, dd = apply_rhs(bind_driven_rhs(p, mod, 1, Frame.LAB), 0.0, 0.0, 1.0)
         assert abs(dc - (-0.1j)) <= 1e-15
         assert abs(dd - (-0.5j)) <= 1e-15
 
     def test_crest_uses_modulated_frequency(self):
         p = JcParams(1.2, 1.0, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.25, big_omega=2.0)
-        dc, _ = apply_rhs(bind_lab_rhs(p, mod, 1), 0.0, 1.0, 0.0)  # cos(0) = 1
+        dc, _ = apply_rhs(bind_driven_rhs(p, mod, 1, Frame.LAB), 0.0, 1.0, 0.0)  # cos(0) = 1
         assert abs(dc - (-1j * 1.2 * 1.25 / 2.0)) <= 1e-15
 
     @pytest.mark.parametrize("target", [ATOM, CAVITY])
@@ -269,7 +280,7 @@ class TestRhsLab:
             n = int(rng.integers(1, 6))
             s = random_state(rng, n, Frame.LAB)
             t = float(rng.uniform(0, 10))
-            dc, dd = apply_rhs(bind_lab_rhs(p, mod, n), t, s.c, s.d)
+            dc, dd = apply_rhs(bind_driven_rhs(p, mod, n, Frame.LAB), t, s.c, s.d)
             ref = -1j * (lab_hamiltonian(p, mod, n, t) @ [s.c, s.d])
             assert abs(dc - ref[0]) <= 1e-13
             assert abs(dd - ref[1]) <= 1e-13
@@ -278,21 +289,22 @@ class TestRhsLab:
         p = JcParams(1.0, 1.0, 0.1j)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         with pytest.raises(ValueError):
-            bind_lab_rhs(p, mod, 1)
+            bind_driven_rhs(p, mod, 1, Frame.LAB)
 
 
 class TestRhsGauged:
     def test_vanishes_when_fully_gauged_away(self):
         p = JcParams(1.0, 1.0, 0.0)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
-        assert apply_rhs(bind_gauged_rhs(p, mod, 1), 0.9, 0.3, 0.7) == (0.0, 0.0)
+        assert apply_rhs(bind_driven_rhs(p, mod, 1, Frame.GAUGED), 0.9, 0.3, 0.7) == (0.0, 0.0)
 
     def test_reduces_to_static_at_beta_zero(self, rng):
         p = JcParams(1.0, 1.0, 0.08)
         mod = ModulationSpec(target=ATOM, beta=0.0, big_omega=1.0)
         for _ in range(10):
             s = random_state(rng, 2, Frame.GAUGED)
-            dc_g, dd_g = apply_rhs(bind_gauged_rhs(p, mod, 2), float(rng.uniform(0, 5)), s.c, s.d)
+            gauged = bind_driven_rhs(p, mod, 2, Frame.GAUGED)
+            dc_g, dd_g = apply_rhs(gauged, float(rng.uniform(0, 5)), s.c, s.d)
             dc_s, dd_s = apply_rhs(bind_static_rhs(p, 2), 0.0, s.c, s.d)
             assert abs(dc_g - dc_s) <= 1e-15
             assert abs(dd_g - dd_s) <= 1e-15
@@ -308,9 +320,10 @@ class TestRhsGauged:
         period = 2.0 * math.pi / mod.big_omega
         step = period / 400.0
         t1 = 3.0 * period
-        lab_traj = integrate(bind_lab_rhs(p, mod, n), 0.6 + 0.2j, 0.5 - 0.1j, 0.0, t1, step)
+        lab_traj = integrate(bind_driven_rhs(p, mod, n, Frame.LAB), 0.6 + 0.2j, 0.5 - 0.1j,
+                             0.0, t1, step)
         mapped = map_trajectory(lab_traj, p, mod, Frame.GAUGED)
-        gauged_traj = integrate(bind_gauged_rhs(p, mod, n), mapped.c[0], mapped.d[0],
+        gauged_traj = integrate(bind_driven_rhs(p, mod, n, Frame.GAUGED), mapped.c[0], mapped.d[0],
                                 0.0, t1, step)
         err = max(np.abs(mapped.c - gauged_traj.c).max(),
                   np.abs(mapped.d - gauged_traj.d).max())
@@ -459,7 +472,7 @@ class TestIntegrate:
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.5, big_omega=2.0)
         step = (2.0 * math.pi / 2.0) / 400.0
-        traj = integrate(bind_lab_rhs(p, mod, 1), 0.6, 0.8, 0.0, 1000.0 * step, step)
+        traj = integrate(bind_driven_rhs(p, mod, 1, Frame.LAB), 0.6, 0.8, 0.0, 1000.0 * step, step)
         norms = np.abs(traj.c) ** 2 + np.abs(traj.d) ** 2
         assert np.abs(norms - norms[0]).max() <= CONSERVATION_TOL
 
@@ -501,10 +514,10 @@ class TestIntegrate:
         mod = ModulationSpec(target=target, beta=0.4 - 0.15j, big_omega=3.0)
         n = 2
         rhs = {"static": bind_static_rhs(JcParams(1.1, 0.9, 0.05 + 0.02j), n),
-               "lab_atom": bind_lab_rhs(p, mod, n),
-               "lab_cavity": bind_lab_rhs(p, mod, n),
-               "gauged_atom": bind_gauged_rhs(p, mod, n),
-               "gauged_cavity": bind_gauged_rhs(p, mod, n)}[rhs_name]
+               "lab_atom": bind_driven_rhs(p, mod, n, Frame.LAB),
+               "lab_cavity": bind_driven_rhs(p, mod, n, Frame.LAB),
+               "gauged_atom": bind_driven_rhs(p, mod, n, Frame.GAUGED),
+               "gauged_cavity": bind_driven_rhs(p, mod, n, Frame.GAUGED)}[rhs_name]
         h = 0.004
         n_full = 2 * kernels._CHUNK + 37
         tail = 0.3 * h
@@ -540,7 +553,7 @@ class TestPeriodicPath:
         p = JcParams(1.0, 1.0, 0.05)
         big_omega = ratio * 0.05 * math.sqrt(n)
         beta = solve_modulation_beta(p, target, n, big_omega, convention)
-        rhs = bind_gauged_rhs(p, ModulationSpec(target, beta, big_omega), n)
+        rhs = bind_driven_rhs(p, ModulationSpec(target, beta, big_omega), n, Frame.GAUGED)
         assert rhs.period == 2.0 * math.pi / big_omega
         h = rhs.period / 400
         n_steps = math.ceil(2.0 / (0.05 * math.sqrt(n)) / h - 1e-9)
@@ -556,7 +569,7 @@ class TestPeriodicPath:
         # 13 steps of an eighth and a 0.4-step tail
         p = JcParams(1.1, 0.9, 0.05)
         mod = ModulationSpec(target, 0.4 - 0.15j, 2.0)
-        rhs = bind_lab_rhs(p, mod, 2)
+        rhs = bind_driven_rhs(p, mod, 2, Frame.LAB)
         h = rhs.period / 50
         t1 = 0.25 + (7 * 50 + 13.4) * h
         monkeypatch.setattr(kernels, "rk4_linear", _refuse)
@@ -570,9 +583,9 @@ class TestPeriodicPath:
     def test_other_cases_step_in_order(self, monkeypatch, case):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(ATOM, 0.3, 2.0)
-        rhs, step, t1 = bind_gauged_rhs(p, mod, 1), math.pi / 40, 10.0
+        rhs, step, t1 = bind_driven_rhs(p, mod, 1, Frame.GAUGED), math.pi / 40, 10.0
         if case == "detuned_gauged":
-            rhs = bind_gauged_rhs(JcParams(1.02, 1.0, 0.05), mod, 1)
+            rhs = bind_driven_rhs(JcParams(1.02, 1.0, 0.05), mod, 1, Frame.GAUGED)
             assert rhs.period is None
         elif case == "step_not_dividing":
             step = math.pi / 40.5
@@ -601,54 +614,88 @@ class TestPeriodicPath:
         with pytest.raises(FloatingPointError) as info:
             kernels.rk4_periodic(grow, 1.0, 1.0, 0.0, 0.1, 400, 0.0, 10)
         assert first > 0 and info.value.args[0] - 10 < first <= info.value.args[0]
-        rhs = BoundRhs(grow, Frame.LAB, 1, 1.0)
+        rhs = BoundRhs(grow, Frame.LAB, 1, 0.0, 1.0)
         with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
             integrate(rhs, 1.0, 1.0, 0.0, 40.0, 0.1)
 
 
+def sampled_rate(rhs, big_omega):
+    """max |Im a_jj| of ``rhs.matrix`` over one drive period, 20,001 times (test-side
+    oracle): the grid holds t = 0 and T / 2, where cos(Omega t) = +-1."""
+    a = rhs.matrix(np.linspace(0.0, 2.0 * math.pi / big_omega, 20001))
+    return float(np.abs(a[[0, 3]].imag).max())
+
+
 class TestRk4Stability:
-    """check_rk4_stability: h max|Im a_jj| over one drive period against 2 sqrt(2)."""
+    """check_rk4_stability: h rhs.rate, the closed-form max |Im a_jj|, against 2 sqrt(2)."""
 
     def test_detuned_gauged_atom(self):
         # rhs.period is None off resonance, but the diagonal
-        # a22 = i (omega0 beta / 2) cos(Omega t) still repeats each drive period
+        # a22 = i (omega0 beta / 2) cos(Omega t) still peaks at 1020
         mod = ModulationSpec(ATOM, 2000.0, 5.0)
-        rhs = bind_gauged_rhs(JcParams(1.02, 1.0, 0.05), mod, 1)
+        rhs = bind_driven_rhs(JcParams(1.02, 1.0, 0.05), mod, 1, Frame.GAUGED)
         period = 2.0 * math.pi / 5.0
         with pytest.raises(ValueError, match=f"{1.02 * math.pi:.6g}, exceeds"):
-            check_rk4_stability(rhs, period / 400, mod, 40.0)
-        check_rk4_stability(rhs, period / 480, mod, 40.0)  # rate 2.67
+            check_rk4_stability(rhs, period / 400)
+        check_rk4_stability(rhs, period / 480)  # rate 2.67
 
-    def test_late_peak_in_a_long_period(self):
-        # 20,001 stage times, several chunks; the diagonal peaks only for t > 0.9
-        def spike(t):
-            a = np.zeros((4,) + t.shape, dtype=complex)
-            a[3] = 3e4j * (t > 0.9)
-            return a
+    @pytest.mark.parametrize("beta", [0.3 + 0.2j, -0.4 + 0.25j, -1.5 - 0.5j])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("target", [ATOM, CAVITY])
+    @pytest.mark.parametrize("frame", list(Frame))
+    def test_closed_form_rate_matches_sampling(self, frame, target, n, beta):
+        # Re beta < 0 puts the peak at cos(Omega t) = -1, half a period in
+        p = JcParams(1.3, 0.8, 0.07)
+        rhs = bind_driven_rhs(p, ModulationSpec(target, beta, 2.9), n, frame)
+        assert rhs.rate == pytest.approx(sampled_rate(rhs, 2.9), rel=1e-9, abs=1e-15)
 
-        rhs, mod = BoundRhs(spike, Frame.LAB, 1), ModulationSpec(ATOM, 0.0, 2.0 * math.pi)
-        with pytest.raises(ValueError, match="rate, 3, exceeds"):
-            check_rk4_stability(rhs, 1e-4, mod, 5.0)
-        check_rk4_stability(rhs, 1e-4, mod, 0.5)  # [0, t1] ends before the peak
+    def test_peak_half_a_period_in_counts(self):
+        # the lab atom diagonal peaks at t = pi / Omega for Re beta < 0; the bound holds
+        # for all t, so a run that ends before the peak is refused all the same
+        p = JcParams(1.0, 1.0, 0.05)
+        rhs = bind_driven_rhs(p, ModulationSpec(ATOM, -0.5, 5.0), 1000, Frame.LAB)
+        assert rhs.rate == 999.5 + 0.25
+        assert sampled_rate(rhs, 5.0) == pytest.approx(rhs.rate, rel=1e-12)
+        with pytest.raises(ValueError, match="rate, 2.99925, exceeds"):
+            check_rk4_stability(rhs, 0.003)
 
     def test_lab_and_static_defaults_pass(self):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(CAVITY, 0.3, 2.0)
-        step = suggested_step(p, mod, 3)
-        for rhs in (bind_lab_rhs(p, mod, 3), bind_static_rhs(p, 3)):
-            check_rk4_stability(rhs, step, mod, 10.0)
+        for rhs in (bind_driven_rhs(p, mod, 3, Frame.LAB), bind_static_rhs(p, 3)):
+            check_rk4_stability(rhs, suggested_step(p, mod, rhs))
+
+    def test_non_finite_step_is_left_to_integrate(self):
+        rhs = bind_driven_rhs(JcParams(1.0, 1.0, 0.05), ModulationSpec(ATOM, 0.3, 2.0), 1,
+                              Frame.LAB)
+        check_rk4_stability(rhs, math.inf)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            integrate(rhs, 1.0, 0.0, 0.0, 1.0, math.inf)
 
 
 class TestStepAndSerialization:
     def test_suggested_step_picks_fastest_scale(self):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.1, big_omega=5.0)
-        # drive period 2pi/5 is shorter than the Rabi period 2pi/0.05
-        assert suggested_step(p, mod, 1) == pytest.approx((2.0 * math.pi / 5.0) / 400.0)
+        # drive period 2pi/5 is shorter than the Rabi period 2pi/0.05 and the
+        # diagonal's 2pi/0.55
+        rhs = bind_driven_rhs(p, mod, 1, Frame.LAB)
+        assert suggested_step(p, mod, rhs) == pytest.approx((2.0 * math.pi / 5.0) / 400.0)
+
+    def test_suggested_step_resolves_the_diagonal(self):
+        # n = 1000: the lab diagonal turns at 999.55, past Omega = 5; the drive period
+        # alone gave h rate = 3.14 > 2 sqrt(2)
+        p = JcParams(1.0, 1.0, 0.05)
+        mod = ModulationSpec(target=ATOM, beta=0.1, big_omega=5.0)
+        rhs = bind_driven_rhs(p, mod, 1000, Frame.LAB)
+        step = suggested_step(p, mod, rhs)
+        assert step == pytest.approx(2.0 * math.pi / 999.55 / 400.0)
+        assert step * rhs.rate == pytest.approx(2.0 * math.pi / 400.0)
 
     def test_suggested_step_requires_a_timescale(self):
+        p = JcParams(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            suggested_step(JcParams(1.0, 1.0, 0.0), None, 1)
+            suggested_step(p, None, bind_static_rhs(p, 1))
 
     def test_csv_round_trip(self, rng, tmp_path):
         p = JcParams(1.0, 1.0, 0.1j)
@@ -681,7 +728,7 @@ class TestStepAndSerialization:
     def test_map_trajectory_round_trip(self, rng):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.3 + 0.1j, big_omega=2.0)
-        traj = integrate(bind_lab_rhs(p, mod, 1), 0.5, 0.5, 0.0, 2.0, 0.01)
+        traj = integrate(bind_driven_rhs(p, mod, 1, Frame.LAB), 0.5, 0.5, 0.0, 2.0, 0.01)
         there = map_trajectory(traj, p, mod, Frame.GAUGED)
         back = map_trajectory(there, p, mod, Frame.LAB)
         assert np.abs(back.c - traj.c).max() <= 1e-13

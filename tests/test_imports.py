@@ -5,8 +5,9 @@ function or constant is referenced outside its own definition, every
 module-level public function or class has a caller in the package or
 the benchmark (or a place on an allowlist), only the JSON and CSV
 writers open files for writing, the README lists exactly the keys
-that ``ptjc pseudo`` writes and that a ``ptjc compare`` config takes,
-and every ``ptjc`` module and name the README backticks exists.
+that ``ptjc pseudo`` writes and that a ``ptjc compare`` or
+``ptjc evolve`` config takes (and the evolve ``rhs`` names), and every
+``ptjc`` module and name the README backticks exists.
 """
 
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import ptjc
-from ptjc.cli import _COMPARE_KEYS, main
+from ptjc.cli import _BINDERS, _COMPARE_KEYS, _EVOLVE_KEYS, _MODULATION_KEYS, main
 
 PACKAGE = sorted(Path(ptjc.__file__).parent.glob("*.py"))
 # The package __init__ imports names only to re-export them.
@@ -208,6 +209,7 @@ def test_only_the_json_and_csv_writers_write_files():
 
 PSEUDO_KEYS_SENTENCE = "`pseudo.json` holds exactly these keys:"
 COMPARE_KEYS_SENTENCE = "Config keys, all optional:"
+RHS_SENTENCE = "`rhs` selects the right-hand side:"
 
 
 def documented_keys(readme: str, opener: str = PSEUDO_KEYS_SENTENCE) -> dict:
@@ -274,6 +276,14 @@ def test_readme_lists_the_pseudo_json_keys(tmp_path):
 def test_readme_lists_the_compare_config_keys():
     section = README.read_text(encoding="utf-8").split("\n### compare\n", 1)[1]
     assert set(documented_keys(section, COMPARE_KEYS_SENTENCE)) == _COMPARE_KEYS
+
+
+def test_readme_lists_the_evolve_config_keys_and_rhs_names():
+    section = README.read_text(encoding="utf-8").split("\n### evolve\n", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert set(example) == _EVOLVE_KEYS
+    assert set(example["modulation"]) == _MODULATION_KEYS
+    assert set(documented_keys(section, RHS_SENTENCE)) == set(_BINDERS)
 
 
 def readme_package_names(readme: str) -> list[str]:
