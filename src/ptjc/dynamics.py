@@ -14,11 +14,12 @@ two against each other.
 
 Each bind_* helper returns a ``BoundRhs``, the one owner of a run's
 linear (c, d)' = A(t) (c, d), block index n, frame (the static rhs runs
-in the interaction frame), largest diagonal rate and drive period (when
-A repeats).  ``integrate`` tags its trajectory with the rhs's n and
-frame.  Fixed-step RK4 (``ptjc.kernels.rk4_periodic`` when the step
-divides that period, else ``rk4_linear``) lands exactly on t1 via a
-shortened last step; at most MAX_STEPS steps per call.
+in the interaction frame), largest diagonal rate, coupling modulus and
+drive period (when A repeats).  ``integrate`` tags its trajectory with
+the rhs's n and frame.  Fixed-step RK4 (``ptjc.kernels.rk4_periodic``
+when the step divides that period, else ``rk4_linear``; both blocked
+prefix products, no per-step loop) lands exactly on t1 via a shortened
+last step; at most MAX_STEPS steps per call.
 
 ``_relative_phase_amplitude`` is the package's one z, the amplitude of
 the relative phase z sin(Omega t) between c and d: the averaged rhs
@@ -155,7 +156,8 @@ class BoundRhs:
     ``matrix(t)`` gives A's entries (a11, a12, a21, a22) at an array of
     times, shape (4,) + t.shape.  A run's n and frame live here only:
     ``integrate`` tags its trajectory with them.  ``rate`` is
-    max |Im a_jj| over all t, which ``check_rk4_stability`` bounds.
+    max |Im a_jj| over all t and ``kappa`` the coupling's modulus
+    |a12 a21|^(1/2), which ``check_rk4_stability`` bounds together.
     """
 
     matrix: Callable[[np.ndarray], np.ndarray]
@@ -163,6 +165,7 @@ class BoundRhs:
     n: int
     rate: float
     period: Optional[float] = None  # a T with A(t + T) = A(t), if known
+    kappa: float = 0.0
 
     def __post_init__(self):
         _require_block(self.n)
@@ -244,7 +247,8 @@ def bind_driven_rhs(params: JcParams, mod: ModulationSpec, n: int, frame: Frame)
         return a
 
     rate = max(abs(c.imag) + abs(b.imag) for c, b in diag)
-    return BoundRhs(matrix, frame, n, rate, None if delta else 2.0 * math.pi / mod.big_omega)
+    return BoundRhs(matrix, frame, n, rate, None if delta else 2.0 * math.pi / mod.big_omega,
+                    abs(kappa))
 
 
 def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
@@ -256,7 +260,7 @@ def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
         a[1] = a[2] = -1j * kappa
         return a
 
-    return BoundRhs(matrix, Frame.INTERACTION, n, 0.0)
+    return BoundRhs(matrix, Frame.INTERACTION, n, 0.0, kappa=abs(kappa))
 
 
 def averaged_effective_coupling(params: JcParams, mod: ModulationSpec,
@@ -321,19 +325,24 @@ def step_ratio(total: float, step: float) -> float:
     return ratio
 
 
-def _check_rk4_rate(rate: float) -> None:
-    """ValueError if the RK4 step times the largest diagonal rate exceeds 2 sqrt(2)."""
+def _check_rk4_rate(rate: float, coupling: float) -> None:
+    """ValueError if rate + coupling, the step times the largest diagonal rate plus the
+    step times |kappa|, exceeds 2 sqrt(2)."""
     limit = 2.0 * math.sqrt(2.0)
-    if rate > limit:
-        raise ValueError(f"RK4 step times the largest diagonal rate, {rate:.6g}, exceeds RK4's "
-                         f"imaginary-axis stability limit 2 sqrt(2) = {limit:.6g}")
+    if rate + coupling > limit:
+        raise ValueError(f"RK4 step times |kappa|, {coupling:.6g}, plus the step times the "
+                         f"largest diagonal rate, {rate:.6g}, exceeds RK4's imaginary-axis "
+                         f"stability limit 2 sqrt(2) = {limit:.6g}")
 
 
 def check_rk4_stability(rhs: BoundRhs, step: float) -> None:
-    """ValueError if h rhs.rate, h max|Im a_jj| over all t, exceeds 2 sqrt(2), RK4's
-    imaginary-axis limit.  A step that is not finite is left to ``integrate``."""
+    """ValueError if h (rhs.rate + rhs.kappa) exceeds 2 sqrt(2), RK4's imaginary-axis limit.
+
+    a12 a21 = -kappa^2 at every t, so the coupling adds |kappa| to the diagonal's rate
+    in the bound on A's eigenvalues.  A step that is not finite is left to ``integrate``.
+    """
     if math.isfinite(step):
-        _check_rk4_rate(step * rhs.rate)
+        _check_rk4_rate(step * rhs.rate, step * rhs.kappa)
 
 
 def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:

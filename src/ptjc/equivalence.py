@@ -16,7 +16,9 @@ errors read the moduli |R_r s_m| from one rank-4 real product per
 series; the complex envelopes are expanded only when a report's
 ``driven_envelope`` or ``static_reference`` is read (``comparison.csv``).
 A convergence sweep in Omega / Omega_R quantifies how the deviation
-shrinks as the drive gets faster.
+shrinks as the drive gets faster.  Its ratios share K steps a period and
+differ only in Omega and the step, so one batched
+``kernels.rk4_period_factors`` call integrates them all.
 
 Here kappa = g sqrt(n) and z is ``dynamics._relative_phase_amplitude``,
 the amplitude of the relative phase between c and d: omega0 beta / Omega
@@ -26,13 +28,9 @@ kappa and z, and its RK4 error is the same for every n.  Averaged over
 a period the coupling is kappa J0(z), so J0(z) = i gives the static
 i g block.
 
-Two Bessel-argument conventions are provided for the resonance
-condition.  ``splitting`` (the default here) solves J0 at the relative-
-phase amplitude above.  ``gauge`` uses omega0 beta / (2 Omega) (atom),
-half of it, and n omega beta / Omega (cavity), n times it; the solved
-beta then gives the coupling g J0(2 r) (atom) or g J0(r / n) (cavity),
-r the root of J0(r) = i, and the envelopes approach that static
-evolution rather than the i g one.
+``convention`` picks the Bessel argument of the resonance condition:
+``splitting`` (the default here) solves J0 at z, ``gauge`` at another
+multiple of beta (``solve_modulation_beta``), whose coupling is not i g.
 
 ``measure`` selects which amplitudes get period-averaged: ``slow`` (the
 default) averages the slow-frame pair above, ``printed`` the gauged
@@ -53,6 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Optional, Sequence
@@ -237,13 +236,16 @@ def solve_modulation_beta(params: JcParams, target: ModulationTarget, n: int,
     return beta
 
 
-def _slow_block(kappa: float, z: complex, big_omega: float):
-    """A(t) of i c' = kappa exp(+i z sin(Omega t)) d, i d' = kappa exp(-i z sin(Omega t)) c."""
+def _slow_block(kappa, z, big_omega):
+    """A(t) of i c' = kappa exp(+i z sin(Omega t)) d, i d' = kappa exp(-i z sin(Omega t)) c.
+
+    Each of kappa, z and big_omega may be a (B, 1) column, one run a row of t.
+    """
     def matrix(t):
-        phase = 1j * (z * np.sin(big_omega * t))
+        turn = np.exp(1j * (z * np.sin(big_omega * t)))
         a = np.zeros((4,) + t.shape, dtype=complex)
-        a[1] = -1j * kappa * np.exp(phase)
-        a[2] = -1j * kappa * np.exp(-phase)
+        a[1] = -1j * kappa * turn
+        a[2] = -1j * kappa / turn
         return a
 
     return matrix
@@ -278,10 +280,69 @@ def _moduli(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
     return sq.reshape(-1, 2, k)
 
 
+# One run's checked slow-frame drive: what its integration and its reference need.
+_Drive = namedtuple("_Drive", "beta z kappa big_omega kick dt n_steps")
+
+
+def _drive(cfg: ExperimentConfig, beta: Optional[complex], convention: str,
+           measure: str) -> _Drive:
+    """Every check of ``run_equivalence_experiment`` that comes before integrating."""
+    if measure not in _MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    params = cfg.params
+    if params.detuning() != 0.0:
+        raise ValueError("equivalence experiment is defined at resonance omega0 = omega")
+    omega_r = cfg.rabi_frequency()  # refuses complex coupling
+    big_omega = cfg.drive_frequency()
+    if beta is None:
+        beta = solve_modulation_beta(params, cfg.target, cfg.n, big_omega, convention)
+    mod = ModulationSpec(target=cfg.target, beta=beta, big_omega=big_omega)  # refuses inf, nan
+    # first-order kick of the reference start (0, 1); S = 0 without drive
+    z = _relative_phase_amplitude(params, mod)
+    kappa = complex(params.coupling).real * math.sqrt(cfg.n)
+    kick = kappa / big_omega * kick_sum(z)
+
+    k = cfg.step_per_period
+    dt = 2.0 * math.pi / big_omega / k
+    t1 = cfg.duration_rabi_units / omega_r
+    n_steps = int(math.ceil(step_ratio(t1, dt) - 1e-9))
+    # RK4's limit for the block with the phase z sin(Omega t) split evenly over c and d
+    _check_rk4_rate(math.pi * abs(z.real) / k, dt * kappa)
+    if n_steps <= k:
+        raise ValueError("duration too short for the averaging window")
+    return _Drive(mod.beta, z, kappa, big_omega, kick, dt, n_steps)
+
+
+def _past_float64(z: complex) -> str:
+    return (f"past the float64 limit {np.finfo(float).max:.4g}: |Im z| = {abs(z.imag):.6g} "
+            "grows them up to exp(2 |Im z|)-fold a period")
+
+
+def _integrate(k: int, drives: Sequence[_Drive]) -> list:
+    """Each run's (drive, p, y): its share of one ``kernels.rk4_period_factors`` call.
+
+    The slow-frame blocks start from (0, 1), and sample m k + j is P_j Y_m.  A
+    non-finite Y_m raises ValueError naming the first such run's time.
+    """
+    kappa, z, big_omega = (np.array([[getattr(d, f)] for d in drives])
+                           for f in ("kappa", "z", "big_omega"))
+    try:
+        p, y = kernels.rk4_period_factors(_slow_block(kappa, z, big_omega), 0.0, 1.0, 0.0,
+                                          [d.dt for d in drives], [d.n_steps for d in drives], k)
+    except FloatingPointError as exc:  # only Im z grows the amplitudes below the limit
+        step, b = exc.args
+        raise ValueError(f"non-finite amplitudes at t = {step * drives[b].dt}, "
+                         f"{_past_float64(drives[b].z)}") from None
+    return [(d, p[:, b], y[:, b, :d.n_steps // k + 1]) for b, d in enumerate(drives)]
+
+
 def run_equivalence_experiment(cfg: ExperimentConfig, *,
                                beta: Optional[complex] = None,
                                convention: str = SPLITTING_CONVENTION,
-                               measure: str = SLOW_MEASURE) -> ComparisonReport:
+                               measure: str = SLOW_MEASURE,
+                               batch: Optional[tuple] = None) -> ComparisonReport:
     """Drive, average, and compare against the static i g evolution.
 
     Steps: solve for beta (unless an explicit beta is supplied, e.g.
@@ -295,46 +356,18 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     max(|static|, ENVELOPE_FLOOR).  A non-finite beta, or a real part
     of z too large for RK4 at ``step_per_period``, is refused before
     integrating; a state or window row past float64 raises ValueError.
+
+    ``batch`` is how ``convergence_sweep`` hands this run its checked
+    drive and its share of one integration of every ratio; without it
+    the run integrates alone, as a batch of one.
     """
-    if measure not in _MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    params = cfg.params
-    if params.detuning() != 0.0:
-        raise ValueError("equivalence experiment is defined at resonance omega0 = omega")
-    g = complex(params.coupling)
-    if g.imag != 0.0:
-        raise ValueError("equivalence experiment needs real coupling")
-    omega_r = cfg.rabi_frequency()
-    big_omega = cfg.drive_frequency()
-    if beta is None:
-        beta = solve_modulation_beta(params, cfg.target, cfg.n, big_omega, convention)
-    mod = ModulationSpec(target=cfg.target, beta=beta, big_omega=big_omega)  # refuses inf, nan
-    beta_used = mod.beta
-    # first-order kick of the reference start (0, 1); S = 0 without drive
-    z = _relative_phase_amplitude(params, mod)
-    kappa = g.real * math.sqrt(cfg.n)
-    kick = kappa / big_omega * kick_sum(z)
-
-    k = cfg.step_per_period
-    dt = 2.0 * math.pi / big_omega / k
-    t1 = cfg.duration_rabi_units / omega_r
-    n_steps = int(math.ceil(step_ratio(t1, dt) - 1e-9))
-    # RK4's limit for the block with the phase z sin(Omega t) split evenly over c and d
-    _check_rk4_rate(math.pi * abs(z.real) / k)
-    if n_steps <= k:
-        raise ValueError("duration too short for the averaging window")
+    if batch is None:
+        (batch,) = _integrate(cfg.step_per_period, [_drive(cfg, beta, convention, measure)])
+    (beta_used, z, kappa, big_omega, kick, dt, n_steps), p, y = batch
+    params, k = cfg.params, cfg.step_per_period
+    g = complex(params.coupling).real
     # beta = 0 sanity path: nothing to average away, static Hermitian reference
-    width, ref_coupling = (0, complex(g.real)) if beta_used == 0 else (k, 1j * g.real)
-
-    past = (f"past the float64 limit {np.finfo(float).max:.4g}: |Im z| = {abs(z.imag):.6g} "
-            "grows them up to exp(2 |Im z|)-fold a period")
-    try:  # sample m k + j of the drive is P_j Y_m
-        p, y = kernels.rk4_period_factors(_slow_block(kappa, z, big_omega), 0.0, 1.0, 0.0, dt,
-                                          n_steps, k)
-    except FloatingPointError as exc:  # only Im z grows the amplitudes below the limit
-        raise ValueError(f"non-finite amplitudes at t = {exc.args[0] * dt}, {past}") from None
+    width, ref_coupling = (0, complex(g)) if beta_used == 0 else (k, 1j * g)
 
     # Averaged sample s = m k + r is W_r Y_m: W_r is the trapezoid mean over
     # one period, (a_r / 2 + a_{r+1} + ... + a_{r+k-1} + a_{r+k} / 2) / k, of
@@ -352,7 +385,7 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
             csum = np.cumsum(b, axis=2)
             a = (csum[..., k:] - csum[..., :k] + 0.5 * (b[..., :k] - b[..., k:])) / k
         if not np.isfinite(a).all():
-            raise ValueError(f"non-finite window rows, {past}")
+            raise ValueError(f"non-finite window rows, {_past_float64(z)}")
     window = a.reshape(4, k)
 
     count = n_steps + 1 - width
@@ -398,20 +431,32 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
 def convergence_sweep(base_cfg: ExperimentConfig, ratios: Sequence[float], *,
                       convention: str = SPLITTING_CONVENTION,
                       measure: str = SLOW_MEASURE) -> list[tuple[float, float]]:
-    """max_rel_err as a function of omega_ratio; ratios strictly increasing."""
+    """max_rel_err as a function of omega_ratio; ratios strictly increasing.
+
+    One ``kernels.rk4_period_factors`` call integrates every ratio; each is then
+    averaged and scored by ``run_equivalence_experiment``.  A failing ratio raises
+    what it would alone, and the first one in ratio order wins.
+    """
     ratios = list(ratios)
     if not ratios:
         raise ValueError("ratios must be non-empty")
-    if any(r <= 1 for r in ratios):
-        raise ValueError("all ratios must exceed 1")
     if any(b <= a for a, b in zip(ratios, ratios[1:])):
         raise ValueError("ratios must be strictly increasing")
+    cfgs, drives, failure = [], [], None
+    for ratio in ratios:  # every ratio's checks before integrating; errors keep ratio order
+        try:
+            cfgs.append(replace(base_cfg, omega_ratio=float(ratio)))
+            drives.append(_drive(cfgs[-1], None, convention, measure))
+        except (ValueError, ArithmeticError) as exc:
+            failure = exc
+            break
     curve = []
-    for ratio in ratios:
-        cfg = replace(base_cfg, omega_ratio=float(ratio))
-        report = run_equivalence_experiment(cfg, convention=convention,
-                                            measure=measure)
-        curve.append((float(ratio), report.max_rel_err))
+    for cfg, share in zip(cfgs, _integrate(base_cfg.step_per_period, drives) if drives else []):
+        report = run_equivalence_experiment(cfg, convention=convention, measure=measure,
+                                            batch=share)
+        curve.append((cfg.omega_ratio, report.max_rel_err))
+    if failure is not None:
+        raise failure
     return curve
 
 

@@ -1,13 +1,16 @@
-"""Fixed-step RK4 of linear 2x2 systems (c, d)' = A(t) (c, d).
+"""Fixed-step RK4 of linear 2x2 systems (c, d)' = A(t) (c, d), B runs at a time.
 
 ``a_of_t(t)`` gives A's entries (a11, a12, a21, a22) at an array of
 times, shape (4,) + t.shape.  One RK4 step of a linear system is a 2x2
-matrix built from A(t), A(t + h/2) and A(t + h): ``rk4_linear`` builds
-them with NumPy, a chunk at a time, and applies them in step order.
-When A has period k h, ``rk4_period_factors`` builds only the first
-period's matrices, their partial products P_j and the period-boundary
-states Y_m; ``expand_periods`` multiplies per-phase rows (the P_j, for
-``rk4_periodic``) into those states.
+matrix built from A(t), A(t + h/2) and A(t + h).  ``_prefix_states``
+applies a run of them with no per-step Python loop: within blocks of
+_BLOCK steps it multiplies them together by doubling, and from block to
+block it carries the states, so no product spans more than a block and a
+component that is exactly 0 stays 0.  ``rk4_linear`` builds the matrices
+a chunk at a time.  When A has period k h, ``rk4_period_factors`` builds
+only the first period's, for B runs sharing k, with their partial
+products P_j and the period-boundary states Y_m; ``expand_periods``
+multiplies per-phase rows (the P_j, for ``rk4_periodic``) into them.
 """
 from __future__ import annotations
 
@@ -16,46 +19,55 @@ import numpy as np
 # Steps whose propagators are built at once; bounds the temporary arrays.
 _CHUNK = 1024
 
-
-def _times_shifted(a: np.ndarray, s: float, k: np.ndarray) -> np.ndarray:
-    """The entries of A (I + s K) for entry arrays A and K."""
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = s * k
-    b11 += 1.0
-    b22 += 1.0
-    return np.array([a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-                     a21 * b11 + a22 * b21, a21 * b12 + a22 * b22])
+# Steps multiplied together by doubling before the states are carried on.
+_BLOCK = 64
 
 
-def _step_propagators(a_of_t, t: np.ndarray, h: float) -> np.ndarray:
-    """Entries of the RK4 step matrices M = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y for 2x2 matrices x and 2xC matrices y, entries on the two leading axes."""
+    return x[:, :1] * y[:1] + x[:, 1:] * y[1:]
 
-    ``t`` is the half-step grid t_0, t_0 + h/2, ..., t_m of m steps.
+
+def _step_propagators(a_of_t, t: np.ndarray, h) -> np.ndarray:
+    """The RK4 step matrices M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), entries on axes (0, 1).
+
+    ``t``'s last axis is the half-step grid t_0, t_0 + h/2, ..., t_m of m
+    steps; ``h`` broadcasts against t without that axis.
     K1 = A(t), K2 = A(t+h/2) (I + h/2 K1), K3 = A(t+h/2) (I + h/2 K2)
-    and K4 = A(t+h) (I + h K3), so that one RK4 step is y -> M y.
+    and K4 = A(t+h) (I + h K3), so that one RK4 step is y -> M y; the
+    K here are h K, from h A.
     """
-    a = a_of_t(t)
-    a0, a_half, a1 = a[:, 0:-1:2], a[:, 1::2], a[:, 2::2]
-    k2 = _times_shifted(a_half, h / 2.0, a0)
-    k3 = _times_shifted(a_half, h / 2.0, k2)
-    k4 = _times_shifted(a1, h, k3)
-    m = (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
-    m[0] += 1.0
-    m[3] += 1.0
+    a = (h * a_of_t(t)).reshape((2, 2) + t.shape)
+    a0, a_half, a1 = a[..., 0:-1:2], a[..., 1::2], a[..., 2::2]
+    k2 = a_half + 0.5 * _mul(a_half, a0)
+    k3 = a_half + 0.5 * _mul(a_half, k2)
+    k4 = a1 + _mul(a1, k3)
+    m = (a0 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    m[0, 0] += 1.0
+    m[1, 1] += 1.0
     return m
 
 
-def _advance(m: np.ndarray, c: complex, d: complex,
-             out_c: np.ndarray, out_d: np.ndarray, start: int) -> tuple[complex, complex]:
-    """Apply the step matrices in order, recording states from out[start]."""
-    cs, ds = [], []
-    for m11, m12, m21, m22 in zip(*m.tolist()):
-        c, d = m11 * c + m12 * d, m21 * c + m22 * d
-        cs.append(c)
-        ds.append(d)
-    out_c[start:start + len(cs)] = cs
-    out_d[start:start + len(ds)] = ds
-    return c, d
+def _prefix_states(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The states (2, C, B, n) after each step matrix m (2, 2, B, n), from s (2, C, B).
+
+    Each column of s is a state of its run; the identity's two columns carry a product.
+    """
+    b, n = m.shape[2:]
+    blocks = max(1, -(-n // _BLOCK))
+    q = np.zeros((2, 2, b, blocks * _BLOCK), dtype=complex)
+    q[..., :n] = m
+    q[0, 0, :, n:] = q[1, 1, :, n:] = 1.0
+    q = q.reshape(2, 2, b, blocks, _BLOCK)
+    shift = 1
+    while shift < _BLOCK:  # q[..., i] = M_i ... M_1 of each block
+        q[..., shift:] = _mul(q[..., shift:], q[..., :-shift])
+        shift *= 2
+    start = np.empty(s.shape + (blocks,), dtype=complex)  # the states entering each block
+    start[..., 0] = s
+    for j in range(1, blocks):
+        start[..., j] = _mul(q[..., j - 1, -1], start[..., j - 1])
+    return _mul(q, start[..., None]).reshape(s.shape + (-1,))[..., :n]
 
 
 def rk4_linear(a_of_t, c0: complex, d0: complex, t0: float, h: float,
@@ -67,45 +79,52 @@ def rk4_linear(a_of_t, c0: complex, d0: complex, t0: float, h: float,
     t0 + n_full h landing exactly on the final time.  Overflow is not
     reported here: the caller checks the amplitudes for finiteness.
     """
-    out_c, out_d = np.empty((2, n_full + (2 if tail > 0.0 else 1)), dtype=complex)
-    c, d = complex(c0), complex(d0)
-    out_c[0], out_d[0] = c, d
+    out = np.empty((2, n_full + (2 if tail > 0.0 else 1)), dtype=complex)
+    out[:, 0] = c0, d0
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n_full, _CHUNK):
-            half_grid = np.arange(2 * k0, 2 * min(k0 + _CHUNK, n_full) + 1)
-            props = _step_propagators(a_of_t, t0 + half_grid * (h / 2.0), h)
-            c, d = _advance(props, c, d, out_c, out_d, k0 + 1)
-        _tail_step(a_of_t, t0 + n_full * h, tail, out_c, out_d)
-    return out_c, out_d
+            k1 = min(k0 + _CHUNK, n_full)
+            props = _step_propagators(a_of_t, t0 + np.arange(2 * k0, 2 * k1 + 1) * (h / 2.0), h)
+            states = _prefix_states(props[:, :, None], out[:, None, None, k0])
+            out[:, k0 + 1:k1 + 1] = states[:, 0, 0]
+        _tail_step(a_of_t, t0 + n_full * h, tail, out)
+    return out[0], out[1]
 
 
-def _tail_step(a_of_t, t: float, tail: float, out_c: np.ndarray, out_d: np.ndarray) -> None:
-    """One shortened step of length ``tail`` (if positive) from t into out[-1]."""
+def _tail_step(a_of_t, t: float, tail: float, out: np.ndarray) -> None:
+    """One shortened step of length ``tail`` (if positive) from t into out[:, -1]."""
     if tail > 0.0:
         props = _step_propagators(a_of_t, np.array([t, t + tail / 2.0, t + tail]), tail)
-        _advance(props, complex(out_c[-2]), complex(out_d[-2]), out_c, out_d, len(out_c) - 1)
+        out[:, -1] = _mul(props[..., 0], out[:, -2:-1])[:, 0]
 
 
-def rk4_period_factors(a_of_t, c0: complex, d0: complex, t0: float, h: float,
-                       n_full: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``rk4_periodic``'s one-period factors p, y: step m k + j holds P_j Y_m.
+def rk4_period_factors(a_of_t, c0: complex, d0: complex, t0: float, h, n_full,
+                       k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rk4_periodic``'s one-period factors of B runs sharing k: step m k + j is P_j Y_m.
 
-    The partial products P_0 = I ... P_k = U_T of the first period's step
-    matrices carry the basis vectors; Y_m = U_T Y_{m-1} from (c0, d0).  A
-    non-finite Y_m (m >= 1) raises FloatingPointError(m k).
+    ``h`` and ``n_full`` hold each run's step and step count (a scalar is
+    one run); ``a_of_t`` gets the (B, 2 k + 1) half-step grids, a run a
+    row.  Returns p (4, B, k + 1), the partial products P_0 = I ... P_k =
+    U_T of the first period's step matrices, and y (2, B, most periods),
+    Y_0 = (c0, d0) and Y_m = U_T Y_{m-1}; entries past a run's own
+    n_full // k + 1 periods are padding.  A non-finite Y_m (m >= 1) of
+    its own raises FloatingPointError(m k, b) for the first such run b.
     """
-    periods = n_full // k + 1  # the last one possibly partial
-    p = np.empty((4, k + 1), dtype=complex)  # rows P11, P12, P21, P22
-    y = np.empty((2, periods), dtype=complex)  # rows Y_c, Y_d
-    p[:, 0], y[:, 0] = (1.0, 0.0, 0.0, 1.0), (c0, d0)
+    h = np.atleast_1d(np.asarray(h, dtype=float))[:, None]
+    periods = np.atleast_1d(n_full) // k + 1  # the last one possibly partial
+    b = len(h)
+    p = np.empty((4, b, k + 1), dtype=complex)  # rows P11, P12, P21, P22
+    y = np.empty((2, b, periods.max()), dtype=complex)  # rows Y_c, Y_d
+    p[:, :, 0], y[:, :, 0] = np.array([[1.0], [0.0], [0.0], [1.0]]), np.array([[c0], [d0]])
     with np.errstate(over="ignore", invalid="ignore"):
         props = _step_propagators(a_of_t, t0 + np.arange(2 * k + 1) * (h / 2.0), h)
-        _advance(props, 1.0, 0.0, p[0], p[2], 1)
-        _advance(props, 0.0, 1.0, p[1], p[3], 1)
-        _advance(np.repeat(p[:, k:], periods - 1, axis=1), complex(c0), complex(d0), y[0], y[1], 1)
-    first_bad = int(np.argmin(np.isfinite(y).all(axis=0)))
-    if first_bad:
-        raise FloatingPointError(first_bad * k)
+        p[:, :, 1:] = _prefix_states(props, p[:, :, 0].reshape(2, 2, b)).reshape(4, b, k)
+        u = np.broadcast_to(p[:, :, k:].reshape(2, 2, b, 1), (2, 2, b, y.shape[2] - 1))
+        y[:, :, 1:] = _prefix_states(u, y[:, None, :, 0])[:, 0]
+    bad = ~np.isfinite(y).all(axis=0) & (np.arange(y.shape[2]) < periods[:, None])
+    if bad.any():
+        first = int(np.argmax(bad.any(axis=1)))
+        raise FloatingPointError(int(np.argmax(bad[first])) * k, first)
     return p, y
 
 
@@ -133,6 +152,6 @@ def rk4_periodic(a_of_t, c0: complex, d0: complex, t0: float, h: float,
     """
     p, y = rk4_period_factors(a_of_t, c0, d0, t0, h, n_full, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        out_c, out_d = expand_periods(p[:, :k], y, n_full + (2 if tail > 0.0 else 1))
-        _tail_step(a_of_t, t0 + n_full * h, tail, out_c, out_d)
-    return out_c, out_d
+        out = expand_periods(p[:, 0, :k], y[:, 0], n_full + (2 if tail > 0.0 else 1))
+        _tail_step(a_of_t, t0 + n_full * h, tail, out)
+    return out[0], out[1]

@@ -477,11 +477,25 @@ class TestEvolve:
 
     @pytest.mark.filterwarnings("error")
     def test_numerical_blowup_exits_one(self, tmp_path):
-        doc = {"omega0": 1.0, "omega": 1.0, "coupling": 1e150, "n": 1,
+        # coupling 100i grows the static block like e^{100 t}: the step is stable
+        # (h |kappa| = 1), and the amplitudes still leave float64 near t = 7.1
+        doc = {"omega0": 1.0, "omega": 1.0, "coupling": [0.0, 100.0], "n": 1,
                "rhs": "static", "initial_c": 1.0, "initial_d": 0.0,
-               "t1": 4.0, "step": 1.0}
+               "t1": 10.0, "step": 0.01}
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 1
+
+    def test_coupling_past_rk4_stability_refused(self, tmp_path, capsys, no_integration):
+        # a12 a21 = -kappa^2 at every t, so the static block, with no diagonal, still
+        # needs h |kappa| <= 2 sqrt(2); here it is 5.  Integrated anyway, |c|^2 + |d|^2
+        # reached 3.9e106 by t = 2
+        doc = {"omega0": 1.0, "omega": 1.0, "coupling": 100.0, "n": 1, "rhs": "static",
+               "initial_c": 1.0, "initial_d": 0.0, "t1": 2.0, "step": 0.05}
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "|kappa|, 5, plus the step times the largest diagonal rate, 0, exceeds" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_csv_is_an_io_failure(self, tmp_path, capsys):
         doc = {"omega0": 1.0, "omega": 1.0, "coupling": 0.05, "n": 1, "rhs": "static",
@@ -764,6 +778,22 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
         err = capsys.readouterr().err
         assert "'ratios'" in err and "'beta'" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        # ratio 2 has 255 steps, under one 400-step window; ratio 100 would run
+        ({"ratios": [2.0, 100.0]}, "duration too short for the averaging window"),
+        # over 800 Rabi units the envelopes grow like e^{g t} past float64 at ratio
+        # 100, and ratio 20000 asks for 1.0e9 steps: every ratio is checked before
+        # the one batched integration, and ratio 100's error still comes first
+        ({"duration_rabi_units": 800.0, "ratios": [100.0, 20000.0]},
+         "non-finite amplitudes at t = 14213.8")])
+    def test_sweep_reports_the_first_failing_ratio(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, doc)
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "sample budget" not in err
         assert not outdir.exists()
 
     def test_sweep_csv_bytes_match_the_per_row_writer(self, tmp_path):

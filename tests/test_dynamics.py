@@ -529,6 +529,20 @@ class TestIntegrate:
         assert (np.abs(c - c_ref) / scale).max() <= 1e-12
         assert (np.abs(d - d_ref) / scale).max() <= 1e-12
 
+    def test_long_detuned_run_matches_generic_rk4(self):
+        # the evolve-detuned shape over 8,192 steps (8 chunks of 16 blocks): the blocked
+        # scan's rounding grows with the run (measured 2.9e-14 here, 4.7e-14 at 16,000
+        # steps), and must stay far under 1e-12
+        p = JcParams(1.0123, 1.0, 0.05)
+        mod = ModulationSpec(ATOM, solve_modulation_beta(p, ATOM, 2, 5.0), 5.0)
+        rhs = bind_driven_rhs(p, mod, 2, Frame.GAUGED)
+        assert rhs.period is None
+        h, n_full = 1.0 / 256.0, 8192
+        traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.0, n_full * h, h)
+        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.0, h, n_full, 0.0)
+        assert len(traj) == n_full + 1
+        assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
+
 
 def _refuse(*args):
     raise AssertionError("this RK4 path must not run")
@@ -617,6 +631,55 @@ class TestPeriodicPath:
         rhs = BoundRhs(grow, Frame.LAB, 1, 0.0, 1.0)
         with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
             integrate(rhs, 1.0, 1.0, 0.0, 40.0, 0.1)
+
+
+class TestBlockedScan:
+    """kernels: step matrices multiplied by doubling within blocks, states carried between."""
+
+    @staticmethod
+    def diagonal(a11, a22):
+        """A = diag(a11, a22) at every t; each broadcasts against t (one row a run)."""
+        def matrix(t):
+            a = np.zeros((4,) + t.shape, dtype=complex)
+            a[0], a[3] = a11, a22
+            return a
+
+        return matrix
+
+    def test_zero_component_stays_zero_past_an_overflowing_product(self):
+        # A = diag(20, -20), h = 0.1: a step multiplies c by 7 and d by 1/3.  The product
+        # of all 400 steps would hold 7^400, past float64, and times c = 0 give nan;
+        # carried states keep c exactly 0, as the per-step loop did
+        split = self.diagonal(20.0, -20.0)
+        c, d = kernels.rk4_linear(split, 0.0, 1.0, 0.0, 0.1, 400, 0.0)
+        assert np.isfinite(c).all() and np.isfinite(d).all()
+        assert not c.any()
+        c_ref, d_ref = rk4_generic(BoundRhs(split, Frame.LAB, 1, 20.0), 0.0, 1.0, 0.0, 0.1, 400,
+                                   0.0)
+        assert not c_ref.any()
+        np.testing.assert_allclose(d, d_ref, rtol=1e-12, atol=0.0)
+
+    def test_padding_past_a_run_is_not_read(self):
+        # two runs of 10-step periods, A = 60 I and I: the first's 100 steps end near
+        # 1.1e206, but its padded states go on growing past float64 up to the second's
+        # 400 steps; only the second run's own periods count
+        rates = np.array([[60.0], [1.0]])
+        grow = self.diagonal(rates, rates)
+        p, y = kernels.rk4_period_factors(grow, 1.0, 1.0, 0.0, [0.1, 0.1], [100, 400], 10)
+        assert p.shape == (4, 2, 11) and y.shape == (2, 2, 41)
+        assert np.isfinite(y[:, 0, :11]).all() and not np.isfinite(y[:, 0, -1]).any()
+        _, y_alone = kernels.rk4_period_factors(self.diagonal(60.0, 60.0), 1.0, 1.0, 0.0, 0.1,
+                                                100, 10)
+        assert y[:, 0, :11].tobytes() == y_alone[:, 0].tobytes()
+
+    def test_overflow_names_the_run_and_the_step(self):
+        # the second run grows 115-fold a step: its states leave float64 within the 15th
+        # period, so Y_15 (step 150) is the first non-finite one
+        rates = np.array([[1.0], [60.0]])
+        grow = self.diagonal(rates, rates)
+        with pytest.raises(FloatingPointError) as info:
+            kernels.rk4_period_factors(grow, 1.0, 1.0, 0.0, [0.1, 0.1], [400, 400], 10)
+        assert info.value.args == (150, 1)
 
 
 def sampled_rate(rhs, big_omega):

@@ -8,6 +8,7 @@ against S(z) = sum over m != 0 of J_m(z) / m computed with SciPy.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,6 +293,33 @@ class TestModuliScoring:
         write_comparison_csv(report, path)
         assert expanded == [report.count, report.count]
         assert path.read_bytes() == per_row_comparison_text(report).encode("utf-8")
+
+
+class TestBatchedSweep:
+    """A sweep integrates all its ratios in one kernels.rk4_period_factors call."""
+
+    @pytest.mark.parametrize("target, n, convention, measure", [
+        (ATOM, 1, SPLITTING_CONVENTION, SLOW_MEASURE),
+        (CAVITY, 3, GAUGE_CONVENTION, PRINTED_MEASURE)])
+    def test_members_do_not_mix(self, monkeypatch, target, n, convention, measure):
+        # each ratio's error is bit for bit the one its run gets alone
+        batches = []
+        factors = kernels.rk4_period_factors
+
+        def spy(*args):
+            batches.append(len(args[4]))
+            return factors(*args)
+
+        monkeypatch.setattr(kernels, "rk4_period_factors", spy)
+        cfg = default_cfg(target=target, n=n)
+        curve = convergence_sweep(cfg, [100.0, 200.0, 400.0], convention=convention,
+                                  measure=measure)
+        assert batches == [3]
+        for ratio, err in curve:
+            alone = run_equivalence_experiment(replace(cfg, omega_ratio=ratio),
+                                               convention=convention, measure=measure)
+            assert err.hex() == alone.max_rel_err.hex()
+        assert batches == [3, 1, 1, 1]
 
 
 class TestExperimentGuards:
