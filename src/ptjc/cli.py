@@ -216,7 +216,7 @@ def cmd_evolve(args) -> int:
     t1 = _parse_real(doc["t1"], "evolve.t1")
     step_raw = doc.get("step")
     step = (_parse_real(step_raw, "evolve.step") if step_raw is not None
-            else suggested_step(params, mod, rhs))
+            else suggested_step(mod, rhs))
     frames = doc.get("frames", [rhs.frame.value])
     if not isinstance(frames, list) or not frames:
         raise ConfigError("evolve config: frames must be a non-empty list")

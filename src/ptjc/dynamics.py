@@ -14,12 +14,11 @@ two against each other.
 
 Each bind_* helper returns a ``BoundRhs``, the one owner of a run's
 linear (c, d)' = A(t) (c, d), block index n, frame (the static rhs runs
-in the interaction frame), largest diagonal rate, coupling modulus and
-drive period (when A repeats).  ``integrate`` tags its trajectory with
-the rhs's n and frame.  Fixed-step RK4 (``ptjc.kernels.rk4_periodic``
-when the step divides that period, else ``rk4_linear``; both blocked
-prefix products, no per-step loop) lands exactly on t1 via a shortened
-last step; at most MAX_STEPS steps per call.
+in the interaction frame), largest diagonal rate and coupling modulus.
+``integrate`` tags its trajectory with the rhs's n and frame.  Its
+fixed-step RK4 is ``ptjc.kernels.rk4_linear`` for every rhs (blocked
+prefix products, no per-step loop); it lands exactly on t1 via a
+shortened last step, at most MAX_STEPS steps per call.
 
 ``_relative_phase_amplitude`` is the package's one z, the amplitude of
 the relative phase z sin(Omega t) between c and d: the averaged rhs
@@ -164,7 +163,6 @@ class BoundRhs:
     frame: Frame
     n: int
     rate: float
-    period: Optional[float] = None  # a T with A(t + T) = A(t), if known
     kappa: float = 0.0
 
     def __post_init__(self):
@@ -247,8 +245,7 @@ def bind_driven_rhs(params: JcParams, mod: ModulationSpec, n: int, frame: Frame)
         return a
 
     rate = max(abs(c.imag) + abs(b.imag) for c, b in diag)
-    return BoundRhs(matrix, frame, n, rate, None if delta else 2.0 * math.pi / mod.big_omega,
-                    abs(kappa))
+    return BoundRhs(matrix, frame, n, rate, abs(kappa))
 
 
 def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
@@ -260,7 +257,7 @@ def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
         a[1] = a[2] = -1j * kappa
         return a
 
-    return BoundRhs(matrix, Frame.INTERACTION, n, 0.0, kappa=abs(kappa))
+    return BoundRhs(matrix, Frame.INTERACTION, n, 0.0, abs(params.coupling) * math.sqrt(n))
 
 
 def averaged_effective_coupling(params: JcParams, mod: ModulationSpec,
@@ -304,11 +301,11 @@ def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t
     return c0 * parts[..., 0] + d0 * parts[..., 1], d0 * parts[..., 0] + c0 * parts[..., 1]
 
 
-def suggested_step(params: JcParams, mod: Optional[ModulationSpec], rhs: BoundRhs,
+def suggested_step(mod: Optional[ModulationSpec], rhs: BoundRhs,
                    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> float:
-    """The fastest of the Rabi, drive and diagonal (``rhs.rate``) periods over
-    steps_per_period, so that h rhs.rate stays far inside RK4's stability limit."""
-    rates = [abs(params.coupling) * math.sqrt(rhs.n), rhs.rate]
+    """The fastest of the Rabi (``rhs.kappa``), drive and diagonal (``rhs.rate``) periods
+    over steps_per_period, so that h rhs.rate stays far inside RK4's stability limit."""
+    rates = [rhs.kappa, rhs.rate]
     if mod is not None:
         rates.append(mod.big_omega)
     if not max(rates) > 0:
@@ -359,13 +356,13 @@ def integrate(rhs: BoundRhs, c0: complex, d0: complex, t0: float, t1: float,
     """Classical fixed-step RK4 of (c, d) from (c0, d0) at t0 to t1, recording every step.
 
     ``rhs`` comes from a bind_* helper (a plain callable raises TypeError);
-    the trajectory is tagged with its frame and n.  ``kernels.rk4_periodic``
-    runs if ``rhs.period`` is k steps to 1e-12 relative, 1 <= k <= n_full,
-    else ``kernels.rk4_linear``.  t1 is reached exactly, via a shortened
-    last step when (t1 - t0) / step is not integral.  Non-finite c0 or d0, a
-    step that is not positive and finite, t1 <= t0 and more than MAX_STEPS
+    the trajectory is tagged with its frame and n.  ``kernels.rk4_linear``
+    steps every rhs, and t1 is reached exactly, via a shortened last step
+    when (t1 - t0) / step is not integral.  Non-finite c0 or d0, a step
+    that is not positive and finite, t1 <= t0 and more than MAX_STEPS
     steps raise ValueError before any allocation; IntegrationError means
-    the amplitudes left float64 during the run.
+    the amplitudes left float64 during the run, naming the first
+    non-finite sample's time.
     """
     if not isinstance(rhs, BoundRhs):
         raise TypeError(f"integrate needs a BoundRhs, got {type(rhs).__name__}")
@@ -377,16 +374,9 @@ def integrate(rhs: BoundRhs, c0: complex, d0: complex, t0: float, t1: float,
     if not t1 > t0:
         raise ValueError(f"t1 must exceed t0, got [{t0}, {t1}]")
     n_full, tail = _split_steps(t0, t1, step)
-    k = round(min(rhs.period / step, n_full)) if rhs.period else 0
-    if not (k > 0 and abs(k * step - rhs.period) <= 1e-12 * rhs.period):
-        k = 0
-    args = (rhs.matrix, c0, d0, t0, step, n_full, tail)
-    try:
-        cs, ds = kernels.rk4_periodic(*args, k) if k else kernels.rk4_linear(*args)
-        # the initial state is finite, so index 0 means every sample is
-        first = int(np.argmin(np.isfinite(cs) & np.isfinite(ds)))
-    except FloatingPointError as exc:  # a period-boundary state left float64
-        first = exc.args[0]
+    cs, ds = kernels.rk4_linear(rhs.matrix, c0, d0, t0, step, n_full, tail)
+    # the initial state is finite, so index 0 means every sample is
+    first = int(np.argmin(np.isfinite(cs) & np.isfinite(ds)))
     if first:
         t_bad = t0 + first * step if first <= n_full else t1
         raise IntegrationError(f"non-finite amplitudes at t = {t_bad}")

@@ -315,9 +315,13 @@ def _drive(cfg: ExperimentConfig, beta: Optional[complex], convention: str,
     return _Drive(mod.beta, z, kappa, big_omega, kick, dt, n_steps)
 
 
-def _past_float64(z: complex) -> str:
-    return (f"past the float64 limit {np.finfo(float).max:.4g}: |Im z| = {abs(z.imag):.6g} "
-            "grows them up to exp(2 |Im z|)-fold a period")
+def _past_float64(z: complex, kappa: float, t: float) -> str:
+    """Both growths of amplitudes that left float64 by t, as exponents beside the limit's."""
+    limit, envelope = np.finfo(float).max, abs((kappa * bessel_j0(z)).imag) * t
+    return (f"past the float64 limit {limit:.4g} = exp({math.log(limit):.2f}): |Im z| = "
+            f"{abs(z.imag):.6g} grows them up to exp(2 |Im z|) = exp({2 * abs(z.imag):.4g})-fold "
+            f"a period, the averaged coupling kappa J0(z) up to exp(|Im(kappa J0(z))| t) = "
+            f"exp({envelope:.4g})-fold by t = {t:.6g}")
 
 
 def _integrate(k: int, drives: Sequence[_Drive]) -> list:
@@ -331,10 +335,11 @@ def _integrate(k: int, drives: Sequence[_Drive]) -> list:
     try:
         p, y = kernels.rk4_period_factors(_slow_block(kappa, z, big_omega), 0.0, 1.0, 0.0,
                                           [d.dt for d in drives], [d.n_steps for d in drives], k)
-    except FloatingPointError as exc:  # only Im z grows the amplitudes below the limit
+    except FloatingPointError as exc:
         step, b = exc.args
-        raise ValueError(f"non-finite amplitudes at t = {step * drives[b].dt}, "
-                         f"{_past_float64(drives[b].z)}") from None
+        d = drives[b]
+        raise ValueError(f"non-finite amplitudes at t = {step * d.dt}, "
+                         f"{_past_float64(d.z, d.kappa, step * d.dt)}") from None
     return [(d, p[:, b], y[:, b, :d.n_steps // k + 1]) for b, d in enumerate(drives)]
 
 
@@ -385,7 +390,8 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
             csum = np.cumsum(b, axis=2)
             a = (csum[..., k:] - csum[..., :k] + 0.5 * (b[..., :k] - b[..., k:])) / k
         if not np.isfinite(a).all():
-            raise ValueError(f"non-finite window rows, {_past_float64(z)}")
+            span = (2 * k - 1) * dt  # of the rows' samples a_0 ... a_{2k-1}
+            raise ValueError(f"non-finite window rows, {_past_float64(z, kappa, span)}")
     window = a.reshape(4, k)
 
     count = n_steps + 1 - width

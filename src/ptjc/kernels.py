@@ -6,11 +6,12 @@ matrix built from A(t), A(t + h/2) and A(t + h).  ``_prefix_states``
 applies a run of them with no per-step Python loop: within blocks of
 _BLOCK steps it multiplies them together by doubling, and from block to
 block it carries the states, so no product spans more than a block and a
-component that is exactly 0 stays 0.  ``rk4_linear`` builds the matrices
-a chunk at a time.  When A has period k h, ``rk4_period_factors`` builds
-only the first period's, for B runs sharing k, with their partial
-products P_j and the period-boundary states Y_m; ``expand_periods``
-multiplies per-phase rows (the P_j, for ``rk4_periodic``) into them.
+component that is exactly 0 stays 0.  ``rk4_linear``, the one path of
+``ptjc.dynamics.integrate``, builds the matrices a chunk at a time.  When
+A has period k h, ``rk4_period_factors`` builds only the first period's,
+for B runs sharing k, with their partial products P_j and the
+period-boundary states Y_m; ``expand_periods`` multiplies per-phase rows
+into them.  ``ptjc.equivalence`` alone uses these two.
 """
 from __future__ import annotations
 
@@ -87,20 +88,16 @@ def rk4_linear(a_of_t, c0: complex, d0: complex, t0: float, h: float,
             props = _step_propagators(a_of_t, t0 + np.arange(2 * k0, 2 * k1 + 1) * (h / 2.0), h)
             states = _prefix_states(props[:, :, None], out[:, None, None, k0])
             out[:, k0 + 1:k1 + 1] = states[:, 0, 0]
-        _tail_step(a_of_t, t0 + n_full * h, tail, out)
+        if tail > 0.0:  # one shortened step from t0 + n_full h
+            t = t0 + n_full * h
+            props = _step_propagators(a_of_t, np.array([t, t + tail / 2.0, t + tail]), tail)
+            out[:, -1] = _mul(props[..., 0], out[:, -2:-1])[:, 0]
     return out[0], out[1]
-
-
-def _tail_step(a_of_t, t: float, tail: float, out: np.ndarray) -> None:
-    """One shortened step of length ``tail`` (if positive) from t into out[:, -1]."""
-    if tail > 0.0:
-        props = _step_propagators(a_of_t, np.array([t, t + tail / 2.0, t + tail]), tail)
-        out[:, -1] = _mul(props[..., 0], out[:, -2:-1])[:, 0]
 
 
 def rk4_period_factors(a_of_t, c0: complex, d0: complex, t0: float, h, n_full,
                        k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``rk4_periodic``'s one-period factors of B runs sharing k: step m k + j is P_j Y_m.
+    """One-period factors of B runs sharing A's period k h: step m k + j is P_j Y_m.
 
     ``h`` and ``n_full`` hold each run's step and step count (a scalar is
     one run); ``a_of_t`` gets the (B, 2 k + 1) half-step grids, a run a
@@ -132,26 +129,13 @@ def expand_periods(rows: np.ndarray, states: np.ndarray, count: int) -> np.ndarr
     """The first ``count`` samples R_j states[:, m], sample m k + j, as (2, count).
 
     ``rows`` (4, k) holds the per-phase 2x2 R_j by entry; each component
-    fills a (periods, k) buffer by contiguous elementwise products.
-    Samples past the last state's period are left unset.
+    fills a (periods, k) buffer by contiguous elementwise products;
+    ``states`` holds at least the ceil(count / k) periods.
     """
     k = rows.shape[1]
     out = np.empty((2, -(-count // k), k), dtype=complex)
-    m = min(out.shape[1], states.shape[1])
+    m = out.shape[1]
     for i in range(2):
-        np.multiply(states[0, :m, None], rows[2 * i], out=out[i, :m])
-        out[i, :m] += states[1, :m, None] * rows[2 * i + 1]
+        np.multiply(states[0, :m, None], rows[2 * i], out=out[i])
+        out[i] += states[1, :m, None] * rows[2 * i + 1]
     return out.reshape(2, -1)[:, :count]
-
-
-def rk4_periodic(a_of_t, c0: complex, d0: complex, t0: float, h: float,
-                 n_full: int, tail: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``rk4_linear`` for A(t + k h) = A(t), 1 <= k <= n_full, from one period.
-
-    A period-boundary FloatingPointError comes before any per-sample array.
-    """
-    p, y = rk4_period_factors(a_of_t, c0, d0, t0, h, n_full, k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = expand_periods(p[:, 0, :k], y[:, 0], n_full + (2 if tail > 0.0 else 1))
-        _tail_step(a_of_t, t0 + n_full * h, tail, out)
-    return out[0], out[1]

@@ -37,13 +37,11 @@ def canonical_json_text(payload):
 
 @pytest.fixture
 def no_integration(monkeypatch):
-    """Fail the test if any RK4 integration is started, on any path."""
+    """Fail the test if any RK4 integration is started: every path builds step matrices."""
     def refuse(*args):
         raise AssertionError("integration started")
 
-    monkeypatch.setattr(kernels, "rk4_linear", refuse)
-    monkeypatch.setattr(kernels, "rk4_periodic", refuse)
-    monkeypatch.setattr(kernels, "rk4_period_factors", refuse)
+    monkeypatch.setattr(kernels, "_step_propagators", refuse)
 
 
 class TestSolveBeta:
@@ -457,13 +455,9 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         assert "limit |Im z| <= 690" in capsys.readouterr().err
 
-    def test_lab_rhs_takes_the_period_path(self, tmp_path, monkeypatch):
+    def test_lab_rhs_partial_period_and_tail(self, tmp_path):
         # 2 pi / 5 is 40 steps of 0.01 pi; t1 = 2 leaves a partial period
         # and a shortened last step
-        def refuse(*args):
-            raise AssertionError("stepped in order")
-
-        monkeypatch.setattr(kernels, "rk4_linear", refuse)
         doc = self.gauged_doc()
         doc.update(rhs="lab", frames=["lab"], step=0.01 * math.pi)
         doc["modulation"]["beta"] = 0.3
@@ -589,7 +583,6 @@ class TestCompare:
             raise AssertionError("per-sample trajectory built")
 
         monkeypatch.setattr(kernels, "rk4_linear", refuse)
-        monkeypatch.setattr(kernels, "rk4_periodic", refuse)
         argv = ["compare", "--output-dir", str(tmp_path / "out")]
         if doc is not None:
             argv += ["--config", write_config(tmp_path, doc)]
@@ -674,6 +667,16 @@ class TestCompare:
         assert f"|Im z| = {imag / 5.0:g}" in err and "float64 limit 1.798e+308" in err
         assert boundary and boundary[0] % 400 == 0
         assert not outdir.exists()
+
+    def test_envelope_overflow_names_its_exponent(self, tmp_path, capsys):
+        # over 800 Rabi units the i g envelope, exp(|Im(kappa J0(z))| t), passes
+        # ln(1.798e308) = 709.78 at ratio 100, while exp(2 |Im z|) is 17 a period
+        cfg = write_config(tmp_path, {"duration_rabi_units": 800, "ratios": [100, 20000]})
+        assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite amplitudes at t = 14213.8" in err and "= exp(709.78)" in err
+        assert "|Im z| = 1.42029" in err and "exp(2 |Im z|) = exp(2.841)-fold" in err
+        assert "exp(|Im(kappa J0(z))| t) = exp(710.7)-fold by t = 14213.8" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("imag, code", [(50.0, 2), (40.0, 1), (35.0, 0)])

@@ -500,6 +500,15 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="t ="):
             integrate(grow, 1.0, 1.0, 0.0, 1.0, 0.1)
 
+    def test_blowup_names_the_first_non_finite_sample(self):
+        # A = 60 I, h = 0.1: a step multiplies by 1 + 6 + 18 + 36 + 54 = 115, and 115^150
+        # is its first power past float64; a tail after the overflow reports t1
+        grow = BoundRhs(TestBlockedScan.diagonal(60.0, 60.0), Frame.LAB, 1, 0.0)
+        with pytest.raises(IntegrationError, match=f"t = {150 * 0.1}$"):
+            integrate(grow, 1.0, 1.0, 0.0, 40.0, 0.1)
+        with pytest.raises(IntegrationError, match="t = 14.99$"):
+            integrate(grow, 1.0, 1.0, 0.0, 14.99, 0.1)
+
     def test_refuses_plain_callable(self):
         with pytest.raises(TypeError, match="BoundRhs"):
             integrate(lambda t, c, d: (0.0, 0.0), 1.0, 0.0, 0.0, 1.0, 0.1)
@@ -536,16 +545,11 @@ class TestIntegrate:
         p = JcParams(1.0123, 1.0, 0.05)
         mod = ModulationSpec(ATOM, solve_modulation_beta(p, ATOM, 2, 5.0), 5.0)
         rhs = bind_driven_rhs(p, mod, 2, Frame.GAUGED)
-        assert rhs.period is None
         h, n_full = 1.0 / 256.0, 8192
         traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.0, n_full * h, h)
         c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.0, h, n_full, 0.0)
         assert len(traj) == n_full + 1
         assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
-
-
-def _refuse(*args):
-    raise AssertionError("this RK4 path must not run")
 
 
 def _max_rel_dev(traj, c_ref, d_ref):
@@ -555,82 +559,56 @@ def _max_rel_dev(traj, c_ref, d_ref):
 
 
 class TestPeriodicPath:
-    """kernels.rk4_periodic: one period of step matrices, every sample expanded."""
+    """Runs whose step divides a drive period, and those around them, against the oracle."""
 
     @pytest.mark.parametrize("ratio", [100.0, 200.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("convention", ["gauge", "splitting"])
     @pytest.mark.parametrize("target", [ATOM, CAVITY])
-    def test_compare_runs_match_generic_rk4(self, monkeypatch, target, convention, n, ratio):
+    def test_compare_runs_match_generic_rk4(self, target, convention, n, ratio):
         # the gauged resonant drive of `ptjc compare` at its defaults:
         # 400 steps a period over 2 Rabi units
         p = JcParams(1.0, 1.0, 0.05)
         big_omega = ratio * 0.05 * math.sqrt(n)
         beta = solve_modulation_beta(p, target, n, big_omega, convention)
         rhs = bind_driven_rhs(p, ModulationSpec(target, beta, big_omega), n, Frame.GAUGED)
-        assert rhs.period == 2.0 * math.pi / big_omega
-        h = rhs.period / 400
+        h = 2.0 * math.pi / big_omega / 400
         n_steps = math.ceil(2.0 / (0.05 * math.sqrt(n)) / h - 1e-9)
-        monkeypatch.setattr(kernels, "rk4_linear", _refuse)
         traj = integrate(rhs, 0.0, 1.0, 0.0, n_steps * h, h)
         c_ref, d_ref = rk4_generic(rhs, 0.0, 1.0, 0.0, h, n_steps, 0.0)
         assert len(traj) == n_steps + 1
         assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
 
-    @pytest.mark.parametrize("target", [ATOM, CAVITY])
-    def test_partial_last_period_and_tail(self, monkeypatch, target):
-        # lab frame, detuned, complex beta: 7 whole periods of 50 steps,
-        # 13 steps of an eighth and a 0.4-step tail
-        p = JcParams(1.1, 0.9, 0.05)
-        mod = ModulationSpec(target, 0.4 - 0.15j, 2.0)
-        rhs = bind_driven_rhs(p, mod, 2, Frame.LAB)
-        h = rhs.period / 50
-        t1 = 0.25 + (7 * 50 + 13.4) * h
-        monkeypatch.setattr(kernels, "rk4_linear", _refuse)
-        traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.25, t1, h)
-        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.25, h, 7 * 50 + 13, 0.4 * h)
-        assert len(traj) == 7 * 50 + 13 + 2 and traj.times[-1] == t1
-        assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
-
-    @pytest.mark.parametrize("case", ["detuned_gauged", "step_not_dividing", "under_one_period",
-                                      "static", "averaged"])
-    def test_other_cases_step_in_order(self, monkeypatch, case):
-        p = JcParams(1.0, 1.0, 0.05)
-        mod = ModulationSpec(ATOM, 0.3, 2.0)
-        rhs, step, t1 = bind_driven_rhs(p, mod, 1, Frame.GAUGED), math.pi / 40, 10.0
-        if case == "detuned_gauged":
+    @pytest.mark.parametrize("case", ["lab_atom", "lab_cavity", "detuned_gauged",
+                                      "step_not_dividing", "under_one_period", "static",
+                                      "averaged"])
+    def test_partial_last_period_and_tail(self, case):
+        # lab frame, detuned, complex beta: 7 whole periods of 50 steps, 13 steps of an
+        # eighth and a 0.4-step tail.  The rest: the resonant gauged atom at 40 steps a
+        # period over 10 time units, or a run beside it (no period, another step, under
+        # one period, the static and averaged blocks)
+        p, mod = JcParams(1.0, 1.0, 0.05), ModulationSpec(ATOM, 0.3, 2.0)
+        rhs, h, t0, t1 = bind_driven_rhs(p, mod, 1, Frame.GAUGED), math.pi / 40, 0.0, 10.0
+        if case.startswith("lab"):
+            mod = ModulationSpec(CAVITY if case == "lab_cavity" else ATOM, 0.4 - 0.15j, 2.0)
+            rhs, h = bind_driven_rhs(JcParams(1.1, 0.9, 0.05), mod, 2, Frame.LAB), math.pi / 50
+            t0, t1 = 0.25, 0.25 + (7 * 50 + 13.4) * h
+        elif case == "detuned_gauged":
             rhs = bind_driven_rhs(JcParams(1.02, 1.0, 0.05), mod, 1, Frame.GAUGED)
-            assert rhs.period is None
         elif case == "step_not_dividing":
-            step = math.pi / 40.5
+            h = math.pi / 40.5
         elif case == "under_one_period":
             t1 = 0.9 * math.pi
         elif case == "static":
             rhs = bind_static_rhs(p, 1)
-        else:
+        elif case == "averaged":
             rhs = bind_averaged_rhs(p, mod, 1)
-        assert case in ("step_not_dividing", "under_one_period") or rhs.period is None
-        monkeypatch.setattr(kernels, "rk4_periodic", _refuse)
-        c_ref, d_ref = rk4_generic(rhs, 0.0, 1.0, 0.0, step,
-                                   *dynamics._split_steps(0.0, t1, step))
-        assert _max_rel_dev(integrate(rhs, 0.0, 1.0, 0.0, t1, step), c_ref, d_ref) <= 1e-12
-
-    def test_overflow_found_at_a_period_boundary(self):
-        # A = 60 I grows e^{60 h} a step: the states leave float64 within
-        # the 12th period of 10 steps; the boundary after it reports
-        def grow(t):
-            a = np.zeros((4,) + t.shape, dtype=complex)
-            a[0] = a[3] = 60.0
-            return a
-
-        c_lin, d_lin = kernels.rk4_linear(grow, 1.0, 1.0, 0.0, 0.1, 400, 0.0)
-        first = int(np.argmin(np.isfinite(c_lin) & np.isfinite(d_lin)))
-        with pytest.raises(FloatingPointError) as info:
-            kernels.rk4_periodic(grow, 1.0, 1.0, 0.0, 0.1, 400, 0.0, 10)
-        assert first > 0 and info.value.args[0] - 10 < first <= info.value.args[0]
-        rhs = BoundRhs(grow, Frame.LAB, 1, 0.0, 1.0)
-        with pytest.raises(IntegrationError, match=f"t = {info.value.args[0] * 0.1}"):
-            integrate(rhs, 1.0, 1.0, 0.0, 40.0, 0.1)
+        traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, t0, t1, h)
+        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, t0, h,
+                                   *dynamics._split_steps(t0, t1, h))
+        assert traj.times[-1] == t1 and len(traj) == len(c_ref)
+        assert not case.startswith("lab") or len(traj) == 7 * 50 + 13 + 2
+        assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
 
 
 class TestBlockedScan:
@@ -693,8 +671,8 @@ class TestRk4Stability:
     """check_rk4_stability: h rhs.rate, the closed-form max |Im a_jj|, against 2 sqrt(2)."""
 
     def test_detuned_gauged_atom(self):
-        # rhs.period is None off resonance, but the diagonal
-        # a22 = i (omega0 beta / 2) cos(Omega t) still peaks at 1020
+        # off resonance the diagonal a22 = i (omega0 beta / 2) cos(Omega t)
+        # still peaks at 1020
         mod = ModulationSpec(ATOM, 2000.0, 5.0)
         rhs = bind_driven_rhs(JcParams(1.02, 1.0, 0.05), mod, 1, Frame.GAUGED)
         period = 2.0 * math.pi / 5.0
@@ -726,7 +704,7 @@ class TestRk4Stability:
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(CAVITY, 0.3, 2.0)
         for rhs in (bind_driven_rhs(p, mod, 3, Frame.LAB), bind_static_rhs(p, 3)):
-            check_rk4_stability(rhs, suggested_step(p, mod, rhs))
+            check_rk4_stability(rhs, suggested_step(mod, rhs))
 
     def test_non_finite_step_is_left_to_integrate(self):
         rhs = bind_driven_rhs(JcParams(1.0, 1.0, 0.05), ModulationSpec(ATOM, 0.3, 2.0), 1,
@@ -743,7 +721,7 @@ class TestStepAndSerialization:
         # drive period 2pi/5 is shorter than the Rabi period 2pi/0.05 and the
         # diagonal's 2pi/0.55
         rhs = bind_driven_rhs(p, mod, 1, Frame.LAB)
-        assert suggested_step(p, mod, rhs) == pytest.approx((2.0 * math.pi / 5.0) / 400.0)
+        assert suggested_step(mod, rhs) == pytest.approx((2.0 * math.pi / 5.0) / 400.0)
 
     def test_suggested_step_resolves_the_diagonal(self):
         # n = 1000: the lab diagonal turns at 999.55, past Omega = 5; the drive period
@@ -751,14 +729,23 @@ class TestStepAndSerialization:
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.1, big_omega=5.0)
         rhs = bind_driven_rhs(p, mod, 1000, Frame.LAB)
-        step = suggested_step(p, mod, rhs)
+        step = suggested_step(mod, rhs)
         assert step == pytest.approx(2.0 * math.pi / 999.55 / 400.0)
         assert step * rhs.rate == pytest.approx(2.0 * math.pi / 400.0)
+
+    def test_suggested_step_takes_the_averaged_coupling(self):
+        # the averaged atom at the gauge beta couples with g J0(2 r) = 3.06 g, past
+        # Omega = 0.1: the coupling, not g, sets the step
+        p = JcParams(1.0, 1.0, 0.05)
+        mod = ModulationSpec(ATOM, solve_modulation_beta(p, ATOM, 1, 0.1, "gauge"), 0.1)
+        rhs = bind_averaged_rhs(p, mod, 1)
+        assert rhs.kappa == pytest.approx(0.153, rel=2e-3)
+        assert suggested_step(mod, rhs) == 2.0 * math.pi / rhs.kappa / 400
 
     def test_suggested_step_requires_a_timescale(self):
         p = JcParams(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            suggested_step(p, None, bind_static_rhs(p, 1))
+            suggested_step(None, bind_static_rhs(p, 1))
 
     def test_csv_round_trip(self, rng, tmp_path):
         p = JcParams(1.0, 1.0, 0.1j)

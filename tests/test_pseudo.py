@@ -93,6 +93,13 @@ class TestBuildSimilarity:
         assert smap.cond2 == pytest.approx(expected, rel=1e-12)
         assert 6e4 <= smap.cond2 <= 7e4  # spread 22.15 at 32 levels
 
+    @pytest.mark.parametrize("levels", [32, 48, 64, 96])
+    def test_conditioning_grows_like_exp_four_root_levels(self, levels):
+        # spread(X_b) grows like 4 sqrt(N_b), so no bound on cond2 holds across
+        # truncations; measured 3.916, 3.953, 3.972 and 3.990 at alpha = 0.25
+        smap = build_similarity(FockSpace(boson_levels=levels), 0.25)
+        assert math.log(smap.cond2) / (0.25 * math.sqrt(levels)) == pytest.approx(4.0, rel=0.05)
+
     def test_matches_expm_of_generator(self):
         _, space, _, smap = small_bundle(alpha=0.3, boson_levels=8)
         ref = scipy.linalg.expm(0.3 * default_generator(space))
