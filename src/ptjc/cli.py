@@ -373,8 +373,8 @@ def cmd_pseudo(args) -> int:
                       coupling=_parse_complex(merged["epsilon"], "epsilon"))
     space = FockSpace(boson_levels=_parse_int(merged["boson_levels"], "pseudo.boson_levels"))
     count = None if merged["count"] is None else _parse_int(merged["count"], "pseudo.count")
-    smap = build_similarity(space, _parse_real(merged["alpha"], "pseudo.alpha"))
     h0 = build_h0(params, space)
+    smap = build_similarity(space, _parse_real(merged["alpha"], "pseudo.alpha"))
     system = build_biorthogonal_system(h0, smap, count)
     payload = diagnostics_record(system, smap, h0, params)
     payload["generated_by"] = GENERATED_BY

@@ -13,6 +13,7 @@ of the ladder matrices of ``build_fock_operators``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,15 @@ TRUNCATION_GUARD_LEVELS = 4
 
 MIN_BOSON_LEVELS = 4
 
-# One dense operator on the space is (2 N_b)^2 complex128 entries,
-# 64 N_b^2 bytes: 16 MiB at this cap, and a pseudo run holds about a
-# dozen of them.
+# One dense operator on the space is (2 N_b)^2 float64 entries,
+# 32 N_b^2 bytes: 8 MiB at this cap, twice that for the complex
+# operators of a complex coupling, and a pseudo run holds about a dozen
+# of them.
 MAX_BOSON_LEVELS = 512
+
+# The pseudo diagnostics square numbers of H0's size (np.linalg.norm),
+# so H0's largest entry must stay below sqrt(float64 max) = 1.34e154.
+H0_ENTRY_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,8 @@ class FockSpace:
     def __post_init__(self):
         if not MIN_BOSON_LEVELS <= self.boson_levels <= MAX_BOSON_LEVELS:
             raise ValueError(f"boson_levels must lie in [{MIN_BOSON_LEVELS}, {MAX_BOSON_LEVELS}]"
-                             ": one dense operator takes 64 N_b^2 bytes")
+                             ": one dense operator takes 32 N_b^2 bytes, "
+                             "64 N_b^2 bytes complex")
 
     @property
     def total_dim(self) -> int:
@@ -104,13 +111,23 @@ def build_h0(params: JcParams, space: FockSpace) -> np.ndarray:
     eps = params.coupling, written on its slots: omega0 (k - 1/2) +
     omega m on the diagonal at (m, k), and block N's coupling
     eps sqrt(N) at (2N - 1, 2N) and eps* sqrt(N) at (2N, 2N - 1)
-    (``FockSpace.block_slots``).  Hermitian for any complex eps; each
-    block reproduces the 2x2 subspace Hamiltonian with g_s = conj(eps)
-    in the (c, d) amplitude ordering.
+    (``FockSpace.block_slots``).  Hermitian for any complex eps, and
+    float64 when eps is real; each block reproduces the 2x2 subspace
+    Hamiltonian with g_s = conj(eps) in the (c, d) amplitude ordering.
+    A largest entry past H0_ENTRY_MAX is refused with a ValueError.
     """
-    eps = complex(params.coupling)
+    top = space.boson_levels - 1
+    largest = max(params.omega * top + params.omega0 / 2.0,
+                  math.hypot(params.coupling.real, params.coupling.imag) * math.sqrt(top))
+    if not largest <= H0_ENTRY_MAX:
+        raise ValueError(
+            f"H0's largest entry max(omega (N_b - 1) + omega0 / 2, |eps| sqrt(N_b - 1)) = "
+            f"{largest!r} passes sqrt(float64 max) = {H0_ENTRY_MAX:.4g}, past which its squares "
+            f"leave float64 (omega0 = {params.omega0!r}, omega = {params.omega!r}, "
+            f"eps = {params.coupling!r}, N_b = {space.boson_levels})")
+    eps = params.coupling.real if params.coupling.imag == 0.0 else params.coupling
     m, k = np.divmod(np.arange(space.total_dim), 2)
-    h0 = np.diag(params.omega0 * (k - 0.5) + params.omega * m).astype(complex)
+    h0 = np.diag(params.omega0 * (k - 0.5) + params.omega * m).astype(type(eps))
     row, col = space.block_slots().T
     root = np.sqrt(np.arange(1.0, space.boson_levels))
     h0[row, col] = eps * root

@@ -1,8 +1,8 @@
 """Similarity-deformed model: biorthogonal eigenfamilies and identities.
 
-A Hermitian generator G and a real deformation strength alpha define
-S = exp(alpha G); G is a boson plus a fermion term, so S is a
-Kronecker product.  Conjugating the Hermitian excitation-conserving
+A real symmetric generator G and a real deformation strength alpha
+define S = exp(alpha G); G is a boson plus a fermion term, so S is a
+real Kronecker product.  Conjugating the Hermitian excitation-conserving
 Hamiltonian H0 and its ladder operators by S produces a non-Hermitian
 H_alpha with deformed ladder operators whose commutation relations are
 preserved, two biorthogonal eigenfamilies Phi-hat = S Phi, Psi-hat =
@@ -24,12 +24,14 @@ families, the frame in which the identities are actually claimed.
 ``deformed`` is the one evaluator of such products: each factor
 S X S^-1 is applied as S (X (S^-1 v)).  The evaluation order is load
 bearing; tests pin the achieved residuals.  Operators, S and S^-1 are
-plain dense arrays on the interleaved basis of ``FockSpace``.
+plain dense arrays on the interleaved basis of ``FockSpace``.  S and
+S^-1 are float64, and so are H0 and the eigenfamilies for a real
+epsilon; ``_apply`` multiplies S into complex frames as real arithmetic.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,14 +52,13 @@ PROBE_EXCITATION_MAX = 5
 
 @dataclass(frozen=True)
 class SimilarityMap:
-    """S = exp(alpha G) and its inverse as dense Hermitian matrices.
+    """S = exp(alpha G) and its inverse as dense real symmetric matrices.
 
     G = X_b (x) 1 + 1 (x) sigma_x on the interleaved basis, with the
     boson factor X_b = b + b'.  ``cond2`` is the exact cond2(S) =
-    exp(|alpha| spread(G)), spread(G) = spread(X_b) + 2.  ``s`` and
-    ``s_inv`` are stored complex, so every product with them is one
-    complex matmul whatever the other factor's dtype; a real S on real
-    data would round differently.
+    exp(|alpha| spread(G)), spread(G) = spread(X_b) + 2.  G is real
+    symmetric, so ``s`` and ``s_inv`` are real symmetric float64 arrays,
+    applied to real or complex frames by ``_apply``.
     """
 
     space: FockSpace
@@ -75,7 +76,7 @@ class BiorthogonalSystem:
     H_alpha); columns of ``psis`` are Psi-hat = S^-1 Phi scaled so the
     pairing <Phi-hat_j, Psi-hat_j> is exactly 1.  ``labels`` holds the
     (n, k) occupancy labels.  The bare eigenvectors are orthonormal even
-    inside a degenerate cluster and S is Hermitian, so
+    inside a degenerate cluster and S is real symmetric, so
     <S V_i, S^-1 V_j> = delta_ij: the pairing is never arbitrary.
     """
 
@@ -97,6 +98,15 @@ class BiorthogonalSystem:
 
     def gram(self) -> np.ndarray:
         return self.phis.conj().T @ self.psis
+
+
+def _apply(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """s @ v for a real s; a complex v goes through its float view, so S Re v
+    and S Im v come from one real matmul instead of a complex one."""
+    if not np.iscomplexobj(v):
+        return s @ v
+    v = np.ascontiguousarray(v)
+    return (s @ v.reshape(len(v), -1).view(float)).view(complex).reshape(v.shape)
 
 
 def _kron_exp(eigvals: np.ndarray, eigvecs: np.ndarray, t: float) -> np.ndarray:
@@ -153,8 +163,8 @@ def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
         space=space,
         alpha=float(alpha),
         cond2=math.exp(abs(alpha) * spread),
-        s=s.astype(complex),
-        s_inv=s_inv.astype(complex),
+        s=s,
+        s_inv=s_inv,
     )
 
 
@@ -168,7 +178,7 @@ def energy_formula(params: JcParams, space: FockSpace) -> np.ndarray:
     """
     delta = params.detuning()
     m, k = np.divmod(np.arange(space.total_dim), 2)
-    gap = np.sqrt(delta ** 2 + 4.0 * abs(params.coupling) ** 2 * (m + k))
+    gap = np.hypot(delta, 2.0 * abs(params.coupling) * np.sqrt(m + k))
     gap[[0, -1]] = -delta
     return params.omega * m + (params.omega - gap) * (k - 0.5)
 
@@ -203,7 +213,7 @@ def build_biorthogonal_system(h0: np.ndarray, smap: SimilarityMap,
     slots = space.block_slots()
     rows, cols = slots[:, :, None], slots[:, None, :]
     evals = np.diagonal(h0).real.copy()
-    evecs = np.eye(space.total_dim, dtype=complex)
+    evecs = np.eye(space.total_dim, dtype=h0.dtype)
     evals[slots], evecs[rows, cols] = np.linalg.eigh(h0[rows, cols])
 
     order = np.argsort(evals, kind="stable")
@@ -211,8 +221,8 @@ def build_biorthogonal_system(h0: np.ndarray, smap: SimilarityMap,
     included = order[kept]
 
     v_incl = evecs[:, included]
-    phis = smap.s @ v_incl
-    psis = smap.s_inv @ v_incl
+    phis = _apply(smap.s, v_incl)
+    psis = _apply(smap.s_inv, v_incl)
     pairing = np.einsum("ij,ij->j", phis.conj(), psis)
     if np.any(np.abs(pairing) < 1e-8):
         raise ArithmeticError("near-singular family pairing; cannot normalize")
@@ -239,10 +249,10 @@ def eigen_residuals(system: BiorthogonalSystem, h0: np.ndarray,
     """
     v = system.eigvecs_bare
     bare = h0 @ v - v * system.energies[None, :]
-    res_phi = smap.s @ bare
-    res_psi = smap.s_inv @ bare
+    res_phi = _apply(smap.s, bare)
+    res_psi = _apply(smap.s_inv, bare)
     phi_norms = np.linalg.norm(system.phis, axis=0)
-    psi_scale = np.linalg.norm(smap.s_inv @ v, axis=0)
+    psi_scale = np.linalg.norm(_apply(smap.s_inv, v), axis=0)
     rel_phi = np.linalg.norm(res_phi, axis=0) / phi_norms
     rel_psi = np.linalg.norm(res_psi, axis=0) / psi_scale
     return float(rel_phi.max()), float(rel_psi.max())
@@ -256,21 +266,21 @@ def metric_checks(system: BiorthogonalSystem, smap: SimilarityMap) -> dict:
     ||Phi-hat||; (b) matrix elements of sum |Phi-hat><Phi-hat| - S^2
     between the probe slots, the bare states with m + k <=
     PROBE_EXCITATION_MAX; (c) the dual check with Psi-hat and S^-2.
-    S is Hermitian, so S^2 between probes is S^H S read off S's probe
-    columns, and no dim x dim product is formed.  The probe battery
+    S is real symmetric, so S^2 between probes is S^T S read off S's
+    probe columns, and no dim x dim product is formed.  The probe battery
     stays fixed as ``count`` grows, so the completeness trend in (b)/(c)
     is monotone in the included family.
     """
     s = smap.s
-    diffs = system.phis - s @ (s @ system.psis)
+    diffs = system.phis - _apply(s, _apply(s, system.psis))
     abs_per_state = np.linalg.norm(diffs, axis=0)
     rel_per_state = abs_per_state / np.linalg.norm(system.phis, axis=0)
 
     p = 2 * PROBE_EXCITATION_MAX + 1  # slots 2m + k with m + k <= the cutoff
     phis, psis = system.phis[:p], system.psis[:p]
     s_cols, s_inv_cols = s[:, :p], smap.s_inv[:, :p]
-    res_phi = phis @ phis.conj().T - s_cols.conj().T @ s_cols
-    res_psi = psis @ psis.conj().T - s_inv_cols.conj().T @ s_inv_cols
+    res_phi = phis @ phis.conj().T - s_cols.T @ s_cols
+    res_psi = psis @ psis.conj().T - s_inv_cols.T @ s_inv_cols
 
     return {
         "identity_abs_max": float(abs_per_state.max()),
@@ -317,17 +327,21 @@ def quasi_basis_check(system: BiorthogonalSystem,
 def build_block_rotation(space: FockSpace, params: JcParams) -> tuple[np.ndarray, np.ndarray]:
     """T0 and its inverse, assembled block-wise on the bare space.
 
-    Block N couples its bare slots (``FockSpace.block_slots``); T0^-1
-    gets ``t_block`` there, and T0 is its transpose, block by block the
-    2x2 eigenvector column matrix.  The zero-excitation slot and the
+    Block N couples its bare slots (``FockSpace.block_slots``).  With
+    eps = |eps| e^{i phi}, H0's block there is D B D^H, B the real block
+    at coupling |eps| and D = diag(e^{i phi}, 1), so T0^-1 gets
+    ``t_block`` at |eps| times D^H, and T0 is its adjoint, block by
+    block the 2x2 eigenvector column matrix.  For a real positive eps,
+    D = 1 and T0 is the transpose.  The zero-excitation slot and the
     orphan top slot stay identity.
     """
-    if params.coupling.imag != 0.0:
-        raise ValueError("block rotation is defined for real coupling")
+    modulus = abs(params.coupling)
+    phases = np.array([params.coupling / modulus if modulus else 1.0, 1.0]).conj()
+    real = replace(params, coupling=modulus)
     t0_inv = np.eye(space.total_dim, dtype=complex)
     for n, pair in enumerate(space.block_slots(), start=1):
-        t0_inv[np.ix_(pair, pair)] = t_block(params, n)
-    return t0_inv.T, t0_inv
+        t0_inv[np.ix_(pair, pair)] = t_block(real, n) * phases
+    return t0_inv.conj().T, t0_inv
 
 
 def deformed(smap: SimilarityMap, bare_ops: list, v: np.ndarray) -> np.ndarray:
@@ -337,7 +351,7 @@ def deformed(smap: SimilarityMap, bare_ops: list, v: np.ndarray) -> np.ndarray:
     deformed matrix is formed.
     """
     for op in reversed(bare_ops):
-        v = smap.s @ (op @ (smap.s_inv @ v))
+        v = _apply(smap.s, op @ _apply(smap.s_inv, v))
     return v
 
 
@@ -364,7 +378,7 @@ def t_alpha_diagonalization_check(h0: np.ndarray, smap: SimilarityMap,
     frame = smap.s[:, cols]
     lhs = deformed(smap, [t0_inv, h0, t0], frame)
     rhs = frame * energy_formula(params, space)[cols][None, :]
-    residual = smap.s_inv @ (lhs - rhs)
+    residual = _apply(smap.s_inv, lhs - rhs)
     return float(np.abs(residual[cols, :]).max())
 
 
@@ -385,7 +399,7 @@ def dual_frame_algebra_residual(smap: SimilarityMap, a_bare: np.ndarray,
     ba = deformed(smap, [b_bare, a_bare], frame)
     combo = ab + ba if anticommute else ab - ba
     combo -= deformed(smap, [target_bare], frame)
-    residual = smap.s_inv @ combo
+    residual = _apply(smap.s_inv, combo)
     return float(np.abs(residual[idx, :]).max())
 
 

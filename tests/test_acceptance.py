@@ -16,11 +16,13 @@ state.  Its residual is O(1 / Omega^2); the bound is the stated 5
 percent.
 """
 
+import cmath
 import json
 import math
 import time
 
 import numpy as np
+import pytest
 from scipy.special import jv
 
 from conftest import charpoly_eigvals
@@ -235,9 +237,11 @@ def test_criterion_7_pt_classification_grid():
     assert ok
 
 
-def test_criterion_8_deformed_system_suite():
+@pytest.mark.parametrize("eps", [0.1, 0.1 * cmath.exp(1j * math.pi / 5)],
+                         ids=["real_eps", "complex_eps"])
+def test_criterion_8_deformed_system_suite(eps):
     t0 = time.perf_counter()
-    params = JcParams(1.0, 1.0, 0.1)
+    params = JcParams(1.0, 1.0, eps)
     space = FockSpace(boson_levels=32)
     h0 = build_h0(params, space)
     smap = build_similarity(space, 0.5)
@@ -268,7 +272,7 @@ def test_criterion_8_deformed_system_suite():
           and t_res <= 1e-9
           and formula_dev <= 1e-8
           and elapsed < 30.0)
-    report(8, ok, f"gram {gram_off:.2e}, eigen {max(res_phi, res_psi):.2e}, "
+    report(8, ok, f"eps {eps:.4g}: gram {gram_off:.2e}, eigen {max(res_phi, res_psi):.2e}, "
                   f"metric rel {metric['identity_rel_max']:.2e}, "
                   f"quasi {quasi:.2e}, t_alpha {t_res:.2e}, "
                   f"energy formula {formula_dev:.2e}, {elapsed:.1f} s")

@@ -895,6 +895,29 @@ class TestPseudoCommand:
                      "--output-dir", str(tmp_path)]) == 2
         assert "residual nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, runs", [
+        # at 32 levels the largest H0 entry is |eps| sqrt(31) or
+        # 31 omega + omega0 / 2, against sqrt(float64 max) = 1.341e154
+        ({"epsilon": 2.4e153}, True),
+        ({"epsilon": 2.5e153}, False),
+        ({"omega": 4.2e152, "omega0": 4.2e152}, True),
+        ({"omega": 4.3e152, "omega0": 4.3e152}, False),
+    ])
+    def test_h0_float64_range(self, tmp_path, capsys, monkeypatch, doc, runs):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        if runs:  # exit 0 means every payload number is finite
+            assert main(["pseudo", "--config", cfg, "--output-dir", str(out)]) == 0
+            return
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("similarity built")
+
+        monkeypatch.setattr(cli, "build_similarity", refuse)
+        assert main(["pseudo", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert "sqrt(float64 max) = 1.341e+154" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_count(self, tmp_path):
         cfg = write_config(tmp_path, {"count": 0})
         assert main(["pseudo", "--config", cfg,

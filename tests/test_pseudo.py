@@ -484,10 +484,15 @@ class TestTAlpha:
         assert np.array_equal(t0, t0_inv.T)
         assert np.abs(t0 @ t0_inv - np.eye(space.total_dim)).max() <= 1e-13
 
-    def test_block_rotation_needs_real_coupling(self):
-        space = FockSpace(boson_levels=6)
-        with pytest.raises(ValueError):
-            build_block_rotation(space, JcParams(1.0, 1.0, 0.1j))
+    @pytest.mark.parametrize("eps", [0.1j, 0.06 - 0.08j, -0.1])
+    def test_block_rotation_any_coupling_phase(self, eps):
+        # H0's block is D B D^H with B the block at |eps|: T0^-1 carries
+        # the phase, T0 is its adjoint, and the diagonal is energy_formula
+        params, space, h0, _ = small_bundle(eps=eps, omega0=1.05, boson_levels=8)
+        t0, t0_inv = build_block_rotation(space, params)
+        assert np.abs(t0 @ t0_inv - np.eye(space.total_dim)).max() <= 1e-13
+        bare = t0_inv @ h0 @ t0
+        assert np.abs(bare - np.diag(energy_formula(params, space))).max() <= 1e-13
 
     def test_degenerate_guard(self):
         params, space, h0, smap = small_bundle(eps=0.0, boson_levels=6)
@@ -516,6 +521,33 @@ class TestPseudoAlgebra:
         eye = np.eye(smap.space.total_dim)
         res = dual_frame_algebra_residual(smap, ops["c"], ops["c_dag"], eye, anticommute=True)
         assert res == pseudo_algebra_residuals(smap)["car"]
+
+
+class TestDtypePolicy:
+    def test_real_epsilon_is_float64(self):
+        _, _, h0, smap = small_bundle(alpha=0.3, boson_levels=48)
+        system = build_biorthogonal_system(h0, smap)
+        for arr in (h0, smap.s, smap.s_inv, system.phis, system.psis, system.eigvecs_bare):
+            assert arr.dtype == np.float64
+
+    def test_complex_epsilon_matches_a_complex_s(self, rng):
+        # a real S applied through the frames' float view, against S
+        # promoted to complex
+        _, space, h0, smap = small_bundle(alpha=0.3, eps=0.06 - 0.08j, boson_levels=48)
+        assert h0.dtype == np.complex128
+        system = build_biorthogonal_system(h0, smap)
+        s, s_inv = smap.s.astype(complex), smap.s_inv.astype(complex)
+        v = system.eigvecs_bare
+        phis, psis = s @ v, s_inv @ v
+        psis = psis / np.einsum("ij,ij->j", phis.conj(), psis)[None, :]
+        for got, want in ((system.phis, phis), (system.psis, psis)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        ops = build_fock_operators(space)
+        shape = (space.total_dim, 3)
+        frame = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = deformed(smap, [ops["d"], h0], frame)
+        want = s @ (ops["d"] @ (s_inv @ (s @ (h0 @ (s_inv @ frame)))))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestDiagnosticsRecord:
