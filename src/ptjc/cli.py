@@ -1,9 +1,10 @@
 """Command-line front end: deterministic JSON/CSV emission for all experiments.
 
 Subcommands: solve-beta, evolve, compare, spectrum, pseudo.  Configs
-are JSON documents with unknown keys rejected; outputs are JSON (with
-a generated_by version field, no timestamps) and CSV time series, so
-identical configs produce byte-identical files.
+are JSON documents, each read through its command's key table
+(``_EVOLVE``, ``_COMPARE``, ``_PSEUDO``) by ``_parse_doc``; outputs are
+JSON (with a generated_by version field, no timestamps) and CSV time
+series, so identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or config error.
 """
@@ -33,6 +34,10 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .equivalence import (
+    GAUGE_CONVENTION,
+    PRINTED_MEASURE,
+    SLOW_MEASURE,
+    SPLITTING_CONVENTION,
     ExperimentConfig,
     condition_argument,
     convergence_sweep,
@@ -109,12 +114,54 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _require_keys(doc: dict, allowed: set, context: str) -> None:
+def _one_of(*names: str):
+    """Parser of a string that must be one of ``names``."""
+    def parse(value, context: str) -> str:
+        if isinstance(value, str) and value in names:
+            return value
+        raise ConfigError(f"{context}: expected one of {list(names)}, got {value!r}")
+    return parse
+
+
+def _enum(cls):
+    """Parser of the value of a member of the enum ``cls``, returning the member."""
+    parse_name = _one_of(*(member.value for member in cls))
+    return lambda value, context: cls(parse_name(value, context))
+
+
+def _list_of(parse_item):
+    """Parser of a non-empty list, each entry read by ``parse_item``."""
+    def parse(value, context: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{context}: expected a non-empty list, got {value!r}")
+        return [parse_item(item, context) for item in value]
+    return parse
+
+
+# The default of a key that every document must give.
+REQUIRED = object()
+
+
+def _parse_doc(doc, context: str, table: dict) -> dict:
+    """Every key of ``table`` (key -> (parser, default)) read from ``doc``.
+
+    Unknown keys and a missing REQUIRED key are refused, naming them.  Every
+    value, defaults included, goes through its key's parser as ``<context>.<key>``,
+    except null (or absence) where the default is None, which reads as None.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected a JSON object")
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(set(doc) - set(table))
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}")
+    parsed = {}
+    for key, (parse, default) in table.items():
+        value = doc.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{context}: missing key {key!r}")
+        parsed[key] = None if value is None and default is None else parse(
+            value, f"{context}.{key}")
+    return parsed
 
 
 def _load_config(path: str) -> dict:
@@ -130,20 +177,13 @@ def _load_config(path: str) -> dict:
             f"{exc.msg}") from exc
 
 
-def _target_from_name(name: str) -> ModulationTarget:
-    try:
-        return ModulationTarget(name)
-    except ValueError:
-        raise ConfigError(f"unknown modulation target {name!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # solve-beta
 
 
 def cmd_solve_beta(args) -> int:
     params = JcParams(omega0=args.omega0, omega=args.omega, coupling=args.coupling)
-    target = _target_from_name(args.target)
+    target = ModulationTarget(args.target)
     beta = solve_modulation_beta(params, target, args.n, args.big_omega,
                                  convention=args.convention)
     arg = condition_argument(params, target, args.n, args.big_omega, beta,
@@ -166,71 +206,59 @@ def cmd_solve_beta(args) -> int:
 # ---------------------------------------------------------------------------
 # evolve
 
-_EVOLVE_KEYS = {"omega0", "omega", "coupling", "n", "modulation", "rhs",
-                "initial_c", "initial_d", "t1", "step", "frames"}
-_MODULATION_KEYS = {"target", "beta", "big_omega"}
-
 _BINDERS = {"lab": functools.partial(bind_driven_rhs, frame=Frame.LAB),
             "gauged": functools.partial(bind_driven_rhs, frame=Frame.GAUGED),
             "averaged": bind_averaged_rhs,
             "static": lambda params, mod, n: bind_static_rhs(params, n)}
 
 
-def _parse_modulation(doc, params: JcParams, n: int) -> ModulationSpec | None:
-    if doc is None:
-        return None
-    _require_keys(doc, _MODULATION_KEYS, "modulation")
-    for key in _MODULATION_KEYS:
-        if key not in doc:
-            raise ConfigError(f"modulation: missing key {key!r}")
-    target = _target_from_name(doc["target"])
-    big_omega = _parse_real(doc["big_omega"], "modulation.big_omega")
-    beta_raw = doc["beta"]
-    if beta_raw == "condition":
-        beta = solve_modulation_beta(params, target, n, big_omega)
-    else:
-        beta = _parse_complex(beta_raw, "modulation.beta")
-    return ModulationSpec(target=target, beta=beta, big_omega=big_omega)
+def _parse_frames(value, context: str) -> list:
+    frames = _list_of(_enum(Frame))(value, context)
+    if twice := next((f for i, f in enumerate(frames) if f in frames[:i]), None):
+        raise ConfigError(f"{context}: frame {twice.value!r} is listed twice")
+    return frames
+
+
+_MODULATION = {
+    "target": (_enum(ModulationTarget), REQUIRED),
+    # "condition" stays a string until params and n are known
+    "beta": (lambda v, ctx: v if v == "condition" else _parse_complex(v, ctx), REQUIRED),
+    "big_omega": (_parse_real, REQUIRED),
+}
+
+_EVOLVE = {
+    "omega0": (_parse_real, REQUIRED),
+    "omega": (_parse_real, REQUIRED),
+    "coupling": (_parse_complex, REQUIRED),
+    "n": (_parse_int, REQUIRED),
+    "modulation": (functools.partial(_parse_doc, table=_MODULATION), None),
+    "rhs": (_one_of(*_BINDERS), REQUIRED),
+    "initial_c": (_parse_complex, REQUIRED),
+    "initial_d": (_parse_complex, REQUIRED),
+    "t1": (_parse_real, REQUIRED),
+    "step": (_parse_real, None),  # None: suggested_step
+    "frames": (_parse_frames, None),  # None: the frame the rhs integrates in
+}
 
 
 def cmd_evolve(args) -> int:
-    doc = _load_config(args.config)
-    _require_keys(doc, _EVOLVE_KEYS, "evolve config")
-    for key in ("omega0", "omega", "coupling", "n", "rhs", "initial_c",
-                "initial_d", "t1"):
-        if key not in doc:
-            raise ConfigError(f"evolve config: missing key {key!r}")
-    params = JcParams(omega0=_parse_real(doc["omega0"], "evolve.omega0"),
-                      omega=_parse_real(doc["omega"], "evolve.omega"),
-                      coupling=_parse_complex(doc["coupling"], "coupling"))
-    n = _parse_int(doc["n"], "n")
-    mod = _parse_modulation(doc.get("modulation"), params, n)
-    rhs_name = doc["rhs"]
-    if rhs_name not in _BINDERS:
-        raise ConfigError(f"evolve config: unknown rhs {rhs_name!r}")
-    if rhs_name != "static" and mod is None:
-        raise ConfigError(f"evolve config: rhs {rhs_name!r} needs a modulation block")
-    rhs = _BINDERS[rhs_name](params, mod, n)
-    c0 = _parse_complex(doc["initial_c"], "initial_c")
-    d0 = _parse_complex(doc["initial_d"], "initial_d")
-    t1 = _parse_real(doc["t1"], "evolve.t1")
-    step_raw = doc.get("step")
-    step = (_parse_real(step_raw, "evolve.step") if step_raw is not None
-            else suggested_step(mod, rhs))
-    frames = doc.get("frames", [rhs.frame.value])
-    if not isinstance(frames, list) or not frames:
-        raise ConfigError("evolve config: frames must be a non-empty list")
-    try:
-        out_frames = [Frame(name) for name in frames]
-    except ValueError as exc:
-        raise ConfigError(f"evolve config: unknown frame ({exc})") from None
-    if twice := next((f for i, f in enumerate(out_frames) if f in out_frames[:i]), None):
-        raise ConfigError(f"evolve config: frame {twice.value!r} is listed twice")
+    doc = _parse_doc(_load_config(args.config), "evolve", _EVOLVE)
+    params = JcParams(omega0=doc["omega0"], omega=doc["omega"], coupling=doc["coupling"])
+    n, mod = doc["n"], doc["modulation"]
+    if mod is not None:
+        if mod["beta"] == "condition":
+            mod["beta"] = solve_modulation_beta(params, mod["target"], n, mod["big_omega"])
+        mod = ModulationSpec(**mod)
+    if doc["rhs"] != "static" and mod is None:
+        raise ConfigError(f"evolve config: rhs {doc['rhs']!r} needs a modulation block")
+    rhs = _BINDERS[doc["rhs"]](params, mod, n)
+    step = doc["step"] if doc["step"] is not None else suggested_step(mod, rhs)
+    out_frames = doc["frames"] or [rhs.frame]
     if Frame.GAUGED in out_frames and mod is None:
         raise ConfigError("evolve config: the gauged frame needs a modulation block")
 
     check_rk4_stability(rhs, step)
-    traj = integrate(rhs, c0, d0, 0.0, t1, step)
+    traj = integrate(rhs, doc["initial_c"], doc["initial_d"], 0.0, doc["t1"], step)
     # map every frame before writing any, so a failed map writes nothing
     mapped_frames = [map_trajectory(traj, params, mod, f) for f in out_frames]
     os.makedirs(args.output_dir, exist_ok=True)
@@ -243,68 +271,42 @@ def cmd_evolve(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-_COMPARE_DEFAULTS = {
-    "omega0": 1.0,
-    "omega": 1.0,
-    "coupling": 0.05,
-    "target": "atom",
-    "n": 1,
-    "omega_ratio": 100.0,
-    "duration_rabi_units": 2.0,
-    "step_per_period": 400,
-    "ratios": None,
-    "convention": "splitting",
-    "measure": "slow",
-    "beta": None,
+_COMPARE = {
+    "omega0": (_parse_real, 1.0),
+    "omega": (_parse_real, 1.0),
+    "coupling": (_parse_complex, 0.05),
+    "target": (_enum(ModulationTarget), "atom"),
+    "n": (_parse_int, 1),
+    "omega_ratio": (_parse_real, 100.0),
+    "duration_rabi_units": (_parse_real, 2.0),
+    "step_per_period": (_parse_int, 400),
+    "ratios": (_list_of(_parse_real), None),  # None: one run, not a sweep
+    "convention": (_one_of(GAUGE_CONVENTION, SPLITTING_CONVENTION), SPLITTING_CONVENTION),
+    "measure": (_one_of(PRINTED_MEASURE, SLOW_MEASURE), SLOW_MEASURE),
+    "beta": (_parse_complex, None),  # None: solved from the convention
 }
-_COMPARE_KEYS = set(_COMPARE_DEFAULTS)
-
-
-def parse_compare_config(doc: dict) -> dict:
-    """Validated compare document with defaults applied."""
-    _require_keys(doc, _COMPARE_KEYS, "compare config")
-    merged = dict(_COMPARE_DEFAULTS)
-    merged.update(doc)
-    if merged["ratios"] is not None:
-        if merged["beta"] is not None:
-            raise ConfigError("compare config: a sweep solves beta for each of its ratios; "
-                              "give 'ratios' or 'beta', not both")
-        if not isinstance(merged["ratios"], list) or not merged["ratios"]:
-            raise ConfigError("compare config: ratios must be a non-empty list of numbers")
-        merged["ratios"] = [_parse_real(r, "compare.ratios") for r in merged["ratios"]]
-    if merged["beta"] is not None:
-        merged["beta"] = _parse_complex(merged["beta"], "compare.beta")
-    for key in ("n", "step_per_period"):
-        merged[key] = _parse_int(merged[key], f"compare.{key}")
-    for key in ("omega0", "omega", "omega_ratio", "duration_rabi_units"):
-        merged[key] = _parse_real(merged[key], f"compare.{key}")
-    return merged
 
 
 def cmd_compare(args) -> int:
-    doc = _load_config(args.config) if args.config else {}
-    merged = parse_compare_config(doc)
-    params = JcParams(omega0=merged["omega0"], omega=merged["omega"],
-                      coupling=_parse_complex(merged["coupling"], "coupling"))
-    cfg = ExperimentConfig(
-        params=params,
-        target=_target_from_name(merged["target"]),
-        n=merged["n"],
-        omega_ratio=merged["omega_ratio"],
-        duration_rabi_units=merged["duration_rabi_units"],
-        step_per_period=merged["step_per_period"],
-    )
+    doc = _parse_doc(_load_config(args.config) if args.config else {}, "compare", _COMPARE)
+    if doc["ratios"] is not None and doc["beta"] is not None:
+        raise ConfigError("compare config: a sweep solves beta for each of its ratios; "
+                          "give 'ratios' or 'beta', not both")
+    params = JcParams(omega0=doc["omega0"], omega=doc["omega"], coupling=doc["coupling"])
+    cfg = ExperimentConfig(params=params, target=doc["target"], n=doc["n"],
+                           omega_ratio=doc["omega_ratio"],
+                           duration_rabi_units=doc["duration_rabi_units"],
+                           step_per_period=doc["step_per_period"])
     report_path = os.path.join(args.output_dir, "report.json")
     csv_path = os.path.join(args.output_dir, "comparison.csv")
 
-    if merged["ratios"] is not None:
-        curve = convergence_sweep(cfg, merged["ratios"],
-                                  convention=merged["convention"],
-                                  measure=merged["measure"])
+    if doc["ratios"] is not None:
+        curve = convergence_sweep(cfg, doc["ratios"], convention=doc["convention"],
+                                  measure=doc["measure"])
         payload = {
             "sweep": [{"omega_ratio": r, "max_rel_err": e} for r, e in curve],
-            "convention": merged["convention"],
-            "measure": merged["measure"],
+            "convention": doc["convention"],
+            "measure": doc["measure"],
             "generated_by": GENERATED_BY,
         }
         _dump_json(payload, report_path, make_parent=True)
@@ -312,9 +314,8 @@ def cmd_compare(args) -> int:
         print(f"sweep of {len(curve)} ratios written; first error {curve[0][1]!r}")
         return 0
 
-    report = run_equivalence_experiment(cfg, beta=merged["beta"],
-                                        convention=merged["convention"],
-                                        measure=merged["measure"])
+    report = run_equivalence_experiment(cfg, beta=doc["beta"], convention=doc["convention"],
+                                        measure=doc["measure"])
     payload = report_to_json_dict(report)
     payload["generated_by"] = GENERATED_BY
     _dump_json(payload, report_path, make_parent=True)
@@ -353,29 +354,23 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 # pseudo
 
-_PSEUDO_DEFAULTS = {
-    "alpha": 0.5,
-    "boson_levels": 32,
-    "epsilon": 0.1,
-    "omega0": 1.0,
-    "omega": 1.0,
-    "count": None,
+_PSEUDO = {
+    "alpha": (_parse_real, 0.5),
+    "boson_levels": (_parse_int, 32),
+    "epsilon": (_parse_complex, 0.1),
+    "omega0": (_parse_real, 1.0),
+    "omega": (_parse_real, 1.0),
+    "count": (_parse_int, None),  # None: the truncation-safe budget
 }
 
 
 def cmd_pseudo(args) -> int:
-    doc = _load_config(args.config) if args.config else {}
-    _require_keys(doc, set(_PSEUDO_DEFAULTS), "pseudo config")
-    merged = dict(_PSEUDO_DEFAULTS)
-    merged.update(doc)
-    params = JcParams(omega0=_parse_real(merged["omega0"], "pseudo.omega0"),
-                      omega=_parse_real(merged["omega"], "pseudo.omega"),
-                      coupling=_parse_complex(merged["epsilon"], "epsilon"))
-    space = FockSpace(boson_levels=_parse_int(merged["boson_levels"], "pseudo.boson_levels"))
-    count = None if merged["count"] is None else _parse_int(merged["count"], "pseudo.count")
+    doc = _parse_doc(_load_config(args.config) if args.config else {}, "pseudo", _PSEUDO)
+    params = JcParams(omega0=doc["omega0"], omega=doc["omega"], coupling=doc["epsilon"])
+    space = FockSpace(boson_levels=doc["boson_levels"])
     h0 = build_h0(params, space)
-    smap = build_similarity(space, _parse_real(merged["alpha"], "pseudo.alpha"))
-    system = build_biorthogonal_system(h0, smap, count)
+    smap = build_similarity(space, doc["alpha"])
+    system = build_biorthogonal_system(h0, smap, doc["count"])
     payload = diagnostics_record(system, smap, h0, params)
     payload["generated_by"] = GENERATED_BY
     path = os.path.join(args.output_dir, "pseudo.json")

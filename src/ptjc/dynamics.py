@@ -54,7 +54,7 @@ _TAIL_REL_TOL = 1e-12
 # (c, d) samples.
 MAX_STEPS = 10**8
 
-# Default number of steps per fastest period in suggested_step().
+# Steps per fastest period of the step suggested_step() picks.
 DEFAULT_STEPS_PER_PERIOD = 400
 
 TRAJECTORY_CSV_HEADER = "t,re_c,im_c,re_d,im_d,frame,n"
@@ -301,16 +301,15 @@ def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t
     return c0 * parts[..., 0] + d0 * parts[..., 1], d0 * parts[..., 0] + c0 * parts[..., 1]
 
 
-def suggested_step(mod: Optional[ModulationSpec], rhs: BoundRhs,
-                   steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> float:
+def suggested_step(mod: Optional[ModulationSpec], rhs: BoundRhs) -> float:
     """The fastest of the Rabi (``rhs.kappa``), drive and diagonal (``rhs.rate``) periods
-    over steps_per_period, so that h rhs.rate stays far inside RK4's stability limit."""
+    over DEFAULT_STEPS_PER_PERIOD, so that h rhs.rate stays far inside RK4's stability limit."""
     rates = [rhs.kappa, rhs.rate]
     if mod is not None:
         rates.append(mod.big_omega)
     if not max(rates) > 0:
         raise ValueError("cannot suggest a step for a system with no timescale")
-    return 2.0 * math.pi / max(rates) / steps_per_period
+    return 2.0 * math.pi / max(rates) / DEFAULT_STEPS_PER_PERIOD
 
 
 def step_ratio(total: float, step: float) -> float:

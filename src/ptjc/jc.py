@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,11 @@ class JcParams:
     coupling: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        if not (self.omega0 > 0 and math.isfinite(self.omega0)):
-            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
-        if not (self.omega > 0 and math.isfinite(self.omega)):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        for name in ("omega0", "omega"):
+            value = getattr(self, name)
+            if not (value >= sys.float_info.min and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and at least the smallest normal "
+                                 f"float64, {sys.float_info.min!r}, got {value}")
         g = complex(self.coupling)
         if not (math.isfinite(g.real) and math.isfinite(g.imag)):
             raise ValueError(f"coupling must be finite, got {self.coupling!r}")
@@ -143,12 +145,12 @@ def dressed_spectrum(params: JcParams, n: int) -> DressedSpectrum:
     )
 
 
-def classify_pt_phase(params: JcParams, n: int, tol: float = EXCEPTIONAL_POINT_TOL) -> PtPhase:
+def classify_pt_phase(params: JcParams, n: int) -> PtPhase:
     """Classify the block of an imaginary-coupling model.
 
     For coupling i*g (g real) the discriminant delta**2 - 4 g**2 n
     decides between real eigenvalues (unbroken), a conjugate pair
-    (broken), and the exceptional point within ``tol``.
+    (broken), and the exceptional point within EXCEPTIONAL_POINT_TOL.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -160,7 +162,7 @@ def classify_pt_phase(params: JcParams, n: int, tol: float = EXCEPTIONAL_POINT_T
     gamma = g.imag
     delta = params.detuning()
     disc = delta * delta - 4.0 * gamma * gamma * n
-    if abs(disc) <= tol:
+    if abs(disc) <= EXCEPTIONAL_POINT_TOL:
         kind = PtPhaseKind.EXCEPTIONAL_POINT
     elif disc > 0:
         kind = PtPhaseKind.UNBROKEN

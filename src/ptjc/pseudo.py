@@ -42,6 +42,7 @@ from .jc import JcParams, t_block
 # leaves about eps * cond2(S) = eps * exp(|alpha| spread(G)), so this
 # tolerance is what bounds alpha for a given truncation.
 INVERSE_IDENTITY_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 # Bare excitation cutoff for the fixed probe battery used by the
 # resolution-of-identity checks: matrix elements are sampled between
@@ -136,10 +137,10 @@ def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
     verifies S S^-1 = identity to INVERSE_IDENTITY_TOL; the
     residual grows like exp(|alpha| spread(G)).  On failure a ValueError
     names alpha_max, found by stepping |alpha| down to the log-linear
-    estimate |alpha| - ln(residual / tol) / spread(G) on a 1e-3 grid
-    (halving while exp overflows) and measuring again, with the sign of
-    alpha, until the check passes: near the tolerance the residual
-    scatters about that line, and a rerun at alpha_max must pass.
+    estimate |alpha| - ln(residual / tol) / spread(G) on a 1e-3 grid (to
+    ln(tol / eps) / spread(G) while exp overflows) and measuring again,
+    with the sign of alpha, until the check passes: near the tolerance the
+    residual scatters about that line, and a rerun at alpha_max must pass.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -149,9 +150,11 @@ def build_similarity(space: FockSpace, alpha: float) -> SimilarityMap:
     s, s_inv, residual = _inverse_pair(eigvals, eigvecs, alpha)
     alpha_max, check = abs(alpha), residual
     while not check <= INVERSE_IDENTITY_TOL:
-        step = (math.log(check / INVERSE_IDENTITY_TOL) / spread
-                if math.isfinite(check) else alpha_max / 2.0)
-        alpha_max = max(math.floor((alpha_max - max(step, 1e-3)) * 1000.0) / 1000.0, 0.0)
+        if math.isfinite(check):
+            alpha_max -= max(math.log(check / INVERSE_IDENTITY_TOL) / spread, 1e-3)
+        else:
+            alpha_max = min(alpha_max - 1e-3, math.log(INVERSE_IDENTITY_TOL / _EPS) / spread)
+        alpha_max = max(math.floor(alpha_max * 1000.0) / 1000.0, 0.0)
         check = _inverse_pair(eigvals, eigvecs, math.copysign(alpha_max, alpha))[2]
     if not residual <= INVERSE_IDENTITY_TOL:
         raise ValueError(

@@ -8,6 +8,7 @@ failure, 2 usage or config error.  File outputs land in tmp_path.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 from conftest import pass_boundary_rows
 
-from ptjc import cli, floattext, kernels
-from ptjc.cli import MAX_INT, main, parse_compare_config
+from ptjc import cli, floattext, kernels, pseudo
+from ptjc.cli import (_COMPARE, _EVOLVE, _MODULATION, _PSEUDO, MAX_INT, REQUIRED, ConfigError,
+                      _parse_doc, main)
 from ptjc.dynamics import MAX_STEPS, Frame, read_trajectory_csv
 from ptjc.fockspace import MAX_BOSON_LEVELS
 
@@ -121,6 +123,18 @@ class TestSolveBeta:
                 f"big_omega = {big_omega} must be at least about {limit}") in err
         assert "residual" not in err
 
+    @pytest.mark.parametrize("argv", [
+        # omega beta / Omega from one-digit subnormals once missed J0 = i by 0.17 (exit 1)
+        ["solve-beta", "--target", "cavity", "--omega", "5e-324", "--big-omega", "1e-323"],
+        ["solve-beta", "--target", "atom", "--omega0", "1e-310", "--big-omega", "1.0"],
+        ["spectrum", "--omega0", "1e308", "--omega", "1e-308"],
+    ], ids=["cavity-omega", "atom-omega0", "spectrum-omega"])
+    def test_subnormal_frequency_refused(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "at least the smallest normal float64, 2.2250738585072014e-308" in err
+        assert "residual" not in err
+
     @pytest.mark.parametrize("target, big_omega", [("atom", 4.34e-309), ("cavity", 8.67e-309)])
     def test_just_above_the_subnormal_limit(self, tmp_path, target, big_omega):
         out = tmp_path / "beta.json"
@@ -169,7 +183,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("flags, quantity", [
         (["--omega0", "1", "--omega", "1", "--g-real", "1e200"], "Delta"),
-        (["--omega0", "1e308", "--omega", "1e-308"], "Delta"),
+        (["--omega0", "1e308", "--omega", "1e-300"], "Delta"),
         (["--omega0", "1e300", "--omega", "1e300", "--g-real", "0.1", "--n", "10000000000"],
          "E+-"),
     ])
@@ -811,10 +825,11 @@ class TestCompare:
     def test_config_round_trip(self):
         doc = {"omega_ratio": 50.0, "step_per_period": 100,
                "beta": [0.1, -0.2], "measure": "slow"}
-        merged = parse_compare_config(doc)
-        assert merged["beta"] == 0.1 - 0.2j
-        assert merged["omega0"] == 1.0  # default applied
-        assert merged["omega_ratio"] == 50.0 and merged["step_per_period"] == 100
+        parsed = _parse_doc(doc, "compare", _COMPARE)
+        assert parsed["beta"] == 0.1 - 0.2j
+        assert parsed["omega0"] == 1.0  # default applied
+        assert parsed["coupling"] == 0.05 + 0j  # and parsed
+        assert parsed["omega_ratio"] == 50.0 and parsed["step_per_period"] == 100
 
 
 class TestPseudoCommand:
@@ -922,6 +937,73 @@ class TestPseudoCommand:
         cfg = write_config(tmp_path, {"count": 0})
         assert main(["pseudo", "--config", cfg,
                      "--output-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("doc", [{"alpha": 1.7e308}, {"alpha": 1e200, "boson_levels": 512}],
+                             ids=["float64-max", "512-levels"])
+    def test_overflowing_alpha_names_alpha_max_at_once(self, tmp_path, capsys, monkeypatch,
+                                                       doc):
+        # once exit 1 (floor of inf), or 660 halvings of alpha, each an S, S^-1 pair
+        pairs = []
+        inverse_pair = pseudo._inverse_pair
+
+        def spy(*args):
+            pairs.append(args[2])
+            return inverse_pair(*args)
+
+        monkeypatch.setattr(pseudo, "_inverse_pair", spy)
+        cfg = write_config(tmp_path, doc)
+        assert main(["pseudo", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "residual nan" in err and f"alpha_max({doc.get('boson_levels', 32)}) = " in err
+        assert len(pairs) <= 10
+
+
+class TestConfigTables:
+    """Every config is read through its command's key table by one reader."""
+
+    EVOLVE = {"omega0": 1.0, "omega": 1.0, "coupling": 0.05, "n": 1,
+              "modulation": {"target": "atom", "beta": 0.3, "big_omega": 5.0},
+              "rhs": "gauged", "initial_c": 0.0, "initial_d": 1.0, "t1": 1.0}
+    TABLES = [("evolve", _EVOLVE, EVOLVE),
+              ("evolve.modulation", _MODULATION, EVOLVE["modulation"]),
+              ("compare", _COMPARE, {}), ("pseudo", _PSEUDO, {})]
+    REQUIRED_PATHS = [path for name, table, _ in TABLES
+                      for path in (f"{name}.{key}" for key, (_, d) in table.items()
+                                   if d is REQUIRED)]
+
+    @pytest.mark.parametrize("path", REQUIRED_PATHS)
+    def test_required_key_given_as_null_exits_two(self, tmp_path, capsys, no_integration, path):
+        doc = json.loads(json.dumps(self.EVOLVE))
+        *outer, key = path.split(".")[1:]
+        (doc[outer[0]] if outer else doc)[key] = None
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, table, base", TABLES, ids=[t[0] for t in TABLES])
+    def test_every_default_passes_its_parser(self, name, table, base):
+        parsed = _parse_doc(base, name, table)
+        for key, (parse, default) in table.items():
+            if default is not None and default is not REQUIRED:
+                assert parse(default, key) == parsed[key]
+
+    @pytest.mark.parametrize("name, table, base", TABLES, ids=[t[0] for t in TABLES])
+    def test_null_means_a_default_of_none(self, name, table, base):
+        # and nothing else: null for any other key is refused, naming it
+        for key, (_, default) in table.items():
+            doc = {**base, key: None}
+            if default is None:
+                assert _parse_doc(doc, name, table)[key] is None
+            else:
+                with pytest.raises(ConfigError, match=f"^{re.escape(name)}\\.{key}\\b"):
+                    _parse_doc(doc, name, table)
+
+    def test_null_frames_take_the_rhs_frame(self, tmp_path):
+        doc = {**self.EVOLVE, "rhs": "static", "modulation": None, "frames": None,
+               "step": None}
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "trajectory_interaction.csv").exists()
 
 
 class TestSizeBounds:

@@ -5,8 +5,9 @@ function or constant is referenced outside its own definition, every
 module-level public function or class has a caller in the package or
 the benchmark (or a place on an allowlist), only the JSON and CSV
 writers open files for writing, the README lists exactly the keys
-that ``ptjc pseudo`` writes and that a ``ptjc compare`` or
-``ptjc evolve`` config takes (and the evolve ``rhs`` names), and every
+that ``ptjc pseudo`` writes and that a ``ptjc compare``, ``ptjc evolve``
+or ``ptjc pseudo`` config takes (and the evolve ``rhs`` names), all read
+from the commands' key tables, and every
 ``ptjc`` module and name the README backticks exists.
 """
 
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import ptjc
-from ptjc.cli import _BINDERS, _COMPARE_KEYS, _EVOLVE_KEYS, _MODULATION_KEYS, main
+from ptjc.cli import _BINDERS, _COMPARE, _EVOLVE, _MODULATION, _PSEUDO, main
 
 PACKAGE = sorted(Path(ptjc.__file__).parent.glob("*.py"))
 # The package __init__ imports names only to re-export them.
@@ -208,7 +209,7 @@ def test_only_the_json_and_csv_writers_write_files():
 
 
 PSEUDO_KEYS_SENTENCE = "`pseudo.json` holds exactly these keys:"
-COMPARE_KEYS_SENTENCE = "Config keys, all optional:"
+CONFIG_KEYS_SENTENCE = "Config keys, all optional:"
 RHS_SENTENCE = "`rhs` selects the right-hand side:"
 
 
@@ -258,11 +259,11 @@ def test_finds_drift_in_the_documented_keys():
 def test_finds_drift_in_the_compare_config_keys():
     # a key the parser no longer takes fails the lint; a name in parentheses
     # or after the sentence's full stop is not a key
-    readme = (COMPARE_KEYS_SENTENCE + " `n`, `periods`,\n`measure` "
+    readme = (CONFIG_KEYS_SENTENCE + " `n`, `periods`,\n`measure` "
               "(`slow`. or `printed`), `beta`.  Later `ratios`.\n")
     keys = {"n", "measure", "beta"}
-    assert set(documented_keys(readme, COMPARE_KEYS_SENTENCE)) == keys | {"periods"}
-    assert set(documented_keys(readme.replace(" `periods`,", ""), COMPARE_KEYS_SENTENCE)) == keys
+    assert set(documented_keys(readme, CONFIG_KEYS_SENTENCE)) == keys | {"periods"}
+    assert set(documented_keys(readme.replace(" `periods`,", ""), CONFIG_KEYS_SENTENCE)) == keys
 
 
 def test_readme_lists_the_pseudo_json_keys(tmp_path):
@@ -273,16 +274,17 @@ def test_readme_lists_the_pseudo_json_keys(tmp_path):
     assert documented_keys(README.read_text(encoding="utf-8")) == key_tree(written)
 
 
-def test_readme_lists_the_compare_config_keys():
-    section = README.read_text(encoding="utf-8").split("\n### compare\n", 1)[1]
-    assert set(documented_keys(section, COMPARE_KEYS_SENTENCE)) == _COMPARE_KEYS
+@pytest.mark.parametrize("command, table", [("compare", _COMPARE), ("pseudo", _PSEUDO)])
+def test_readme_lists_the_config_keys(command, table):
+    section = README.read_text(encoding="utf-8").split(f"\n### {command}\n", 1)[1]
+    assert set(documented_keys(section, CONFIG_KEYS_SENTENCE)) == set(table)
 
 
 def test_readme_lists_the_evolve_config_keys_and_rhs_names():
     section = README.read_text(encoding="utf-8").split("\n### evolve\n", 1)[1]
     example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
-    assert set(example) == _EVOLVE_KEYS
-    assert set(example["modulation"]) == _MODULATION_KEYS
+    assert set(example) == set(_EVOLVE)
+    assert set(example["modulation"]) == set(_MODULATION)
     assert set(documented_keys(section, RHS_SENTENCE)) == set(_BINDERS)
 
 
