@@ -33,8 +33,9 @@ import numpy as np
 # guess near them instead.
 DEFAULT_ROOT_GUESS = -2.0 + 1.4j
 
-DEFAULT_NEWTON_TOL = 1e-12
-DEFAULT_NEWTON_MAX_ITER = 60
+# Newton stops once |J0(z) - target| is within NEWTON_TOL, or after NEWTON_MAX_ITER steps.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
 
 # Below this derivative magnitude the Newton update is meaningless.
 DERIVATIVE_BREAKDOWN_TOL = 1e-14
@@ -105,27 +106,20 @@ def kick_sum(z: complex) -> complex:
     return complex(np.sum((coeffs[m] - coeffs[-m]) / m))
 
 
-def solve_j0_equals(
-    target: complex,
-    guess: complex = DEFAULT_ROOT_GUESS,
-    tol: float = DEFAULT_NEWTON_TOL,
-    max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-) -> RootResult:
+def solve_j0_equals(target: complex, guess: complex = DEFAULT_ROOT_GUESS) -> RootResult:
     """Newton iteration for J0(z) = target with derivative -J1(z).
 
     The default guess homes in on the principal root of J0(z) = i; other
     roots of the same equation are selected by starting nearby instead.
-    Non-convergence within ``max_iter`` returns converged=False rather
-    than raising; a vanishing derivative raises DerivativeBreakdownError.
+    Non-convergence within NEWTON_MAX_ITER steps returns converged=False
+    rather than raising; a vanishing derivative raises DerivativeBreakdownError.
     """
     target = _require_finite(target, "solve_j0_equals target")
     z = _require_finite(guess, "solve_j0_equals guess")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
     iterations = 0
     f = bessel_j0(z) - target
-    while iterations < max_iter:
-        if abs(f) <= tol:
+    while iterations < NEWTON_MAX_ITER:
+        if abs(f) <= NEWTON_TOL:
             return RootResult(root=z, residual=abs(f), iterations=iterations, converged=True)
         deriv = -bessel_j1(z)
         if abs(deriv) < DERIVATIVE_BREAKDOWN_TOL:
@@ -135,4 +129,5 @@ def solve_j0_equals(
         z = z - f / deriv
         iterations += 1
         f = bessel_j0(z) - target
-    return RootResult(root=z, residual=abs(f), iterations=iterations, converged=abs(f) <= tol)
+    return RootResult(root=z, residual=abs(f), iterations=iterations,
+                      converged=abs(f) <= NEWTON_TOL)

@@ -182,7 +182,7 @@ def _load_config(path: str) -> dict:
 
 
 def cmd_solve_beta(args) -> int:
-    params = JcParams(omega0=args.omega0, omega=args.omega, coupling=args.coupling)
+    params = JcParams(omega0=args.omega0, omega=args.omega)
     target = ModulationTarget(args.target)
     beta = solve_modulation_beta(params, target, args.n, args.big_omega,
                                  convention=args.convention)
@@ -398,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--n", type=_int_flag, default=1)
     p.add_argument("--big-omega", dest="big_omega", type=float, required=True)
-    p.add_argument("--coupling", type=float, default=0.05)
     p.add_argument("--convention", choices=["gauge", "splitting"], default="gauge")
     p.add_argument("--output", default=None, help="optional JSON output path")
     p.set_defaults(func=cmd_solve_beta)

@@ -109,9 +109,9 @@ class ModulationSpec:
 class Trajectory:
     """Uniformly sampled amplitude time series in one frame.
 
-    ``times`` advances in steps of ``step`` except possibly the final
-    interval, which may be shorter when the integration end time is not
-    an integer number of steps away from the start.
+    ``times`` advances in steps of its first interval except possibly the
+    final interval, which may be shorter when the integration end time is
+    not an integer number of steps away from the start.
     """
 
     times: np.ndarray
@@ -119,7 +119,6 @@ class Trajectory:
     d: np.ndarray
     frame: Frame
     n: int
-    step: float
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -132,10 +131,10 @@ class Trajectory:
             if not np.all(dt > 0):
                 raise ValueError("times must be strictly increasing")
             scale = max(abs(t[0]), abs(t[-1]), 1.0)
-            if len(dt) > 1 and np.abs(dt[:-1] - self.step).max() > 1e-12 * scale:
-                raise ValueError("interior spacing must equal step")
-            if dt[-1] > self.step + 1e-12 * scale:
-                raise ValueError("final spacing may not exceed step")
+            if len(dt) > 1 and np.abs(dt[:-1] - dt[0]).max() > 1e-12 * scale:
+                raise ValueError("interior spacing must equal the first interval")
+            if dt[-1] > dt[0] + 1e-12 * scale:
+                raise ValueError("final spacing may not exceed the first interval")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -163,7 +162,7 @@ class BoundRhs:
     frame: Frame
     n: int
     rate: float
-    kappa: float = 0.0
+    kappa: float
 
     def __post_init__(self):
         _require_block(self.n)
@@ -382,7 +381,7 @@ def integrate(rhs: BoundRhs, c0: complex, d0: complex, t0: float, t1: float,
     times = t0 + step * np.arange(n_full + 1, dtype=float)
     if tail > 0.0:
         times = np.concatenate([times, [t1]])
-    return Trajectory(times=times, c=cs, d=ds, frame=rhs.frame, n=rhs.n, step=step)
+    return Trajectory(times=times, c=cs, d=ds, frame=rhs.frame, n=rhs.n)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +471,7 @@ def read_trajectory_csv(path) -> Trajectory:
             data = np.loadtxt(checked(fh), delimiter=",", usecols=range(5),
                               dtype=_TRAJECTORY_ROW[["t", "cd"]], comments=None, ndmin=1)
     c, d = data["cd"].view(complex).T  # (re, im) pairs, bit for bit
-    step = float(data["t"][1] - data["t"][0]) if len(data) > 1 else 1.0
-    return Trajectory(times=data["t"], c=c, d=d, frame=Frame(tags[0]), n=int(tags[1]), step=step)
+    return Trajectory(times=data["t"], c=c, d=d, frame=Frame(tags[0]), n=int(tags[1]))
 
 
 def map_trajectory(traj: Trajectory, params: JcParams,
@@ -503,4 +501,4 @@ def map_trajectory(traj: Trajectory, params: JcParams,
     if not (np.isfinite(c).all() and np.isfinite(d).all()):
         raise ValueError(f"mapping the {traj.frame.value}-frame trajectory to the "
                          f"{to_frame.value} frame leaves float64 (non-finite amplitudes)")
-    return Trajectory(times=t, c=c, d=d, frame=to_frame, n=traj.n, step=traj.step)
+    return Trajectory(times=t, c=c, d=d, frame=to_frame, n=traj.n)

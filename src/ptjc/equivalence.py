@@ -81,6 +81,10 @@ ENVELOPE_FLOOR = 0.1
 # Below this fraction of its terms, a modulus square is formed directly (see _moduli).
 _CANCELLATION_FLOOR = 1e-4
 
+# Bytes one complex series of per-period arrays may take, periods x K x 2 x 16: the
+# envelopes comparison.csv expands, and the (periods, 2, K) moduli of the errors.
+SERIES_BYTES_MAX = 2**28
+
 GAUGE_CONVENTION = "gauge"
 SPLITTING_CONVENTION = "splitting"
 _CONVENTIONS = (GAUGE_CONVENTION, SPLITTING_CONVENTION)
@@ -179,8 +183,7 @@ def _bessel_root() -> complex:
 
 
 def condition_argument(params: JcParams, target: ModulationTarget, n: int,
-                       big_omega: float, beta: complex,
-                       convention: str = GAUGE_CONVENTION) -> complex:
+                       big_omega: float, beta: complex, convention: str) -> complex:
     """The J0 argument that ``convention`` sets to the root of J0(r) = i.
 
     Atom: -omega0 beta / (2 Omega) (gauge) or -omega0 beta / Omega.
@@ -312,6 +315,10 @@ def _drive(cfg: ExperimentConfig, beta: Optional[complex], convention: str,
     _check_rk4_rate(math.pi * abs(z.real) / k, dt * kappa)
     if n_steps <= k:
         raise ValueError("duration too short for the averaging window")
+    periods = n_steps // k + 1
+    if periods * k * 2 * 16 > SERIES_BYTES_MAX:
+        raise ValueError(f"{periods} periods of {k} steps take {periods * k * 2 * 16} bytes "
+                         f"per complex series, past the budget of {SERIES_BYTES_MAX} bytes")
     return _Drive(mod.beta, z, kappa, big_omega, kick, dt, n_steps)
 
 
@@ -358,9 +365,10 @@ def run_equivalence_experiment(cfg: ExperimentConfig, *,
     period centres, started from the kicked state
     (c, d) = ((kappa / Omega) S(z), 1), and report the maximum and RMS
     relative deviation of the envelopes, each normalized by
-    max(|static|, ENVELOPE_FLOOR).  A non-finite beta, or a real part
-    of z too large for RK4 at ``step_per_period``, is refused before
-    integrating; a state or window row past float64 raises ValueError.
+    max(|static|, ENVELOPE_FLOOR).  A non-finite beta, a real part of z
+    too large for RK4 at ``step_per_period``, or a series past
+    SERIES_BYTES_MAX, is refused before integrating; a state or window
+    row past float64 raises ValueError.
 
     ``batch`` is how ``convergence_sweep`` hands this run its checked
     drive and its share of one integration of every ratio; without it

@@ -53,16 +53,8 @@ class FockSpace:
     def total_dim(self) -> int:
         return 2 * self.boson_levels
 
-    def index(self, m: int, k: int) -> int:
-        """Basis index of |m boson, k fermion>."""
-        if not (0 <= m < self.boson_levels):
-            raise ValueError(f"boson occupancy {m} out of range")
-        if k not in (0, 1):
-            raise ValueError(f"fermion occupancy {k} must be 0 or 1")
-        return 2 * m + k
-
     def unpack(self, i: int) -> tuple[int, int]:
-        """Inverse of index: i -> (m, k)."""
+        """The occupancies (m, k) of basis index i = 2 m + k."""
         if not (0 <= i < self.total_dim):
             raise ValueError(f"index {i} out of range")
         return i // 2, i % 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Discriminant window classified as an exceptional point.
+# Discriminant window classified as an exceptional point, relative to delta^2 + 4 g^2 n.
 EXCEPTIONAL_POINT_TOL = 1e-10
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -58,17 +58,13 @@ class JcParams:
 
 @dataclass(frozen=True)
 class DressedSpectrum:
-    """Closed-form eigensystem of one excitation block."""
+    """Closed-form eigensystem of one excitation block; ``t_block`` holds its eigenvectors."""
 
-    n: int
-    delta: float
     big_delta: complex
     e_plus: complex
     e_minus: complex
     theta_half_sin: complex
     theta_half_cos: complex
-    eigvec_plus: np.ndarray
-    eigvec_minus: np.ndarray
 
 
 class PtPhaseKind(enum.Enum):
@@ -103,7 +99,7 @@ def build_subspace_hamiltonian(params: JcParams, n: int) -> np.ndarray:
 
 
 def dressed_spectrum(params: JcParams, n: int) -> DressedSpectrum:
-    """Closed-form dressed eigenvalues and eigenvectors of a block.
+    """Closed-form dressed eigenvalues and half-angle entries of a block.
 
     sin(theta/2) = (1 + delta/Delta)^{1/2} / sqrt(2) and
     cos(theta/2) = -(1 - delta/Delta)^{1/2} / sqrt(2); the negative
@@ -133,15 +129,11 @@ def dressed_spectrum(params: JcParams, n: int) -> DressedSpectrum:
         raise ValueError(f"E+- = (n - 1/2) omega +- Delta / 2 leaves float64 at n = {n}, "
                          f"omega = {params.omega!r}, Delta = {big_delta!r}")
     return DressedSpectrum(
-        n=n,
-        delta=delta,
         big_delta=big_delta,
         e_plus=e_plus,
         e_minus=e_minus,
         theta_half_sin=s_half,
         theta_half_cos=c_half,
-        eigvec_plus=np.array([-s_half, c_half], dtype=complex),
-        eigvec_minus=np.array([c_half, s_half], dtype=complex),
     )
 
 
@@ -150,7 +142,9 @@ def classify_pt_phase(params: JcParams, n: int) -> PtPhase:
 
     For coupling i*g (g real) the discriminant delta**2 - 4 g**2 n
     decides between real eigenvalues (unbroken), a conjugate pair
-    (broken), and the exceptional point within EXCEPTIONAL_POINT_TOL.
+    (broken), and the exceptional point within EXCEPTIONAL_POINT_TOL
+    times delta**2 + 4 g**2 n, so the window scales with the block's
+    energies (both terms 0 is an exceptional point).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -161,8 +155,10 @@ def classify_pt_phase(params: JcParams, n: int) -> PtPhase:
         )
     gamma = g.imag
     delta = params.detuning()
-    disc = delta * delta - 4.0 * gamma * gamma * n
-    if abs(disc) <= EXCEPTIONAL_POINT_TOL:
+    square, pull = delta * delta, 4.0 * gamma * gamma * n
+    disc = square - pull
+    # an overflowed term has no window: the sign of disc decides
+    if abs(disc) <= EXCEPTIONAL_POINT_TOL * (square + pull) < math.inf:
         kind = PtPhaseKind.EXCEPTIONAL_POINT
     elif disc > 0:
         kind = PtPhaseKind.UNBROKEN
@@ -177,10 +173,11 @@ def t_block(params: JcParams, n: int) -> np.ndarray:
     Built from the half-angle entries of :func:`dressed_spectrum`.  It
     has unit determinant, so the same expression serves real and complex
     mixing angles, and its transpose is its inverse: the eigenvector
-    column matrix [[cos, -sin], [sin, cos]], columns (eigvec_minus,
-    eigvec_plus).  With zero coupling there is nothing to mix and the
-    sin(theta) = 0 branch is taken, i.e. the identity is returned (the
-    block is already diagonal, holding its bare energies).
+    column matrix [[cos, -sin], [sin, cos]], whose columns are the
+    eigenvectors of e_minus and e_plus.  With zero coupling there is
+    nothing to mix and the sin(theta) = 0 branch is taken, i.e. the
+    identity is returned (the block is already diagonal, holding its
+    bare energies).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -94,9 +94,6 @@ class BiorthogonalSystem:
                 == len(self.labels) == self.eigvecs_bare.shape[1]):
             raise ValueError("inconsistent system component lengths")
 
-    def __len__(self) -> int:
-        return len(self.energies)
-
     def gram(self) -> np.ndarray:
         return self.phis.conj().T @ self.psis
 
@@ -248,17 +245,17 @@ def eigen_residuals(system: BiorthogonalSystem, h0: np.ndarray,
     Uses the algebraic transport H_alpha (S v) = S (H0 v) and
     H_alpha-dagger (S^-1 v) = S^-1 (H0 v), so the bare residual is
     mapped through one well-conditioned product instead of a dense
-    similarity sandwich.
+    similarity sandwich.  Each residual is divided by its vector's norm
+    (Psi-hat's stands for ||S^-1 v||: their pairing is 1 up to rounding)
+    and by max |E|, which is at least omega0 / 2: the lowest kept energy
+    is at most E(0, 0) = -omega0 / 2.  So the residuals are unitless.
     """
     v = system.eigvecs_bare
     bare = h0 @ v - v * system.energies[None, :]
-    res_phi = _apply(smap.s, bare)
-    res_psi = _apply(smap.s_inv, bare)
-    phi_norms = np.linalg.norm(system.phis, axis=0)
-    psi_scale = np.linalg.norm(_apply(smap.s_inv, v), axis=0)
-    rel_phi = np.linalg.norm(res_phi, axis=0) / phi_norms
-    rel_psi = np.linalg.norm(res_psi, axis=0) / psi_scale
-    return float(rel_phi.max()), float(rel_psi.max())
+    scale = np.abs(system.energies).max()
+    rel_phi, rel_psi = (np.linalg.norm(_apply(s, bare), axis=0) / np.linalg.norm(f, axis=0)
+                        for s, f in ((smap.s, system.phis), (smap.s_inv, system.psis)))
+    return float(rel_phi.max() / scale), float(rel_psi.max() / scale)
 
 
 def metric_checks(system: BiorthogonalSystem, smap: SimilarityMap) -> dict:

@@ -13,14 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from ptjc import (
-    FockSpace,
-    JcParams,
-    build_biorthogonal_system,
-    build_h0,
-    build_similarity,
-    dynamics,
-)
+from ptjc import dynamics
+from ptjc.fockspace import FockSpace, build_h0
+from ptjc.jc import JcParams
+from ptjc.pseudo import build_biorthogonal_system, build_similarity
 
 DEFAULT_SEED = 20260814
 

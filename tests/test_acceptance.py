@@ -203,8 +203,8 @@ def test_criterion_6_conserved_quantities():
     assert ok
 
 
-def test_criterion_7_pt_classification_grid():
-    t0 = time.perf_counter()
+def criterion_7_points():
+    """(delta, g, n) of criterion 7's grid: 90 spread points and 10 with a zero discriminant."""
     points = []
     for i, delta in enumerate(np.linspace(-0.6, 0.6, 10)):
         for j, g in enumerate(np.linspace(0.02, 0.3, 9)):
@@ -213,6 +213,12 @@ def test_criterion_7_pt_classification_grid():
         g = 0.02 + 0.03 * j
         n = 1 + j % 4
         points.append((2.0 * g * math.sqrt(n), g, n))  # discriminant zero
+    return points
+
+
+def test_criterion_7_pt_classification_grid():
+    t0 = time.perf_counter()
+    points = criterion_7_points()
     assert len(points) == 100
 
     disagreements = 0
@@ -237,6 +243,18 @@ def test_criterion_7_pt_classification_grid():
     assert ok
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_criterion_7_grid_classifies_alike_at_any_energy_scale(scale):
+    # the exceptional-point window is relative to delta^2 + 4 g^2 n: an absolute 1e-10
+    # read every point as exceptional at scale 1e-6
+    def kinds(s):
+        return [classify_pt_phase(JcParams(omega0=(1.0 + delta) * s, omega=s,
+                                           coupling=complex(0.0, g * s)), n).kind
+                for delta, g, n in criterion_7_points()]
+
+    assert kinds(scale) == kinds(1.0)
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.1 * cmath.exp(1j * math.pi / 5)],
                          ids=["real_eps", "complex_eps"])
 def test_criterion_8_deformed_system_suite(eps):
@@ -256,12 +274,12 @@ def test_criterion_8_deformed_system_suite(eps):
         for k in (0, 1):
             if m + k <= 5:
                 v = np.zeros(space.total_dim, dtype=complex)
-                v[space.index(m, k)] = 1.0
+                v[2 * m + k] = 1.0
                 probes.append(v)
     quasi = max(max(r["direct"], r["swapped"])
                 for r in quasi_basis_check(system, probes))
     t_res = t_alpha_diagonalization_check(h0, smap, params)
-    slots = [space.index(m, k) for m, k in system.labels]
+    slots = [2 * m + k for m, k in system.labels]
     formula_dev = float(np.abs(system.energies - energy_formula(params, space)[slots]).max())
     elapsed = time.perf_counter() - t0
 

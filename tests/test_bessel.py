@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from ptjc import bessel
 from ptjc.bessel import (
     DEFAULT_ROOT_GUESS,
     MAX_ABS_ARG,
     MAX_IMAG_ARG,
+    NEWTON_TOL,
     DerivativeBreakdownError,
     bessel_j0,
     bessel_j1,
@@ -151,8 +153,8 @@ class TestSolveJ0Equals:
         assert abs(res.root - QUOTED_ROOT) <= QUOTED_ROOT_TOL
 
     def test_converged_implies_residual_within_tol(self):
-        res = solve_j0_equals(1j, tol=1e-12)
-        assert res.converged and res.residual <= 1e-12
+        res = solve_j0_equals(1j)
+        assert res.converged and res.residual <= NEWTON_TOL
 
     def test_local_uniqueness_under_reseeding(self, rng):
         base = solve_j0_equals(1j).root
@@ -172,8 +174,9 @@ class TestSolveJ0Equals:
         with pytest.raises(DerivativeBreakdownError):
             solve_j0_equals(0.0, guess=0.0)
 
-    def test_non_convergence_reported_not_raised(self):
-        res = solve_j0_equals(1j, guess=DEFAULT_ROOT_GUESS, max_iter=1)
+    def test_non_convergence_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(bessel, "NEWTON_MAX_ITER", 1)
+        res = solve_j0_equals(1j, guess=DEFAULT_ROOT_GUESS)
         assert not res.converged
         assert res.iterations == 1
 
@@ -181,4 +184,4 @@ class TestSolveJ0Equals:
         with pytest.raises(ValueError):
             solve_j0_equals(complex(math.nan, 0.0))
         with pytest.raises(ValueError):
-            solve_j0_equals(1j, tol=0.0)
+            solve_j0_equals(1j, guess=complex(0.0, math.inf))

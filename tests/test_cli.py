@@ -21,6 +21,7 @@ from ptjc import cli, floattext, kernels, pseudo
 from ptjc.cli import (_COMPARE, _EVOLVE, _MODULATION, _PSEUDO, MAX_INT, REQUIRED, ConfigError,
                       _parse_doc, main)
 from ptjc.dynamics import MAX_STEPS, Frame, read_trajectory_csv
+from ptjc.equivalence import SERIES_BYTES_MAX
 from ptjc.fockspace import MAX_BOSON_LEVELS
 
 PRINCIPAL_ROOT = -2.139543213285525 + 1.4202888362948998j
@@ -98,6 +99,12 @@ class TestSolveBeta:
     def test_missing_required_argument(self):
         assert main(["solve-beta", "--target", "atom"]) == 2
 
+    def test_coupling_flag_is_gone(self, capsys):
+        # beta depends on omega0, omega, n and big_omega only; the flag reached no output
+        assert main(["solve-beta", "--target", "atom", "--big-omega", "1.0",
+                     "--coupling", "0.05"]) == 2
+        assert "unrecognized arguments: --coupling" in capsys.readouterr().err
+
     def test_bad_drive_frequency(self):
         code = main(["solve-beta", "--target", "atom", "--big-omega", "0.0"])
         assert code == 2
@@ -160,6 +167,13 @@ class TestSpectrum:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["pt_phase"] == "exceptional_point"
+
+    def test_phase_at_small_energies(self, capsys):
+        # E+- = 5.0e-7 and 1.5e-6 are real and distinct; an absolute window read
+        # this block as an exceptional point
+        assert main(["spectrum", "--omega0", "1e-6", "--omega", "2e-6",
+                     "--g-imag", "1e-9", "--n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["pt_phase"] == "unbroken"
 
     def test_real_coupling_has_no_pt_fields(self, capsys):
         code = main(["spectrum", "--omega0", "1.0", "--omega", "0.9",
@@ -393,8 +407,9 @@ class TestEvolve:
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
         traj = read_trajectory_csv(tmp_path / "trajectory_lab.csv")
-        assert traj.step == pytest.approx(2.0 * math.pi / 999.55 / 400.0)
-        assert len(traj) == math.ceil(0.1 / traj.step) + 1
+        step = traj.times[1] - traj.times[0]
+        assert step == pytest.approx(2.0 * math.pi / 999.55 / 400.0)
+        assert len(traj) == math.ceil(0.1 / step) + 1
         norms = np.abs(traj.c) ** 2 + np.abs(traj.d) ** 2  # Hermitian: only RK4 drift
         assert np.abs(norms - 1.0).max() <= 1e-8
 
@@ -641,6 +656,16 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         assert "sample budget of 1e+08 steps" in capsys.readouterr().err
 
+    def test_series_byte_budget(self, tmp_path, capsys, no_integration):
+        # ratio 400000 passes the step budget with 5.1e7 steps, but its 127,324 periods
+        # of 400 steps take 1.6 GB per complex series (once an uncaught MemoryError)
+        cfg = write_config(tmp_path, {"omega_ratio": 400000})
+        outdir = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
+        assert ("127324 periods of 400 steps take 1629747200 bytes per complex series, "
+                f"past the budget of {SERIES_BYTES_MAX} bytes") in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_kick_past_bessel_domain(self, tmp_path, capsys, no_integration):
         # relative-phase amplitude omega0 beta / Omega = 800i at ratio 100
@@ -845,6 +870,13 @@ class TestPseudoCommand:
         assert payload["eigen_residual_max"] <= 1e-9
         assert payload["metric_residuals"]["identity_rel_max"] <= 1e-10
         assert 6e4 <= payload["cond2"] <= 7e4
+
+    def test_eigen_residual_is_relative_at_large_energies(self, tmp_path):
+        # divided by ||Phi-hat|| alone the residual kept H0's units and read 1.49e138 here
+        cfg = write_config(tmp_path, {"omega": 4.2e152, "omega0": 4.2e152, "epsilon": 0.1})
+        assert main(["pseudo", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "pseudo.json").read_text())
+        assert payload["eigen_residual_max"] <= 1e-12
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         dir1, dir2 = tmp_path / "r1", tmp_path / "r2"

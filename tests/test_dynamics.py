@@ -83,7 +83,7 @@ class TestTypes:
         mod = ModulationSpec(target=ATOM, beta=0.3, big_omega=2.0)
         for bind in (*(lambda n, f=f: bind_driven_rhs(p, mod, n, f) for f in Frame),
                      lambda n: bind_static_rhs(p, n), lambda n: bind_averaged_rhs(p, mod, n),
-                     lambda n: BoundRhs(ZERO_RHS.matrix, Frame.LAB, n, 0.0),
+                     lambda n: BoundRhs(ZERO_RHS.matrix, Frame.LAB, n, 0.0, 0.0),
                      lambda n: closed_form_amplitudes(p, n, 1.0, 0.0, 1.0)):
             for n in (0, -1):
                 with pytest.raises(ValueError, match="n must be >= 1"):
@@ -102,21 +102,24 @@ class TestTypes:
             traj = integrate(rhs, 0.0, 1.0, 0.0, 0.5, 0.1)
             assert (traj.frame, traj.n) == (rhs.frame, rhs.n) == (frame, n)
 
-    def test_trajectory_requires_uniform_grid(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.1, 0.3]), c=np.zeros(3, complex),
-                       d=np.zeros(3, complex), frame=Frame.LAB, n=1, step=0.1)
+    @pytest.mark.parametrize("times, message", [
+        ([0.0, 0.1, 0.3, 0.4], "interior spacing must equal the first interval"),
+        ([0.0, 0.1, 0.3], "final spacing may not exceed the first interval")])
+    def test_trajectory_requires_uniform_grid(self, times, message):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(times=np.array(times), c=np.zeros(len(times), complex),
+                       d=np.zeros(len(times), complex), frame=Frame.LAB, n=1)
 
     def test_trajectory_allows_short_final_interval(self):
         traj = Trajectory(times=np.array([0.0, 0.1, 0.15]), c=np.zeros(3, complex),
-                          d=np.zeros(3, complex), frame=Frame.LAB, n=1, step=0.1)
+                          d=np.zeros(3, complex), frame=Frame.LAB, n=1)
         assert len(traj) == 3
 
 
 def one_sample(state, t):
     """A single-sample trajectory holding ``state`` at time t."""
     return Trajectory(times=np.array([t]), c=np.array([state.c]), d=np.array([state.d]),
-                      frame=state.frame, n=state.n, step=1.0)
+                      frame=state.frame, n=state.n)
 
 
 def mapped_sample(state, params, mod, t, to_frame):
@@ -224,7 +227,7 @@ class TestFrameMaps:
         }
         for src in Frame:
             traj = Trajectory(times=t, c=expected[src][0], d=expected[src][1],
-                              frame=src, n=n, step=lab.step)
+                              frame=src, n=n)
             for dst in Frame:
                 out = map_trajectory(traj, p, mod, dst)
                 c_ref, d_ref = expected[dst]
@@ -244,8 +247,7 @@ class TestFrameMaps:
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=beta, big_omega=1.0)
         traj = Trajectory(times=np.array([0.0, math.pi / 2.0]), c=np.array([c, c]),
-                          d=np.array([0.5, 0.5], dtype=complex), frame=Frame.GAUGED,
-                          n=1, step=math.pi / 2.0)
+                          d=np.array([0.5, 0.5], dtype=complex), frame=Frame.GAUGED, n=1)
         with pytest.raises(ValueError, match="finite"):
             map_trajectory(traj, p, mod, Frame.INTERACTION)
 
@@ -503,7 +505,7 @@ class TestIntegrate:
     def test_blowup_names_the_first_non_finite_sample(self):
         # A = 60 I, h = 0.1: a step multiplies by 1 + 6 + 18 + 36 + 54 = 115, and 115^150
         # is its first power past float64; a tail after the overflow reports t1
-        grow = BoundRhs(TestBlockedScan.diagonal(60.0, 60.0), Frame.LAB, 1, 0.0)
+        grow = BoundRhs(TestBlockedScan.diagonal(60.0, 60.0), Frame.LAB, 1, 0.0, 0.0)
         with pytest.raises(IntegrationError, match=f"t = {150 * 0.1}$"):
             integrate(grow, 1.0, 1.0, 0.0, 40.0, 0.1)
         with pytest.raises(IntegrationError, match="t = 14.99$"):
@@ -632,8 +634,8 @@ class TestBlockedScan:
         c, d = kernels.rk4_linear(split, 0.0, 1.0, 0.0, 0.1, 400, 0.0)
         assert np.isfinite(c).all() and np.isfinite(d).all()
         assert not c.any()
-        c_ref, d_ref = rk4_generic(BoundRhs(split, Frame.LAB, 1, 20.0), 0.0, 1.0, 0.0, 0.1, 400,
-                                   0.0)
+        c_ref, d_ref = rk4_generic(BoundRhs(split, Frame.LAB, 1, 20.0, 0.0), 0.0, 1.0, 0.0, 0.1,
+                                   400, 0.0)
         assert not c_ref.any()
         np.testing.assert_allclose(d, d_ref, rtol=1e-12, atol=0.0)
 
@@ -807,7 +809,7 @@ class TestCsvCodec:
         parts = np.array(self.AWKWARD)
         c = parts.view(complex)
         return Trajectory(times=np.arange(4) * 0.5, c=c, d=c[::-1].copy(),
-                          frame=Frame.GAUGED, n=3, step=0.5)
+                          frame=Frame.GAUGED, n=3)
 
     def test_trajectory_bytes_match_the_per_row_writer(self, tmp_path):
         traj = self.awkward_trajectory()
@@ -831,14 +833,13 @@ class TestCsvCodec:
         back = read_trajectory_csv(path)
         for got, want in ((back.times, traj.times), (back.c, traj.c), (back.d, traj.d)):
             assert got.tobytes() == want.tobytes()
-        assert (back.frame, back.n, back.step) == (Frame.GAUGED, 3, 0.5)
+        assert (back.frame, back.n) == (Frame.GAUGED, 3)
 
     def test_random_bit_patterns_read_back_bitwise(self, tmp_path):
         bits = np.random.default_rng(20).integers(0, 2**64, size=80000, dtype=np.uint64)
         values = bits.view(float)
         c, d = values[np.isfinite(values)][:64000].view(complex).reshape(2, -1)
-        traj = Trajectory(times=np.arange(len(c)) * 0.25, c=c, d=d, frame=Frame.LAB,
-                          n=1, step=0.25)
+        traj = Trajectory(times=np.arange(len(c)) * 0.25, c=c, d=d, frame=Frame.LAB, n=1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv([traj], [path])
         back = read_trajectory_csv(path)
@@ -911,8 +912,7 @@ class TestCsvCodec:
         parts = np.resize(np.array(self.AWKWARD), 4 * rows)
         parts[5::3] = np.random.default_rng(rows).standard_normal(len(parts[5::3]))
         c, d = parts.view(complex).reshape(2, rows)
-        traj = Trajectory(times=np.arange(rows) * 0.1, c=c, d=d, frame=Frame.INTERACTION,
-                          n=12, step=0.1)
+        traj = Trajectory(times=np.arange(rows) * 0.1, c=c, d=d, frame=Frame.INTERACTION, n=12)
         path = tmp_path / "traj.csv"
         write_trajectory_csv([traj], [path])
         text = per_row_trajectory_text(traj)
@@ -944,7 +944,7 @@ class TestCsvCodec:
             d_lab = c_lab
         else:  # starts where c_g starts, with twice its stride
             c_lab, d_lab = buffer[:2 * rows:2], c_lab
-        trajs = [Trajectory(times=times, c=c, d=dd, frame=frame, n=2, step=0.1)
+        trajs = [Trajectory(times=times, c=c, d=dd, frame=frame, n=2)
                  for c, dd, frame in ((c_g, d, Frame.GAUGED), (c_i, d, Frame.INTERACTION),
                                       (c_lab, d_lab, Frame.LAB))]
         paths = [tmp_path / f"{tr.frame.value}.csv" for tr in trajs]
@@ -1025,7 +1025,7 @@ class TestCsvCodec:
     def test_long_n_is_read_in_full(self, tmp_path):
         n = int("9" * 30)
         traj = self.awkward_trajectory()
-        traj = Trajectory(times=traj.times, c=traj.c, d=traj.d, frame=Frame.LAB, n=n, step=0.5)
+        traj = Trajectory(times=traj.times, c=traj.c, d=traj.d, frame=Frame.LAB, n=n)
         path = tmp_path / "traj.csv"
         write_trajectory_csv([traj], [path])
         back = read_trajectory_csv(path)
@@ -1062,8 +1062,7 @@ class TestCsvCodec:
         rows = 16001
         parts = np.random.default_rng(7).standard_normal(4 * rows)
         c, d = parts.view(complex).reshape(2, rows)
-        traj = Trajectory(times=np.arange(rows) / 256.0, c=c, d=d, frame=Frame.INTERACTION,
-                          n=2, step=1.0 / 256.0)
+        traj = Trajectory(times=np.arange(rows) / 256.0, c=c, d=d, frame=Frame.INTERACTION, n=2)
         path = tmp_path / "traj.csv"
         peaks = []
         for call in (lambda: write_trajectory_csv([traj], [path]),
@@ -1084,7 +1083,7 @@ class TestCsvCodec:
         parts = np.random.default_rng(7).standard_normal(10 * rows)
         c_g, c_i, d, c_lab, d_lab = parts.view(complex).reshape(5, rows)
         times = np.arange(rows) / 256.0
-        trajs = [Trajectory(times=times, c=c, d=dd, frame=frame, n=2, step=1.0 / 256.0)
+        trajs = [Trajectory(times=times, c=c, d=dd, frame=frame, n=2)
                  for c, dd, frame in ((c_g, d, Frame.GAUGED), (c_i, d, Frame.INTERACTION),
                                       (c_lab, d_lab, Frame.LAB))]
         paths = [tmp_path / f"{tr.frame.value}.csv" for tr in trajs]

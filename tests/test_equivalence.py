@@ -342,6 +342,19 @@ class TestExperimentGuards:
         with pytest.raises(ValueError):
             run_equivalence_experiment(cfg)
 
+    @pytest.mark.parametrize("steps, samples", [(400, 0), (401, 2)])
+    def test_exactly_one_drive_period(self, steps, samples):
+        # at ratio 100 and K = 400 steps a period, 2 pi / 100 Rabi units are exactly
+        # one period: its K steps leave no window average, and one step more gives two
+        cfg = default_cfg(duration_rabi_units=2.0 * math.pi / 100.0 * steps / 400.0)
+        if not samples:
+            with pytest.raises(ValueError, match="duration too short for the averaging window"):
+                run_equivalence_experiment(cfg)
+        else:
+            report = run_equivalence_experiment(cfg)
+            assert len(report.times) == samples
+            assert report.window_states.shape[1] == 2  # Y_0 and Y_1
+
 
 class TestSanityPath:
     def test_undriven_run_matches_hermitian_closed_form(self):

@@ -28,20 +28,18 @@ class TestFockSpace:
         with pytest.raises(ValueError, match=f"{MAX_BOSON_LEVELS}].*64 N_b\\^2 bytes"):
             FockSpace(boson_levels=MAX_BOSON_LEVELS + 1)
 
-    def test_index_unpack_round_trip(self):
+    def test_unpack_inverts_the_interleaved_index(self):
         space = FockSpace(boson_levels=8)
         for m in range(8):
             for k in (0, 1):
-                i = space.index(m, k)
-                assert i == 2 * m + k
-                assert space.unpack(i) == (m, k)
+                assert space.unpack(2 * m + k) == (m, k)
 
-    def test_index_bounds(self):
+    def test_unpack_bounds(self):
         space = FockSpace(boson_levels=4)
         with pytest.raises(ValueError):
-            space.index(4, 0)
+            space.unpack(8)
         with pytest.raises(ValueError):
-            space.index(0, 2)
+            space.unpack(-1)
 
     def test_block_slots(self):
         # row N - 1 holds block N: (|N-1, 1>, |N, 0>); slots 0 and 2 N_b - 1 stand alone
@@ -49,7 +47,7 @@ class TestFockSpace:
         slots = space.block_slots()
         assert slots.shape == (5, 2)
         for n, (lower, upper) in enumerate(slots, start=1):
-            assert (lower, upper) == (space.index(n - 1, 1), space.index(n, 0))
+            assert (lower, upper) == (2 * n - 1, 2 * n)
         assert sorted(set(range(12)) - set(slots.ravel())) == [0, 11]
 
     def test_safe_sets_at_default_size(self):
@@ -67,7 +65,7 @@ class TestLadderOperators:
         d = build_fock_operators(space)["d"]
         for m in range(1, 6):
             for k in (0, 1):
-                assert d[space.index(m - 1, k), space.index(m, k)] == np.sqrt(m)
+                assert d[2 * (m - 1) + k, 2 * m + k] == np.sqrt(m)
         assert np.count_nonzero(d) == 10
 
     def test_fermion_nilpotency_exact(self):
@@ -90,7 +88,7 @@ class TestLadderOperators:
         ops = build_fock_operators(space)
         d, d_dag = ops["d"], ops["d_dag"]
         dev = d @ d_dag - d_dag @ d - np.eye(space.total_dim)
-        top = [space.index(5, 0), space.index(5, 1)]
+        top = [10, 11]  # |5, 0> and |5, 1>
         assert np.abs(dev[np.ix_(top, top)] + 6.0 * np.eye(2)).max() <= 1e-14
         dev[np.ix_(top, top)] = 0.0
         assert np.abs(dev).max() <= 1e-14
@@ -153,7 +151,7 @@ class TestH0:
         params = JcParams(1.1, 1.0, 0.1)
         h0 = build_h0(params, space)
         for n in (1, 3, 5):
-            rows = [space.index(n - 1, 1), space.index(n, 0)]
+            rows = [2 * n - 1, 2 * n]
             sub = h0[np.ix_(rows, rows)]
             ref = build_subspace_hamiltonian(params, n)
             assert np.abs(sub - ref).max() <= 1e-14

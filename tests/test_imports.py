@@ -1,4 +1,4 @@
-"""Stdlib stand-ins for six linter rules.
+"""Stdlib stand-ins for six linter rules, and the package root's imports.
 
 Every name a module imports is used, every module-level private
 function or constant is referenced outside its own definition, every
@@ -8,14 +8,18 @@ writers open files for writing, the README lists exactly the keys
 that ``ptjc pseudo`` writes and that a ``ptjc compare``, ``ptjc evolve``
 or ``ptjc pseudo`` config takes (and the evolve ``rhs`` names), all read
 from the commands' key tables, and every
-``ptjc`` module and name the README backticks exists.
+``ptjc`` module and name the README backticks exists.  ``import ptjc``
+loads every module but the CLI and re-exports no name.
 """
 
 import ast
 import fnmatch
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,10 +28,23 @@ import ptjc
 from ptjc.cli import _BINDERS, _COMPARE, _EVOLVE, _MODULATION, _PSEUDO, main
 
 PACKAGE = sorted(Path(ptjc.__file__).parent.glob("*.py"))
-# The package __init__ imports names only to re-export them.
+# The package __init__ imports its modules only to load them.
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 BENCHMARK = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 README = Path(__file__).parents[1] / "README.md"
+
+
+def test_package_root_loads_every_module_and_re_exports_no_name():
+    # names are imported from their modules; the root's one job is to load them
+    probe = ("import sys, types, ptjc\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ptjc'))\n"
+             "print(sorted(n for n, v in vars(ptjc).items()\n"
+             "             if not n.startswith('_') and not isinstance(v, types.ModuleType)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ptjc.__file__).parents[1])}
+    loaded, names = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                   capture_output=True, text=True).stdout.splitlines()
+    assert loaded == str(["ptjc"] + [f"ptjc.{p.stem}" for p in MODULES if p.stem != "cli"])
+    assert names == "[]"
 
 
 def unused_imports(source: str) -> list[str]:

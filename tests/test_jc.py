@@ -105,7 +105,8 @@ class TestDressedSpectrum:
             n = int(rng.integers(1, 20))
             s = dressed_spectrum(p, n)
             h = build_subspace_hamiltonian(p, n)
-            for vec, ev in ((s.eigvec_plus, s.e_plus), (s.eigvec_minus, s.e_minus)):
+            # the rows of t_block are the eigenvectors of e_minus and e_plus
+            for vec, ev in zip(t_block(p, n), (s.e_minus, s.e_plus)):
                 res = np.linalg.norm(h @ vec - ev * vec)
                 assert res <= EIGVEC_RESIDUAL_TOL * np.linalg.norm(vec)
 
@@ -117,9 +118,10 @@ class TestDressedSpectrum:
             assert abs(s.theta_half_sin ** 2 + s.theta_half_cos ** 2 - 1.0) <= 1e-12
 
     def test_eigenvector_layout(self):
-        s = dressed_spectrum(JcParams(1.3, 1.0, 0.2), n=2)
-        assert np.allclose(s.eigvec_plus, [-s.theta_half_sin, s.theta_half_cos])
-        assert np.allclose(s.eigvec_minus, [s.theta_half_cos, s.theta_half_sin])
+        p = JcParams(1.3, 1.0, 0.2)
+        s = dressed_spectrum(p, n=2)
+        sin, cos = s.theta_half_sin, s.theta_half_cos
+        assert np.allclose(t_block(p, n=2), [[cos, sin], [-sin, cos]])
 
     def test_degenerate_block_rejected(self):
         with pytest.raises(DegenerateBlockError):
@@ -146,6 +148,16 @@ class TestPtClassification:
     def test_rejects_real_coupling_part(self):
         with pytest.raises(ValueError):
             classify_pt_phase(JcParams(1.0, 1.0, 0.1 + 0.1j), n=1)
+
+    @pytest.mark.parametrize("params, kind", [
+        (JcParams(1.0, 1.0, 0.0), PtPhaseKind.EXCEPTIONAL_POINT),
+        (JcParams(1e200, 1.0, 1j), PtPhaseKind.UNBROKEN),
+        (JcParams(1.0, 1.0, 1e200j), PtPhaseKind.BROKEN),
+    ], ids=["both-terms-zero", "delta-squared-overflows", "coupling-term-overflows"])
+    def test_window_edges(self, params, kind):
+        # the window is EXCEPTIONAL_POINT_TOL (delta^2 + 4 g^2 n): both terms 0 is the
+        # exceptional point, and an overflowed term leaves the sign of the discriminant
+        assert classify_pt_phase(params, n=1).kind is kind
 
     def test_consistency_with_eigenvalues(self, rng):
         # classification agrees with directly computed block eigenvalues
@@ -212,8 +224,8 @@ class TestTBlock:
         p = JcParams(1.1, 1.0, 0.07)
         s = dressed_spectrum(p, n=3)
         m = t_block(p, n=3).T
-        assert np.allclose(m[:, 0], s.eigvec_minus)
-        assert np.allclose(m[:, 1], s.eigvec_plus)
+        h = build_subspace_hamiltonian(p, n=3)
+        assert np.allclose(h @ m, m * [s.e_minus, s.e_plus], atol=1e-14)
 
     def test_rays_match_numpy_eigh(self, rng):
         # sign conventions may differ; compare up to a global phase
@@ -225,7 +237,7 @@ class TestTBlock:
             h = build_subspace_hamiltonian(p, n).real
             vals, vecs = np.linalg.eigh(h)
             s = dressed_spectrum(p, n)
-            for vec, ev in ((s.eigvec_minus, s.e_minus), (s.eigvec_plus, s.e_plus)):
+            for vec, ev in zip(t_block(p, n), (s.e_minus, s.e_plus)):
                 j = int(np.argmin(np.abs(vals - ev.real)))
                 overlap = abs(np.vdot(vecs[:, j], vec))
                 assert overlap == pytest.approx(1.0, abs=1e-10)
@@ -243,7 +255,7 @@ class TestTBlock:
             assert np.array_equal(t_block(p_pos, n), t_block(p_neg, n))
             h_neg = build_subspace_hamiltonian(p_neg, n)
             s = dressed_spectrum(p_pos, n)
-            for vec, ev in ((s.eigvec_minus, s.e_minus), (s.eigvec_plus, s.e_plus)):
+            for vec, ev in zip(t_block(p_pos, n), (s.e_minus, s.e_plus)):
                 res = np.linalg.norm(h_neg @ (flip @ vec) - ev * (flip @ vec))
                 assert res <= EIGVEC_RESIDUAL_TOL
 

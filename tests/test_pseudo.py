@@ -214,7 +214,7 @@ class TestBlockEigenpairs:
         # blocks interleave in energy at 48 levels: pair each kept state
         # with its nearest dense eigenvalue (the spectrum is simple)
         match = np.abs(system.energies[:, None] - evals[None, :]).argmin(axis=1)
-        assert len(set(match)) == len(system)
+        assert len(set(match)) == len(system.energies)
         assert np.abs(system.energies - evals[match]).max() <= 1e-12  # measured 0
         labels = dense_labels(space, evecs)
         assert list(system.labels) == [labels[i] for i in match]
@@ -274,7 +274,7 @@ class TestEnergyFormula:
 class TestBiorthogonalSystem:
     def test_default_count_is_safe_budget(self, pseudo_default):
         system = pseudo_default["system"]
-        assert len(system) == 57
+        assert len(system.energies) == 57
 
     def test_count_validation(self, pseudo_default):
         with pytest.raises(ValueError):
@@ -305,7 +305,7 @@ class TestBiorthogonalSystem:
         params, space, h0, smap = small_bundle(alpha=0.0)
         system = build_biorthogonal_system(h0, smap)
         gram = system.gram()
-        assert np.abs(gram - np.eye(len(system))).max() <= 1e-12
+        assert np.abs(gram - np.eye(len(system.energies))).max() <= 1e-12
 
     def test_gram_biorthonormal_default(self, pseudo_default):
         gram = pseudo_default["system"].gram()
@@ -325,7 +325,7 @@ class TestBiorthogonalSystem:
         # families exactly
         params, _, h0, smap = small_bundle(alpha=alpha, eps=0.0, boson_levels=boson_levels)
         system = build_biorthogonal_system(h0, smap)
-        assert np.abs(system.gram() - np.eye(len(system))).max() <= GRAM_TOL  # measured 1.7e-12
+        assert np.abs(system.gram() - np.eye(len(system.energies))).max() <= GRAM_TOL  # measured 1.7e-12
         assert max(eigen_residuals(system, h0, smap)) <= 1e-12  # measured 0.0
 
     def test_eigen_residuals(self, pseudo_default):
@@ -376,7 +376,7 @@ class TestMetricChecks:
         if count is not None:
             count = min(count, space.safe_state_budget())
         system = build_biorthogonal_system(h0, smap, count)
-        idx = [space.index(m, k) for m in range(boson_levels) for k in (0, 1) if m + k <= 5]
+        idx = [2 * m + k for m in range(boson_levels) for k in (0, 1) if m + k <= 5]
         probes = np.eye(space.total_dim)[:, idx]
         gen = default_generator(space)
         want = {}
@@ -452,7 +452,7 @@ class TestQuasiBasis:
         system = pseudo_default["system"]
         space = system.space
         f = np.zeros(space.total_dim, dtype=complex)
-        f[space.index(31, 1)] = 1.0  # beyond every safe block
+        f[63] = 1.0  # |31, 1>, beyond every safe block
         records = quasi_basis_check(system, [f])
         assert records[0]["f_span_defect"] > 1e-3
         assert math.isfinite(records[0]["direct"])
