@@ -29,6 +29,7 @@ from .dynamics import (
     check_rk4_stability,
     integrate,
     map_trajectory,
+    step_count,
     suggested_step,
     write_csv,
     write_trajectory_csv,
@@ -55,6 +56,10 @@ GENERATED_BY = f"ptjc {__version__}"
 # Largest magnitude of an integer key or flag: float64 holds every
 # integer up to 2^53 exactly, and n enters the physics as sqrt(n), n omega.
 MAX_INT = 2**53
+
+# Bytes an evolve run's samples may take: 40 a sample for the times and the
+# integrated (c, d), and 32 a sample for each frame written.
+EVOLVE_BYTES_MAX = 2**29
 
 
 class ConfigError(ValueError):
@@ -258,7 +263,11 @@ def cmd_evolve(args) -> int:
         raise ConfigError("evolve config: the gauged frame needs a modulation block")
 
     check_rk4_stability(rhs, step)
-    traj = integrate(rhs, doc["initial_c"], doc["initial_d"], 0.0, doc["t1"], step)
+    samples = step_count(doc["t1"], step) + 1
+    if (need := samples * (40 + 32 * len(out_frames))) > EVOLVE_BYTES_MAX:
+        raise ConfigError(f"evolve config: {samples} samples in {len(out_frames)} frame(s) "
+                          f"take {need} bytes, past the budget of {EVOLVE_BYTES_MAX} bytes")
+    traj = integrate(rhs, doc["initial_c"], doc["initial_d"], doc["t1"], step)
     # map every frame before writing any, so a failed map writes nothing
     mapped_frames = [map_trajectory(traj, params, mod, f) for f in out_frames]
     os.makedirs(args.output_dir, exist_ok=True)

@@ -17,8 +17,8 @@ linear (c, d)' = A(t) (c, d), block index n, frame (the static rhs runs
 in the interaction frame), largest diagonal rate and coupling modulus.
 ``integrate`` tags its trajectory with the rhs's n and frame.  Its
 fixed-step RK4 is ``ptjc.kernels.rk4_linear`` for every rhs (blocked
-prefix products, no per-step loop); it lands exactly on t1 via a
-shortened last step, at most MAX_STEPS steps per call.
+prefix products, no per-step loop): whole steps from t = 0, as many as
+``step_count`` gives, so the last sample lies in [t1, t1 + step).
 
 ``_relative_phase_amplitude`` is the package's one z, the amplitude of
 the relative phase z sin(Omega t) between c and d: the averaged rhs
@@ -46,13 +46,6 @@ import numpy as np
 from . import floattext, kernels
 from .bessel import bessel_j0
 from .jc import JcParams
-
-# Relative slack when deciding whether the final partial step exists.
-_TAIL_REL_TOL = 1e-12
-
-# Most RK4 steps one integration may take: 10^8 steps hold 3.2 GB of
-# (c, d) samples.
-MAX_STEPS = 10**8
 
 # Steps per fastest period of the step suggested_step() picks.
 DEFAULT_STEPS_PER_PERIOD = 400
@@ -107,12 +100,8 @@ class ModulationSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled amplitude time series in one frame.
-
-    ``times`` advances in steps of its first interval except possibly the
-    final interval, which may be shorter when the integration end time is
-    not an integer number of steps away from the start.
-    """
+    """Uniformly sampled amplitude time series in one frame: ``times`` advances in
+    steps of its first interval."""
 
     times: np.ndarray
     c: np.ndarray
@@ -130,11 +119,11 @@ class Trajectory:
         if len(dt):
             if not np.all(dt > 0):
                 raise ValueError("times must be strictly increasing")
-            scale = max(abs(t[0]), abs(t[-1]), 1.0)
-            if len(dt) > 1 and np.abs(dt[:-1] - dt[0]).max() > 1e-12 * scale:
-                raise ValueError("interior spacing must equal the first interval")
-            if dt[-1] > dt[0] + 1e-12 * scale:
-                raise ValueError("final spacing may not exceed the first interval")
+            off = np.abs(dt - dt[0]) > 1e-12 * max(abs(t[0]), abs(t[-1]), 1.0)
+            if off.any():
+                i = int(np.argmax(off))
+                raise ValueError(f"times must be uniformly spaced: interval {i} is "
+                                 f"{float(dt[i])!r}, the first {float(dt[0])!r}")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -248,12 +237,18 @@ def bind_driven_rhs(params: JcParams, mod: ModulationSpec, n: int, frame: Frame)
 
 
 def bind_static_rhs(params: JcParams, n: int) -> BoundRhs:
-    """The static block i c' = kappa d, i d' = kappa c, kappa = g sqrt(n): interaction frame."""
+    """The static block in the interaction frame, kappa = g sqrt(n) and delta its
+    ``_frame_phases`` detuning: i c' = kappa exp(+i delta t) d, i d' = kappa exp(-i delta t) c."""
     kappa = params.coupling * math.sqrt(_require_block(n))
+    delta = _frame_phases(params, None, n, Frame.INTERACTION)[2]
 
     def matrix(t):
         a = np.zeros((4,) + t.shape, dtype=complex)
         a[1] = a[2] = -1j * kappa
+        if delta:  # at resonance the entries stay constant, bit for bit
+            turn = np.exp(1j * (delta * t))
+            a[1] *= turn
+            a[2] *= turn.conj()
         return a
 
     return BoundRhs(matrix, Frame.INTERACTION, n, 0.0, abs(params.coupling) * math.sqrt(n))
@@ -284,7 +279,7 @@ def bind_averaged_rhs(params: JcParams, mod: ModulationSpec, n: int) -> BoundRhs
 
 
 def closed_form_amplitudes(params: JcParams, n: int, c0: complex, d0: complex, t):
-    """Exact (c, d) of the static system at a time or an array of times.
+    """Exact (c, d) of the resonant static system at a time or an array of times.
 
     With kappa = g_s sqrt(n), the propagator is
     [[cos(kappa t), -i sin(kappa t)], [-i sin(kappa t), cos(kappa t)]],
@@ -311,13 +306,21 @@ def suggested_step(mod: Optional[ModulationSpec], rhs: BoundRhs) -> float:
     return 2.0 * math.pi / max(rates) / DEFAULT_STEPS_PER_PERIOD
 
 
-def step_ratio(total: float, step: float) -> float:
-    """total / step, refused with ValueError above the MAX_STEPS budget."""
+def step_count(total: float, step: float) -> int:
+    """The fewest whole steps of ``step`` from t = 0 that reach ``total``, at least one:
+    ceil(total / step - 1e-9), so a ratio within 1e-9 above a whole number counts as whole.
+
+    ValueError unless the step is positive and finite, total positive and the ratio
+    finite.  The count is not bounded here: each command bounds the bytes it holds.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not total > 0:
+        raise ValueError(f"t1 must be positive, got {total}")
     ratio = total / step
-    if not ratio <= MAX_STEPS:
-        raise ValueError(f"{total:g} / {step:g} = {ratio:.3g} RK4 steps exceeds the "
-                         f"sample budget of {MAX_STEPS:.0e} steps")
-    return ratio
+    if not math.isfinite(ratio):
+        raise ValueError(f"{total:g} / {step:g} is not a finite number of RK4 steps")
+    return max(1, math.ceil(ratio - 1e-9))
 
 
 def _check_rk4_rate(rate: float, coupling: float) -> None:
@@ -340,47 +343,29 @@ def check_rk4_stability(rhs: BoundRhs, step: float) -> None:
         _check_rk4_rate(step * rhs.rate, step * rhs.kappa)
 
 
-def _split_steps(t0: float, t1: float, step: float) -> tuple[int, float]:
-    total = t1 - t0
-    n_full = int(math.floor(step_ratio(total, step) + 1e-9))
-    tail = total - n_full * step
-    if tail <= _TAIL_REL_TOL * max(1.0, abs(total)):
-        tail = 0.0
-    return n_full, tail
-
-
-def integrate(rhs: BoundRhs, c0: complex, d0: complex, t0: float, t1: float,
-              step: float) -> Trajectory:
-    """Classical fixed-step RK4 of (c, d) from (c0, d0) at t0 to t1, recording every step.
+def integrate(rhs: BoundRhs, c0: complex, d0: complex, t1: float, step: float) -> Trajectory:
+    """Classical fixed-step RK4 of (c, d) from (c0, d0) at t = 0 past t1, recording every step.
 
     ``rhs`` comes from a bind_* helper (a plain callable raises TypeError);
     the trajectory is tagged with its frame and n.  ``kernels.rk4_linear``
-    steps every rhs, and t1 is reached exactly, via a shortened last step
-    when (t1 - t0) / step is not integral.  Non-finite c0 or d0, a step
-    that is not positive and finite, t1 <= t0 and more than MAX_STEPS
-    steps raise ValueError before any allocation; IntegrationError means
-    the amplitudes left float64 during the run, naming the first
-    non-finite sample's time.
+    takes ``step_count(t1, step)`` whole steps, so sample j lies at j step
+    and the last in [t1, t1 + step).  Non-finite c0 or d0 and what
+    ``step_count`` refuses raise ValueError before any allocation;
+    IntegrationError means the amplitudes left float64 during the run,
+    naming the first non-finite sample's time.
     """
     if not isinstance(rhs, BoundRhs):
         raise TypeError(f"integrate needs a BoundRhs, got {type(rhs).__name__}")
     c0, d0 = complex(c0), complex(d0)
     if not all(map(math.isfinite, (c0.real, c0.imag, d0.real, d0.imag))):
         raise ValueError(f"initial amplitudes must be finite, got c0 = {c0!r}, d0 = {d0!r}")
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    if not t1 > t0:
-        raise ValueError(f"t1 must exceed t0, got [{t0}, {t1}]")
-    n_full, tail = _split_steps(t0, t1, step)
-    cs, ds = kernels.rk4_linear(rhs.matrix, c0, d0, t0, step, n_full, tail)
+    n_steps = step_count(t1, step)
+    cs, ds = kernels.rk4_linear(rhs.matrix, c0, d0, step, n_steps)
     # the initial state is finite, so index 0 means every sample is
     first = int(np.argmin(np.isfinite(cs) & np.isfinite(ds)))
     if first:
-        t_bad = t0 + first * step if first <= n_full else t1
-        raise IntegrationError(f"non-finite amplitudes at t = {t_bad}")
-    times = t0 + step * np.arange(n_full + 1, dtype=float)
-    if tail > 0.0:
-        times = np.concatenate([times, [t1]])
+        raise IntegrationError(f"non-finite amplitudes at t = {first * step}")
+    times = step * np.arange(n_steps + 1, dtype=float)
     return Trajectory(times=times, c=cs, d=ds, frame=rhs.frame, n=rhs.n)
 
 

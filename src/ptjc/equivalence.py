@@ -66,7 +66,7 @@ from .dynamics import (
     _check_rk4_rate,
     _relative_phase_amplitude,
     closed_form_amplitudes,
-    step_ratio,
+    step_count,
     write_csv,
 )
 from .jc import JcParams
@@ -310,7 +310,7 @@ def _drive(cfg: ExperimentConfig, beta: Optional[complex], convention: str,
     k = cfg.step_per_period
     dt = 2.0 * math.pi / big_omega / k
     t1 = cfg.duration_rabi_units / omega_r
-    n_steps = int(math.ceil(step_ratio(t1, dt) - 1e-9))
+    n_steps = step_count(t1, dt)
     # RK4's limit for the block with the phase z sin(Omega t) split evenly over c and d
     _check_rk4_rate(math.pi * abs(z.real) / k, dt * kappa)
     if n_steps <= k:
@@ -340,7 +340,7 @@ def _integrate(k: int, drives: Sequence[_Drive]) -> list:
     kappa, z, big_omega = (np.array([[getattr(d, f)] for d in drives])
                            for f in ("kappa", "z", "big_omega"))
     try:
-        p, y = kernels.rk4_period_factors(_slow_block(kappa, z, big_omega), 0.0, 1.0, 0.0,
+        p, y = kernels.rk4_period_factors(_slow_block(kappa, z, big_omega), 0.0, 1.0,
                                           [d.dt for d in drives], [d.n_steps for d in drives], k)
     except FloatingPointError as exc:
         step, b = exc.args

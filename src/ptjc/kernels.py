@@ -71,50 +71,45 @@ def _prefix_states(m: np.ndarray, s: np.ndarray) -> np.ndarray:
     return _mul(q, start[..., None]).reshape(s.shape + (-1,))[..., :n]
 
 
-def rk4_linear(a_of_t, c0: complex, d0: complex, t0: float, h: float,
-               n_full: int, tail: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 of (c, d)' = A(t) (c, d), A's entries from a_of_t(t).
+def rk4_linear(a_of_t, c0: complex, d0: complex, h: float,
+               n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of (c, d)' = A(t) (c, d) from t = 0, A's entries from a_of_t(t).
 
     Records the state after every step (index 0 holds the initial
-    state); a positive ``tail`` appends one shortened step from
-    t0 + n_full h landing exactly on the final time.  Overflow is not
-    reported here: the caller checks the amplitudes for finiteness.
+    state), sample j at t = j h.  Overflow is not reported here: the
+    caller checks the amplitudes for finiteness.
     """
-    out = np.empty((2, n_full + (2 if tail > 0.0 else 1)), dtype=complex)
+    out = np.empty((2, n_steps + 1), dtype=complex)
     out[:, 0] = c0, d0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, n_full, _CHUNK):
-            k1 = min(k0 + _CHUNK, n_full)
-            props = _step_propagators(a_of_t, t0 + np.arange(2 * k0, 2 * k1 + 1) * (h / 2.0), h)
+        for k0 in range(0, n_steps, _CHUNK):
+            k1 = min(k0 + _CHUNK, n_steps)
+            props = _step_propagators(a_of_t, np.arange(2 * k0, 2 * k1 + 1) * (h / 2.0), h)
             states = _prefix_states(props[:, :, None], out[:, None, None, k0])
             out[:, k0 + 1:k1 + 1] = states[:, 0, 0]
-        if tail > 0.0:  # one shortened step from t0 + n_full h
-            t = t0 + n_full * h
-            props = _step_propagators(a_of_t, np.array([t, t + tail / 2.0, t + tail]), tail)
-            out[:, -1] = _mul(props[..., 0], out[:, -2:-1])[:, 0]
     return out[0], out[1]
 
 
-def rk4_period_factors(a_of_t, c0: complex, d0: complex, t0: float, h, n_full,
+def rk4_period_factors(a_of_t, c0: complex, d0: complex, h, n_steps,
                        k: int) -> tuple[np.ndarray, np.ndarray]:
     """One-period factors of B runs sharing A's period k h: step m k + j is P_j Y_m.
 
-    ``h`` and ``n_full`` hold each run's step and step count (a scalar is
-    one run); ``a_of_t`` gets the (B, 2 k + 1) half-step grids, a run a
-    row.  Returns p (4, B, k + 1), the partial products P_0 = I ... P_k =
-    U_T of the first period's step matrices, and y (2, B, most periods),
+    ``h`` and ``n_steps`` hold each run's step and step count (a scalar is
+    one run); ``a_of_t`` gets the (B, 2 k + 1) half-step grids from t = 0,
+    a run a row.  Returns p (4, B, k + 1), the partial products P_0 = I ...
+    P_k = U_T of the first period's step matrices, and y (2, B, most periods),
     Y_0 = (c0, d0) and Y_m = U_T Y_{m-1}; entries past a run's own
-    n_full // k + 1 periods are padding.  A non-finite Y_m (m >= 1) of
+    n_steps // k + 1 periods are padding.  A non-finite Y_m (m >= 1) of
     its own raises FloatingPointError(m k, b) for the first such run b.
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))[:, None]
-    periods = np.atleast_1d(n_full) // k + 1  # the last one possibly partial
+    periods = np.atleast_1d(n_steps) // k + 1  # the last one possibly partial
     b = len(h)
     p = np.empty((4, b, k + 1), dtype=complex)  # rows P11, P12, P21, P22
     y = np.empty((2, b, periods.max()), dtype=complex)  # rows Y_c, Y_d
     p[:, :, 0], y[:, :, 0] = np.array([[1.0], [0.0], [0.0], [1.0]]), np.array([[c0], [d0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        props = _step_propagators(a_of_t, t0 + np.arange(2 * k + 1) * (h / 2.0), h)
+        props = _step_propagators(a_of_t, np.arange(2 * k + 1) * (h / 2.0), h)
         p[:, :, 1:] = _prefix_states(props, p[:, :, 0].reshape(2, 2, b)).reshape(4, b, k)
         u = np.broadcast_to(p[:, :, k:].reshape(2, 2, b, 1), (2, 2, b, y.shape[2] - 1))
         y[:, :, 1:] = _prefix_states(u, y[:, None, :, 0])[:, 0]

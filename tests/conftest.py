@@ -128,25 +128,24 @@ def apply_rhs(rhs, t: float, c: complex, d: complex) -> tuple[complex, complex]:
     return a11 * c + a12 * d, a21 * c + a22 * d
 
 
-def rk4_generic(rhs, c0: complex, d0: complex, t0: float, h: float,
-                n_full: int, tail: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 of (c, d)' = A(t) (c, d), one state and stage at a time.
+def rk4_generic(rhs, c0: complex, d0: complex, h: float,
+                n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of (c, d)' = A(t) (c, d) from t = 0, one state and stage at a time.
 
     Each stage applies ``rhs.matrix`` through ``apply_rhs``; ptjc.kernels
     instead multiplies whole step matrices built from the same A.
     """
-    out_c, out_d = np.empty((2, n_full + (2 if tail > 0.0 else 1)), dtype=complex)
+    out_c, out_d = np.empty((2, n_steps + 1), dtype=complex)
     c, d = complex(c0), complex(d0)
     out_c[0], out_d[0] = c, d
-    steps = [h] * n_full + ([tail] if tail > 0.0 else [])
-    for k, dt in enumerate(steps):
-        t = t0 + k * h
+    for k in range(n_steps):
+        t = k * h
         k1c, k1d = apply_rhs(rhs, t, c, d)
-        k2c, k2d = apply_rhs(rhs, t + dt / 2.0, c + (dt / 2.0) * k1c, d + (dt / 2.0) * k1d)
-        k3c, k3d = apply_rhs(rhs, t + dt / 2.0, c + (dt / 2.0) * k2c, d + (dt / 2.0) * k2d)
-        k4c, k4d = apply_rhs(rhs, t + dt, c + dt * k3c, d + dt * k3d)
-        c = c + (dt / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        d = d + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        k2c, k2d = apply_rhs(rhs, t + h / 2.0, c + (h / 2.0) * k1c, d + (h / 2.0) * k1d)
+        k3c, k3d = apply_rhs(rhs, t + h / 2.0, c + (h / 2.0) * k2c, d + (h / 2.0) * k2d)
+        k4c, k4d = apply_rhs(rhs, t + h, c + h * k3c, d + h * k3d)
+        c = c + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         out_c[k + 1] = c
         out_d[k + 1] = d
     return out_c, out_d

@@ -124,13 +124,13 @@ def test_criterion_4_integrator_accuracy_and_order():
     period = 2.0 * math.pi / 0.05
     rhs = bind_static_rhs(params, 1)
     c0, d0 = 0.0 + 0.0j, 1.0 + 0.0j
-    traj = integrate(rhs, c0, d0, 0.0, 10.0 * period, period / 1000.0)
+    traj = integrate(rhs, c0, d0, 10.0 * period, period / 1000.0)
     ref_c, ref_d = closed_form_amplitudes(params, 1, c0, d0, traj.times)
     max_err = max(np.abs(traj.c - ref_c).max(), np.abs(traj.d - ref_d).max())
 
     end_errors = []
     for divisor in (100, 200):
-        tr = integrate(rhs, c0, d0, 0.0, period, period / divisor)
+        tr = integrate(rhs, c0, d0, period, period / divisor)
         ref_c, ref_d = closed_form_amplitudes(params, 1, c0, d0, tr.times[-1])
         end_errors.append(max(abs(tr.c[-1] - ref_c), abs(tr.d[-1] - ref_d)))
     order = math.log2(end_errors[0] / end_errors[1])
@@ -184,14 +184,14 @@ def test_criterion_6_conserved_quantities():
             kappa = g * math.sqrt(n)
             rhs = bind_static_rhs(params, n)
             t1 = span / kappa
-            traj = integrate(rhs, 0.8 + 0.1j, 0.3 - 0.2j, 0.0, t1, t1 / 1000.0)
+            traj = integrate(rhs, 0.8 + 0.1j, 0.3 - 0.2j, t1, t1 / 1000.0)
             q = np.abs(traj.c) ** 2 - np.abs(traj.d) ** 2
             pseudo_drift = max(pseudo_drift, np.abs(q - q[0]).max())
 
     params = JcParams(1.0, 1.0, 0.1)
     rhs = bind_static_rhs(params, 1)
     period = 2.0 * math.pi / 0.1
-    traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.0, 10.0 * period, period / 1000.0)
+    traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 10.0 * period, period / 1000.0)
     norm = np.abs(traj.c) ** 2 + np.abs(traj.d) ** 2
     norm_drift = float(np.abs(norm - norm[0]).max())
     elapsed = time.perf_counter() - t0

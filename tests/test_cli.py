@@ -11,16 +11,17 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import pass_boundary_rows
+from conftest import block_matrix_oracle, pass_boundary_rows
 
 from ptjc import cli, floattext, kernels, pseudo
-from ptjc.cli import (_COMPARE, _EVOLVE, _MODULATION, _PSEUDO, MAX_INT, REQUIRED, ConfigError,
-                      _parse_doc, main)
-from ptjc.dynamics import MAX_STEPS, Frame, read_trajectory_csv
+from ptjc.cli import (_COMPARE, _EVOLVE, _MODULATION, _PSEUDO, EVOLVE_BYTES_MAX, MAX_INT,
+                      REQUIRED, ConfigError, _parse_doc, main)
+from ptjc.dynamics import Frame, read_trajectory_csv
 from ptjc.equivalence import SERIES_BYTES_MAX
 from ptjc.fockspace import MAX_BOSON_LEVELS
 
@@ -295,7 +296,7 @@ class TestEvolve:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("t1", -1.0, "t1 must exceed t0"), ("t1", math.nan, "t1 must exceed t0"),
+        ("t1", -1.0, "t1 must be positive"), ("t1", math.nan, "t1 must be positive"),
         ("step", 0.0, "step must be positive and finite")])
     def test_bad_time_grid_exits_two(self, tmp_path, capsys, no_integration, key, value,
                                      message):
@@ -465,14 +466,76 @@ class TestEvolve:
         assert ((tmp_path / "a" / "trajectory_gauged.csv").read_bytes()
                 == (tmp_path / "b" / "trajectory_gauged.csv").read_bytes())
 
-    @pytest.mark.parametrize("t1, step", [(1e12, 1e-3), (2.0, 1e-320),
-                                          (1.0, 1.0 / (MAX_STEPS + 1))])
-    def test_sample_budget(self, tmp_path, capsys, no_integration, t1, step):
+    @pytest.mark.parametrize("t1, step, message", [
+        # two frames take 40 + 2 x 32 bytes a sample: one sample past the budget
+        (5162220 / 1024, 1 / 1024, f"5162221 samples in 2 frame(s) take 536870984 bytes, "
+                                   f"past the budget of {EVOLVE_BYTES_MAX} bytes"),
+        (1e12, 1e-3, "1000000000000001 samples in 2 frame(s)"),
+        (2.0, 1e-320, "2 / 9.99989e-321 is not a finite number of RK4 steps")])
+    def test_sample_budget(self, tmp_path, capsys, no_integration, t1, step, message):
         doc = self.gauged_doc()
         doc["t1"], doc["step"] = t1, step
         cfg = write_config(tmp_path, doc)
-        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
-        assert "sample budget of 1e+08 steps" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_static_run_past_the_byte_budget_exits_fast(self, tmp_path, capsys):
+        # 2e7 steps of one frame, 1.44 GB: under a 1 GiB address-space limit the run
+        # integrated for 9 s and then died of an uncaught MemoryError
+        doc = {"omega0": 1.0, "omega": 1.0, "coupling": 0.05, "n": 1, "rhs": "static",
+               "initial_c": 1.0, "initial_d": 0.0, "t1": 2e5, "step": 0.01}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["evolve", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert (f"20000001 samples in 1 frame(s) take 1440000072 bytes, past the budget of "
+                f"{EVOLVE_BYTES_MAX} bytes") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_not_dividing_t1_ends_at_the_first_step_past_it(self, tmp_path):
+        # t1 / step = 63.66: 64 whole steps, the last at 2.0106176, none shortened
+        step = 0.0314159
+        doc = {"omega0": 1.0, "omega": 1.0, "coupling": 0.05, "n": 1, "rhs": "static",
+               "initial_c": 1.0, "initial_d": 0.0, "t1": 2.0, "step": step}
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        traj = read_trajectory_csv(tmp_path / "trajectory_interaction.csv")
+        assert len(traj) == math.ceil(2.0 / step - 1e-9) + 1 == 65
+        assert traj.times.tolist() == (step * np.arange(65)).tolist()
+        assert traj.times[-2] < 2.0 <= traj.times[-1]
+
+    def test_static_rhs_keeps_the_detuning(self, tmp_path):
+        # omega0 - omega = 0.2 against kappa = 0.05: the exact lab propagator ends at
+        # |c|, |d| = 0.9361, 0.3518, where a static rhs without its frame's
+        # exp(+-i delta t) made a full resonant Rabi flop, 0.5403, 0.8415
+        doc = {"omega0": 1.2, "omega": 1.0, "coupling": 0.05, "n": 1, "rhs": "static",
+               "initial_c": [1, 0], "initial_d": [0, 0], "t1": 20, "step": 0.01,
+               "frames": ["lab"]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        traj = read_trajectory_csv(tmp_path / "trajectory_lab.csv")
+        energies, vecs = np.linalg.eigh(block_matrix_oracle(1.2, 1.0, 0.05, 1).real)
+        c, d = vecs @ (np.exp(-1j * energies * traj.times[-1]) * vecs[0])  # from (1, 0)
+        assert abs(traj.c[-1] - c) <= 1e-12 and abs(traj.d[-1] - d) <= 1e-12
+        assert (round(abs(c), 4), round(abs(d), 4)) == (0.9361, 0.3518)
+
+    def test_static_rhs_in_the_pt_unbroken_phase_stays_bounded(self, tmp_path, capsys):
+        # imaginary coupling 0.05 at detuning 0.3 is PT-unbroken: |c|^2 + |d|^2
+        # oscillates up to 1.25; the resonant block it was integrated as is broken
+        # and grew it to 11,013 by t = 100
+        assert main(["spectrum", "--omega0", "1.3", "--omega", "1", "--g-imag", "0.05",
+                     "--n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["pt_phase"] == "unbroken"
+        doc = {"omega0": 1.3, "omega": 1.0, "coupling": [0, 0.05], "n": 1, "rhs": "static",
+               "initial_c": [1, 0], "initial_d": [0, 0], "t1": 100, "step": 0.01}
+        cfg = write_config(tmp_path, doc)
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        traj = read_trajectory_csv(tmp_path / "trajectory_interaction.csv")
+        norms = np.abs(traj.c) ** 2 + np.abs(traj.d) ** 2
+        assert 1.2 < norms.max() <= 1.25 * (1.0 + 1e-9)
 
     @pytest.mark.filterwarnings("error")
     def test_averaged_coupling_past_bessel_domain(self, tmp_path, capsys):
@@ -484,16 +547,16 @@ class TestEvolve:
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         assert "limit |Im z| <= 690" in capsys.readouterr().err
 
-    def test_lab_rhs_partial_period_and_tail(self, tmp_path):
-        # 2 pi / 5 is 40 steps of 0.01 pi; t1 = 2 leaves a partial period
-        # and a shortened last step
+    def test_lab_rhs_partial_period(self, tmp_path):
+        # 2 pi / 5 is 40 steps of 0.01 pi; t1 = 2 lies 23.66 steps into the second
+        # period, so the run ends 24 steps into it, at 2.0106
         doc = self.gauged_doc()
         doc.update(rhs="lab", frames=["lab"], step=0.01 * math.pi)
         doc["modulation"]["beta"] = 0.3
         cfg = write_config(tmp_path, doc)
         assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
         traj = read_trajectory_csv(tmp_path / "trajectory_lab.csv")
-        assert traj.times[-1] == 2.0 and len(traj) == 63 + 2
+        assert traj.times[-1] == 64 * (0.01 * math.pi) and len(traj) == 64 + 1
         # the lab block is Hermitian: the norm drifts only by RK4 truncation
         norms = np.abs(traj.c) ** 2 + np.abs(traj.d) ** 2
         assert np.abs(norms - 1.0).max() <= 1e-8
@@ -652,12 +715,13 @@ class TestCompare:
         assert not outdir.exists()
 
     def test_sample_budget(self, tmp_path, capsys, no_integration):
+        # 1.3e17 steps: the byte budget alone bounds the count
         cfg = write_config(tmp_path, {"omega_ratio": 1e15})
         assert main(["compare", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
-        assert "sample budget of 1e+08 steps" in capsys.readouterr().err
+        assert f"past the budget of {SERIES_BYTES_MAX} bytes" in capsys.readouterr().err
 
     def test_series_byte_budget(self, tmp_path, capsys, no_integration):
-        # ratio 400000 passes the step budget with 5.1e7 steps, but its 127,324 periods
+        # ratio 400000 asks for 5.1e7 steps, and its 127,324 periods
         # of 400 steps take 1.6 GB per complex series (once an uncaught MemoryError)
         cfg = write_config(tmp_path, {"omega_ratio": 400000})
         outdir = tmp_path / "out"
@@ -835,7 +899,7 @@ class TestCompare:
         outdir = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--output-dir", str(outdir)]) == 2
         err = capsys.readouterr().err
-        assert message in err and "sample budget" not in err
+        assert message in err and "budget" not in err
         assert not outdir.exists()
 
     def test_sweep_csv_bytes_match_the_per_row_writer(self, tmp_path):

@@ -90,7 +90,7 @@ class TestTypes:
                     bind(n)
         for c0, d0 in [(complex(math.inf, 0), 0.0), (0.0, complex(0.0, math.nan))]:
             with pytest.raises(ValueError, match="c0 = .*, d0 = "):
-                integrate(ZERO_RHS, c0, d0, 0.0, 1.0, 0.1)
+                integrate(ZERO_RHS, c0, d0, 1.0, 0.1)
 
     def test_trajectory_tags_come_from_the_rhs(self):
         p = JcParams(1.0, 1.0, 0.05)
@@ -99,21 +99,18 @@ class TestTypes:
                               (bind_static_rhs(p, 2), Frame.INTERACTION, 2),
                               (bind_averaged_rhs(p, mod, 1), Frame.GAUGED, 1),
                               (bind_driven_rhs(p, mod, 4, Frame.GAUGED), Frame.GAUGED, 4)]:
-            traj = integrate(rhs, 0.0, 1.0, 0.0, 0.5, 0.1)
+            traj = integrate(rhs, 0.0, 1.0, 0.5, 0.1)
             assert (traj.frame, traj.n) == (rhs.frame, rhs.n) == (frame, n)
 
     @pytest.mark.parametrize("times, message", [
-        ([0.0, 0.1, 0.3, 0.4], "interior spacing must equal the first interval"),
-        ([0.0, 0.1, 0.3], "final spacing may not exceed the first interval")])
+        ([0.0, 0.1, 0.3, 0.4], "interval 1 is 0.19999999999999998, the first 0.1"),
+        ([0.0, 0.1, 0.3], "interval 1 is 0.19999999999999998, the first 0.1"),
+        # a shortened last step, as older versions ended their runs
+        ([0.0, 0.1, 0.15], "interval 1 is 0.04999999999999999, the first 0.1")])
     def test_trajectory_requires_uniform_grid(self, times, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"times must be uniformly spaced: {message}"):
             Trajectory(times=np.array(times), c=np.zeros(len(times), complex),
                        d=np.zeros(len(times), complex), frame=Frame.LAB, n=1)
-
-    def test_trajectory_allows_short_final_interval(self):
-        traj = Trajectory(times=np.array([0.0, 0.1, 0.15]), c=np.zeros(3, complex),
-                          d=np.zeros(3, complex), frame=Frame.LAB, n=1)
-        assert len(traj) == 3
 
 
 def one_sample(state, t):
@@ -199,7 +196,7 @@ class TestFrameMaps:
         # write_csv formats its columns once for both files
         p = JcParams(1.02, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.3 + 0.1j, big_omega=5.0)
-        traj = integrate(bind_driven_rhs(p, mod, 1, Frame.GAUGED), 0.0, 1.0, 0.0, 1.0, 0.01)
+        traj = integrate(bind_driven_rhs(p, mod, 1, Frame.GAUGED), 0.0, 1.0, 1.0, 0.01)
         assert map_trajectory(traj, p, mod, Frame.INTERACTION).d is traj.d
         assert map_trajectory(traj, p, mod, Frame.LAB).d is not traj.d
 
@@ -213,7 +210,7 @@ class TestFrameMaps:
         p = JcParams(1.3, 0.8, 0.07)
         mod = ModulationSpec(target=target, beta=0.35 - 0.2j, big_omega=2.9)
         lab = integrate(bind_driven_rhs(p, mod, n, Frame.LAB), 0.6 + 0.2j, 0.5 - 0.1j,
-                        0.0, 12.3, 0.01)
+                        12.3, 0.01)
         t = lab.times
         theta_c = (p.omega0 / 2.0 + p.omega * (n - 1)) * t
         theta_d = (n * p.omega - p.omega0 / 2.0) * t
@@ -323,10 +320,10 @@ class TestRhsGauged:
         step = period / 400.0
         t1 = 3.0 * period
         lab_traj = integrate(bind_driven_rhs(p, mod, n, Frame.LAB), 0.6 + 0.2j, 0.5 - 0.1j,
-                             0.0, t1, step)
+                             t1, step)
         mapped = map_trajectory(lab_traj, p, mod, Frame.GAUGED)
         gauged_traj = integrate(bind_driven_rhs(p, mod, n, Frame.GAUGED), mapped.c[0], mapped.d[0],
-                                0.0, t1, step)
+                                t1, step)
         err = max(np.abs(mapped.c - gauged_traj.c).max(),
                   np.abs(mapped.d - gauged_traj.d).max())
         assert err <= FRAME_CONSISTENCY_TOL
@@ -447,7 +444,7 @@ class TestIntegrate:
         p = JcParams(1.0, 1.0, 0.1)
         rabi = 2.0 * math.pi / 0.1
         step = rabi / 1000.0
-        traj = integrate(bind_static_rhs(p, 1), 0.0, 1.0, 0.0, 10.0 * rabi, step)
+        traj = integrate(bind_static_rhs(p, 1), 0.0, 1.0, 10.0 * rabi, step)
         worst = 0.0
         for i in range(0, len(traj), 97):
             ref_c, ref_d = closed_form_amplitudes(p, 1, 0.0, 1.0, float(traj.times[i]))
@@ -459,14 +456,14 @@ class TestIntegrate:
         rabi = 2.0 * math.pi / 0.1
         errs = []
         for divisor in (100.0, 200.0):
-            traj = integrate(bind_static_rhs(p, 1), 0.0, 1.0, 0.0, rabi, rabi / divisor)
+            traj = integrate(bind_static_rhs(p, 1), 0.0, 1.0, rabi, rabi / divisor)
             ref_c, ref_d = closed_form_amplitudes(p, 1, 0.0, 1.0, float(traj.times[-1]))
             errs.append(max(abs(traj.c[-1] - ref_c), abs(traj.d[-1] - ref_d)))
         order = math.log2(errs[0] / errs[1])
         assert 3.7 <= order <= 4.3
 
     def test_zero_rhs_constant_trajectory(self):
-        traj = integrate(ZERO_RHS, 0.3 + 0.1j, -0.2j, 0.0, 1.0, 0.01)
+        traj = integrate(ZERO_RHS, 0.3 + 0.1j, -0.2j, 1.0, 0.01)
         assert np.all(traj.c == 0.3 + 0.1j)
         assert np.all(traj.d == -0.2j)
 
@@ -474,52 +471,60 @@ class TestIntegrate:
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.5, big_omega=2.0)
         step = (2.0 * math.pi / 2.0) / 400.0
-        traj = integrate(bind_driven_rhs(p, mod, 1, Frame.LAB), 0.6, 0.8, 0.0, 1000.0 * step, step)
+        traj = integrate(bind_driven_rhs(p, mod, 1, Frame.LAB), 0.6, 0.8, 1000.0 * step, step)
         norms = np.abs(traj.c) ** 2 + np.abs(traj.d) ** 2
         assert np.abs(norms - norms[0]).max() <= CONSERVATION_TOL
 
     def test_pseudo_norm_conservation_imaginary_coupling(self):
         p = JcParams(1.0, 1.0, 0.1j)
-        traj = integrate(bind_static_rhs(p, 1), 0.0, 1.0, 0.0, 10.0, 0.01)
+        traj = integrate(bind_static_rhs(p, 1), 0.0, 1.0, 10.0, 0.01)
         pseudo = np.abs(traj.c) ** 2 - np.abs(traj.d) ** 2
         assert np.abs(pseudo - pseudo[0]).max() <= CONSERVATION_TOL
 
-    def test_lands_exactly_on_t1(self):
-        traj = integrate(ZERO_RHS, 1.0, 0.0, 0.0, 0.25, 0.1)
-        assert traj.times[-1] == 0.25
-        assert len(traj) == 4  # 0, 0.1, 0.2, 0.25
+    def test_last_sample_is_the_first_step_past_t1(self):
+        traj = integrate(ZERO_RHS, 1.0, 0.0, 0.25, 0.1)
+        assert traj.times.tolist() == (0.1 * np.arange(4)).tolist()  # 0, 0.1, 0.2, 0.3
 
-    @pytest.mark.parametrize("t0, t1, step, message", [
-        (0.0, 1.0, 0.0, "step must be"), (0.0, 1.0, math.nan, "step must be"),
-        (1.0, 0.5, 0.01, "t1 must exceed t0"), (0.0, math.nan, 0.01, "t1 must exceed t0")])
-    def test_invalid_step_rejected(self, t0, t1, step, message):
+    @pytest.mark.parametrize("total, step, count", [
+        (62.5, 1 / 256, 16000), (16000 + 1e-10, 1.0, 16000), (16000 - 1e-10, 1.0, 16000),
+        (16000 + 2e-9, 1.0, 16001), (2.0, 0.0314159, 64), (1e-12, 1.0, 1)])
+    def test_step_count_takes_whole_steps_within_its_slack(self, total, step, count):
+        # a ratio within 1e-9 above a whole number counts as whole, in evolve and
+        # compare, and any t1 > 0 takes at least one step
+        assert dynamics.step_count(total, step) == count
+
+    @pytest.mark.parametrize("t1, step, message", [
+        (1.0, 0.0, "step must be"), (1.0, math.nan, "step must be"),
+        (-0.5, 0.01, "t1 must be positive"), (0.0, 0.01, "t1 must be positive"),
+        (math.nan, 0.01, "t1 must be positive"), (2.0, 1e-320, "not a finite number")])
+    def test_invalid_step_rejected(self, t1, step, message):
         # argument errors, not IntegrationError: that one means the run left float64
         with pytest.raises(ValueError, match=message):
-            integrate(ZERO_RHS, 0.0, 1.0, t0, t1, step)
+            integrate(ZERO_RHS, 0.0, 1.0, t1, step)
 
     def test_blowup_reports_time(self):
         grow = bind_static_rhs(JcParams(1.0, 1.0, 1e180), 1)
         with pytest.raises(IntegrationError, match="t ="):
-            integrate(grow, 1.0, 1.0, 0.0, 1.0, 0.1)
+            integrate(grow, 1.0, 1.0, 1.0, 0.1)
 
     def test_blowup_names_the_first_non_finite_sample(self):
         # A = 60 I, h = 0.1: a step multiplies by 1 + 6 + 18 + 36 + 54 = 115, and 115^150
-        # is its first power past float64; a tail after the overflow reports t1
+        # is its first power past float64, also as the one step past t1 = 14.99
         grow = BoundRhs(TestBlockedScan.diagonal(60.0, 60.0), Frame.LAB, 1, 0.0, 0.0)
         with pytest.raises(IntegrationError, match=f"t = {150 * 0.1}$"):
-            integrate(grow, 1.0, 1.0, 0.0, 40.0, 0.1)
-        with pytest.raises(IntegrationError, match="t = 14.99$"):
-            integrate(grow, 1.0, 1.0, 0.0, 14.99, 0.1)
+            integrate(grow, 1.0, 1.0, 40.0, 0.1)
+        with pytest.raises(IntegrationError, match=f"t = {150 * 0.1}$"):
+            integrate(grow, 1.0, 1.0, 14.99, 0.1)
 
     def test_refuses_plain_callable(self):
         with pytest.raises(TypeError, match="BoundRhs"):
-            integrate(lambda t, c, d: (0.0, 0.0), 1.0, 0.0, 0.0, 1.0, 0.1)
+            integrate(lambda t, c, d: (0.0, 0.0), 1.0, 0.0, 1.0, 0.1)
 
     @pytest.mark.parametrize("rhs_name", ["static", "lab_atom", "lab_cavity",
                                           "gauged_atom", "gauged_cavity"])
     def test_propagators_match_generic_rk4(self, rhs_name):
         # the vectorized step propagators against the per-state oracle:
-        # detuned, complex beta, a tail step, more than one chunk
+        # detuned, complex beta, more than one chunk and a part of one
         p = JcParams(1.1, 0.9, 0.05)
         target = CAVITY if rhs_name.endswith("cavity") else ATOM
         mod = ModulationSpec(target=target, beta=0.4 - 0.15j, big_omega=3.0)
@@ -530,12 +535,10 @@ class TestIntegrate:
                "gauged_atom": bind_driven_rhs(p, mod, n, Frame.GAUGED),
                "gauged_cavity": bind_driven_rhs(p, mod, n, Frame.GAUGED)}[rhs_name]
         h = 0.004
-        n_full = 2 * kernels._CHUNK + 37
-        tail = 0.3 * h
-        c, d = kernels.rk4_linear(rhs.matrix, 0.6 + 0.2j, 0.5 - 0.1j,
-                                  0.25, h, n_full, tail)
-        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.25, h, n_full, tail)
-        assert len(c) == len(c_ref) == n_full + 2
+        n_steps = 2 * kernels._CHUNK + 37
+        c, d = kernels.rk4_linear(rhs.matrix, 0.6 + 0.2j, 0.5 - 0.1j, h, n_steps)
+        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, h, n_steps)
+        assert len(c) == len(c_ref) == n_steps + 1
         scale = np.maximum(np.hypot(np.abs(c_ref), np.abs(d_ref)), 1e-300)
         assert (np.abs(c - c_ref) / scale).max() <= 1e-12
         assert (np.abs(d - d_ref) / scale).max() <= 1e-12
@@ -548,8 +551,8 @@ class TestIntegrate:
         mod = ModulationSpec(ATOM, solve_modulation_beta(p, ATOM, 2, 5.0), 5.0)
         rhs = bind_driven_rhs(p, mod, 2, Frame.GAUGED)
         h, n_full = 1.0 / 256.0, 8192
-        traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.0, n_full * h, h)
-        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, 0.0, h, n_full, 0.0)
+        traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, n_full * h, h)
+        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, h, n_full)
         assert len(traj) == n_full + 1
         assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
 
@@ -576,25 +579,25 @@ class TestPeriodicPath:
         rhs = bind_driven_rhs(p, ModulationSpec(target, beta, big_omega), n, Frame.GAUGED)
         h = 2.0 * math.pi / big_omega / 400
         n_steps = math.ceil(2.0 / (0.05 * math.sqrt(n)) / h - 1e-9)
-        traj = integrate(rhs, 0.0, 1.0, 0.0, n_steps * h, h)
-        c_ref, d_ref = rk4_generic(rhs, 0.0, 1.0, 0.0, h, n_steps, 0.0)
+        traj = integrate(rhs, 0.0, 1.0, n_steps * h, h)
+        c_ref, d_ref = rk4_generic(rhs, 0.0, 1.0, h, n_steps)
         assert len(traj) == n_steps + 1
         assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
 
     @pytest.mark.parametrize("case", ["lab_atom", "lab_cavity", "detuned_gauged",
                                       "step_not_dividing", "under_one_period", "static",
                                       "averaged"])
-    def test_partial_last_period_and_tail(self, case):
-        # lab frame, detuned, complex beta: 7 whole periods of 50 steps, 13 steps of an
-        # eighth and a 0.4-step tail.  The rest: the resonant gauged atom at 40 steps a
-        # period over 10 time units, or a run beside it (no period, another step, under
-        # one period, the static and averaged blocks)
+    def test_partial_last_period(self, case):
+        # lab frame, detuned, complex beta: t1 lies 13.4 steps into the eighth period of
+        # 50 steps, so the run ends 14 steps into it.  The rest: the resonant gauged atom
+        # at 40 steps a period over 10 time units, or a run beside it (no period, another
+        # step, under one period, the static and averaged blocks)
         p, mod = JcParams(1.0, 1.0, 0.05), ModulationSpec(ATOM, 0.3, 2.0)
-        rhs, h, t0, t1 = bind_driven_rhs(p, mod, 1, Frame.GAUGED), math.pi / 40, 0.0, 10.0
+        rhs, h, t1 = bind_driven_rhs(p, mod, 1, Frame.GAUGED), math.pi / 40, 10.0
         if case.startswith("lab"):
             mod = ModulationSpec(CAVITY if case == "lab_cavity" else ATOM, 0.4 - 0.15j, 2.0)
             rhs, h = bind_driven_rhs(JcParams(1.1, 0.9, 0.05), mod, 2, Frame.LAB), math.pi / 50
-            t0, t1 = 0.25, 0.25 + (7 * 50 + 13.4) * h
+            t1 = (7 * 50 + 13.4) * h
         elif case == "detuned_gauged":
             rhs = bind_driven_rhs(JcParams(1.02, 1.0, 0.05), mod, 1, Frame.GAUGED)
         elif case == "step_not_dividing":
@@ -605,11 +608,10 @@ class TestPeriodicPath:
             rhs = bind_static_rhs(p, 1)
         elif case == "averaged":
             rhs = bind_averaged_rhs(p, mod, 1)
-        traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, t0, t1, h)
-        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, t0, h,
-                                   *dynamics._split_steps(t0, t1, h))
-        assert traj.times[-1] == t1 and len(traj) == len(c_ref)
-        assert not case.startswith("lab") or len(traj) == 7 * 50 + 13 + 2
+        traj = integrate(rhs, 0.6 + 0.2j, 0.5 - 0.1j, t1, h)
+        c_ref, d_ref = rk4_generic(rhs, 0.6 + 0.2j, 0.5 - 0.1j, h, dynamics.step_count(t1, h))
+        assert traj.times[-2] < t1 <= traj.times[-1] and len(traj) == len(c_ref)
+        assert not case.startswith("lab") or len(traj) == 7 * 50 + 14 + 1
         assert _max_rel_dev(traj, c_ref, d_ref) <= 1e-12
 
 
@@ -631,11 +633,10 @@ class TestBlockedScan:
         # of all 400 steps would hold 7^400, past float64, and times c = 0 give nan;
         # carried states keep c exactly 0, as the per-step loop did
         split = self.diagonal(20.0, -20.0)
-        c, d = kernels.rk4_linear(split, 0.0, 1.0, 0.0, 0.1, 400, 0.0)
+        c, d = kernels.rk4_linear(split, 0.0, 1.0, 0.1, 400)
         assert np.isfinite(c).all() and np.isfinite(d).all()
         assert not c.any()
-        c_ref, d_ref = rk4_generic(BoundRhs(split, Frame.LAB, 1, 20.0, 0.0), 0.0, 1.0, 0.0, 0.1,
-                                   400, 0.0)
+        c_ref, d_ref = rk4_generic(BoundRhs(split, Frame.LAB, 1, 20.0, 0.0), 0.0, 1.0, 0.1, 400)
         assert not c_ref.any()
         np.testing.assert_allclose(d, d_ref, rtol=1e-12, atol=0.0)
 
@@ -645,10 +646,10 @@ class TestBlockedScan:
         # 400 steps; only the second run's own periods count
         rates = np.array([[60.0], [1.0]])
         grow = self.diagonal(rates, rates)
-        p, y = kernels.rk4_period_factors(grow, 1.0, 1.0, 0.0, [0.1, 0.1], [100, 400], 10)
+        p, y = kernels.rk4_period_factors(grow, 1.0, 1.0, [0.1, 0.1], [100, 400], 10)
         assert p.shape == (4, 2, 11) and y.shape == (2, 2, 41)
         assert np.isfinite(y[:, 0, :11]).all() and not np.isfinite(y[:, 0, -1]).any()
-        _, y_alone = kernels.rk4_period_factors(self.diagonal(60.0, 60.0), 1.0, 1.0, 0.0, 0.1,
+        _, y_alone = kernels.rk4_period_factors(self.diagonal(60.0, 60.0), 1.0, 1.0, 0.1,
                                                 100, 10)
         assert y[:, 0, :11].tobytes() == y_alone[:, 0].tobytes()
 
@@ -658,7 +659,7 @@ class TestBlockedScan:
         rates = np.array([[1.0], [60.0]])
         grow = self.diagonal(rates, rates)
         with pytest.raises(FloatingPointError) as info:
-            kernels.rk4_period_factors(grow, 1.0, 1.0, 0.0, [0.1, 0.1], [400, 400], 10)
+            kernels.rk4_period_factors(grow, 1.0, 1.0, [0.1, 0.1], [400, 400], 10)
         assert info.value.args == (150, 1)
 
 
@@ -713,7 +714,7 @@ class TestRk4Stability:
                               Frame.LAB)
         check_rk4_stability(rhs, math.inf)
         with pytest.raises(ValueError, match="step must be positive and finite"):
-            integrate(rhs, 1.0, 0.0, 0.0, 1.0, math.inf)
+            integrate(rhs, 1.0, 0.0, 1.0, math.inf)
 
 
 class TestStepAndSerialization:
@@ -751,7 +752,7 @@ class TestStepAndSerialization:
 
     def test_csv_round_trip(self, rng, tmp_path):
         p = JcParams(1.0, 1.0, 0.1j)
-        traj = integrate(bind_static_rhs(p, 2), 0.1 + 0.2j, 1.0 - 0.05j, 0.0, 2.0, 0.01)
+        traj = integrate(bind_static_rhs(p, 2), 0.1 + 0.2j, 1.0 - 0.05j, 2.0, 0.01)
         path = tmp_path / "traj.csv"
         write_trajectory_csv([traj], [path])
         back = read_trajectory_csv(path)
@@ -762,7 +763,7 @@ class TestStepAndSerialization:
         assert back.n == traj.n
 
     def test_csv_header_exact(self, tmp_path):
-        traj = integrate(ZERO_RHS, 0.0, 1.0, 0.0, 0.2, 0.1)
+        traj = integrate(ZERO_RHS, 0.0, 1.0, 0.2, 0.1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv([traj], [path])
         first = path.read_text().splitlines()[0]
@@ -780,14 +781,14 @@ class TestStepAndSerialization:
     def test_map_trajectory_round_trip(self, rng):
         p = JcParams(1.0, 1.0, 0.05)
         mod = ModulationSpec(target=ATOM, beta=0.3 + 0.1j, big_omega=2.0)
-        traj = integrate(bind_driven_rhs(p, mod, 1, Frame.LAB), 0.5, 0.5, 0.0, 2.0, 0.01)
+        traj = integrate(bind_driven_rhs(p, mod, 1, Frame.LAB), 0.5, 0.5, 2.0, 0.01)
         there = map_trajectory(traj, p, mod, Frame.GAUGED)
         back = map_trajectory(there, p, mod, Frame.LAB)
         assert np.abs(back.c - traj.c).max() <= 1e-13
         assert np.abs(back.d - traj.d).max() <= 1e-13
 
     def test_map_to_gauged_needs_modulation(self):
-        traj = integrate(ZERO_RHS, 0.5, 0.5, 0.0, 0.3, 0.1)
+        traj = integrate(ZERO_RHS, 0.5, 0.5, 0.3, 0.1)
         with pytest.raises(ValueError):
             map_trajectory(traj, JcParams(1.0, 1.0, 0.05), None, Frame.GAUGED)
 
@@ -820,8 +821,7 @@ class TestCsvCodec:
         assert path.read_bytes() == text.encode("utf-8")
 
     def test_integrated_bytes_match_the_per_row_writer(self, tmp_path):
-        traj = integrate(bind_static_rhs(JcParams(1.0, 1.0, 0.1j), 2), 0.1 + 0.2j, 1.0 - 0.05j,
-                         0.0, 2.05, 0.1)
+        traj = integrate(bind_static_rhs(JcParams(1.0, 1.0, 0.1j), 2), 0.1 + 0.2j, 1.0 - 0.05j, 2.05, 0.1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv([traj], [path])
         assert path.read_bytes() == per_row_trajectory_text(traj).encode("utf-8")

@@ -183,7 +183,7 @@ class TestPeriodResolvedAverages:
             a[2] = -1j * kappa * np.exp(-1j * z * np.sin(big_omega * t))
             return a
 
-        c, d = kernels.rk4_linear(slow_block, 0.0, 1.0, 0.0, dt, n_steps, 0.0)
+        c, d = kernels.rk4_linear(slow_block, 0.0, 1.0, dt, n_steps)
         times = dt * np.arange(n_steps + 1, dtype=float)
         s = np.sin(big_omega * times)
         if measure == PRINTED_MEASURE and cfg.target is ATOM:
